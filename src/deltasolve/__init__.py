@@ -27,7 +27,7 @@ from .rationals import (Rational, binomial, factorial, format_rational,
 from .spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                        SpectralConfig, SpectralSolution, difference_residual,
                        euler_gap, exp_poly_integral, iterated_integral,
-                       spectral_solve)
+                       power_sums, spectral_solve)
 from .zeta import (ZetaClosedForm, coefficient_tables, verify_comparison,
                    zeta_even_closed_form, zeta_partial_sum)
 
@@ -77,6 +77,7 @@ __all__ = [
     "parse_rational",
     "parse_real_polynomial",
     "pfd_eval",
+    "power_sums",
     "solve_linear_ode",
     "spectral_solve",
     "to_float",

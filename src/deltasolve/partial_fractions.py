@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+from .spectral import TWO_PI, power_sums
+
 __all__ = [
     "POLE_EXCLUSION_RADIUS",
     "PoleProximityError",
@@ -27,8 +29,6 @@ __all__ = [
     "characteristic_zeros",
     "laurent_from_modes",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 POLE_EXCLUSION_RADIUS = 1e-6
 
@@ -47,17 +47,17 @@ def pfd_eval(z: complex, truncation_order: int) -> complex:
     """Truncated partial fraction value of 1/(e^z - 1) at z.
 
     Requires |z - 2*k*pi*i| > POLE_EXCLUSION_RADIUS for all |k| <= K+1; the
-    K+1 guard keeps the first *omitted* pole at a safe distance too.
+    K+1 guard keeps the first *omitted* pole at a safe distance too.  Poles
+    are 2*pi apart, so only the nearest, k = round(Im z / 2 pi), can be that
+    close; a z with a non-finite part is near none.
     """
     if truncation_order < 1:
         raise ValueError("truncation order must be >= 1")
     z = complex(z)
-    for k in range(0, truncation_order + 2):
-        pole = complex(0.0, TWO_PI * k)
-        if abs(z - pole) <= POLE_EXCLUSION_RADIUS:
-            raise PoleProximityError(k)
-        if k and abs(z + pole) <= POLE_EXCLUSION_RADIUS:
-            raise PoleProximityError(-k)
+    k = round(z.imag / TWO_PI) if math.isfinite(z.imag) else 0
+    if abs(k) <= truncation_order + 1 \
+            and abs(z - complex(0.0, TWO_PI * k)) <= POLE_EXCLUSION_RADIUS:
+        raise PoleProximityError(k)
     total = -0.5 + 1.0 / z
     z_squared = z * z
     for k in range(1, truncation_order + 1):
@@ -79,21 +79,17 @@ def characteristic_zeros(truncation_order: int) -> list[complex]:
 def laurent_from_modes(j: int, truncation_order: int) -> complex:
     """Coefficient of z^j in the truncated mode sum about z = 0.
 
-    Returns -sum_{1 <= |k| <= K} (2 k pi i)^(-(j+1)) with +-k paired.  For
-    even j the pair members are opposite and the sum is exactly zero; for
-    odd j the pair combines to 2 * (+-1) * (2 pi k)^(-(j+1)) and the total
-    converges to B_{j+1}/(j+1)!.
+    Returns -sum_{1 <= |k| <= K} (2 k pi i)^(-m), m = j + 1, with +-k paired.
+    For even j the pair members are opposite and the sum is exactly zero;
+    for odd j the pair combines to 2 (-1)^(m/2) (2 pi k)^(-m), so the total
+    is -2 (-1)^(m/2) (2 pi)^(-m) S_m(K) and converges to B_m/m!.
     """
     if j < 0:
         raise ValueError("power index must be >= 0")
     if truncation_order < 1:
         raise ValueError("truncation order must be >= 1")
-    exponent = -(j + 1)
-    if exponent % 2 != 0:
+    m = j + 1
+    if m % 2 != 0:
         return 0j
-    # i^exponent for even exponent: +1 when exponent/2 is even, else -1.
-    sign = 1.0 if (exponent // 2) % 2 == 0 else -1.0
-    acc = 0.0
-    for k in range(1, truncation_order + 1):
-        acc += (TWO_PI * k) ** exponent
-    return complex(-2.0 * sign * acc, 0.0)
+    total = TWO_PI ** -m * power_sums((m,), truncation_order)[m]
+    return complex(-2.0 * (-1) ** (m // 2) * total, 0.0)

@@ -18,17 +18,19 @@ the plain antiderivative, and the corrected solution also subtracts g/2:
 Without the -g/2 term (the historical, uncorrected form) the mode sum
 misses the solution by exactly g/2.
 
-Truncation keeps modes 1 <= |k| <= K.  The +k and -k contributions are
-conjugate, so each pair is summed before accumulation; one-sided partial
-sums would diverge for every forcing with a linear term, which is why the
-symmetric pairing is structural and not an optimisation.  Pairs are
-accumulated in ascending |k|, making results bit-for-bit reproducible.
+Truncation keeps modes 1 <= |k| <= K.  The x^j coefficient of mode k for
+forcing x^n is k^(-m), m = n + 1 - j, times its value c_j at the unit mode
+a = 2*pi*i, and the -k mode is the conjugate, so each pair adds
+2 Re(c_j) k^(-m): exactly 0 for odd m.  The truncated solution is thus a
+fixed combination of the power sums S_m(K) = sum_{k<=K} k^(-m), which
+``power_sums`` accumulates in ascending k (bit-for-bit reproducible).
+Pairing is structural: one-sided sums diverge for any linear forcing term.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .polynomials import ComplexPolynomial, Polynomial
@@ -38,6 +40,7 @@ __all__ = [
     "DegreeOverflowError",
     "SpectralConfig",
     "SpectralSolution",
+    "power_sums",
     "exp_poly_integral",
     "iterated_integral",
     "spectral_solve",
@@ -72,9 +75,8 @@ class SpectralConfig:
 class SpectralSolution:
     """A truncated spectral solution; the mode sum collapses to a polynomial.
 
-    After symmetric accumulation the coefficients are real up to rounding
-    (imaginary parts cancel pairwise), but they are kept complex so that the
-    cancellation is observable rather than forced.
+    Each +-k pair adds a real multiple of x^j, so the imaginary parts are
+    exactly 0; they are kept complex so that this is observable, not forced.
     """
 
     polynomial_part: ComplexPolynomial
@@ -120,27 +122,32 @@ def iterated_integral(forcing: Polynomial, count: int) -> Polynomial:
     return result
 
 
-def _mode_polynomial(forcing_coeffs: Sequence[complex],
-                     a: complex) -> ComplexPolynomial:
-    """Mode contribution for one characteristic value a, by linearity."""
-    acc = [0j] * len(forcing_coeffs)
-    for power, coeff in enumerate(forcing_coeffs):
-        if coeff == 0:
-            continue
-        term = exp_poly_integral(a, power)
-        for i, c in enumerate(term.coefficients):
-            acc[i] += coeff * c
-    return ComplexPolynomial(acc)
+def power_sums(exponents: Iterable[int],
+               truncation_order: int) -> dict[int, float]:
+    """{m: sum_{k=1..K} k ** -m} for each m, K = truncation_order.
+
+    Each sum accumulates in ascending k (a tight pass per m is faster in
+    CPython than one shared pass), so results are reproducible bit for bit.
+    ``k ** -m`` is a float power: it underflows to 0.0 for large m where
+    ``1.0 / k ** m`` would raise OverflowError.
+    """
+    totals = {}
+    for m in exponents:
+        power, total = -m, 0.0
+        for k in range(1, truncation_order + 1):
+            total += k ** power
+        totals[m] = total
+    return totals
 
 
 def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolution:
     """Truncated (optionally corrected) mode-sum solution of Df = forcing.
 
     polynomial_part = [-forcing/2 if corrected] + antiderivative(forcing)
-                      + sum over pairs +-k, k = 1..K ascending.
-
-    All integration constants are zero, which picks one member of the
-    solution family (solutions differ by 1-periodic functions).
+        + sum over p, j with p+1-j even of 2 g_p Re(c_j) S_{p+1-j}(K) x^j,
+    with c_j from ``exp_poly_integral(2 pi i, p)``.  All integration
+    constants are zero, which picks one member of the solution family
+    (solutions differ by 1-periodic functions).
     """
     if forcing.degree > MAX_FORCING_DEGREE:
         raise DegreeOverflowError(
@@ -150,13 +157,17 @@ def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolut
     if config.include_correction:
         acc = acc + ComplexPolynomial.from_exact(forcing) * (-0.5)
     acc = acc + ComplexPolynomial.from_exact(forcing.antiderivative())
-    forcing_coeffs = tuple(complex(float(c)) for c in forcing.coefficients)
-    for k in range(1, config.truncation_order + 1):
-        a = complex(0.0, TWO_PI * k)
-        pair = _mode_polynomial(forcing_coeffs, a) \
-            + _mode_polynomial(forcing_coeffs, -a)
-        acc = acc + pair
-    return SpectralSolution(polynomial_part=acc, config=config)
+    forcing_coeffs = [float(c) for c in forcing.coefficients]
+    sums = power_sums(range(2, len(forcing_coeffs) + 1, 2),
+                      config.truncation_order)
+    modes = [0.0] * len(forcing_coeffs)
+    for p, coeff in enumerate(forcing_coeffs):
+        unit_mode = exp_poly_integral(complex(0.0, TWO_PI), p)
+        for j in range(p - 1, -1, -2):
+            modes[j] += 2.0 * coeff * unit_mode.coefficient(j).real \
+                * sums[p + 1 - j]
+    return SpectralSolution(polynomial_part=acc + ComplexPolynomial(modes),
+                            config=config)
 
 
 def euler_gap(forcing: Polynomial, x: float, truncation_order: int) -> float:

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli
 from .rationals import Rational, binomial, factorial
+from .spectral import TWO_PI, power_sums
 
 __all__ = [
     "ZetaClosedForm",
@@ -40,8 +41,6 @@ __all__ = [
     "coefficient_tables",
     "verify_comparison",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # Beyond n = 12 the exact B-table stays cheap but the numeric A-table's
 # n!/j! prefactors start amplifying tail error past usefulness.
@@ -81,9 +80,7 @@ def zeta_partial_sum(j: int, n_terms: int) -> tuple[float, float]:
     if n_terms < 2:
         raise ValueError("zeta_partial_sum requires at least 2 terms")
     exponent = 2 * j
-    partial = 0.0
-    for k in range(1, n_terms + 1):
-        partial += 1.0 / float(k) ** exponent
+    partial = power_sums((exponent,), n_terms)[exponent]
     def tail(m: int) -> float:
         return float(m) ** (1 - exponent) / (exponent - 1)
     return (partial + tail(n_terms + 1), partial + tail(n_terms))
@@ -100,18 +97,12 @@ def coefficient_tables(n: int, truncation_order: int
         raise ValueError(f"table order must be in 1..{MAX_TABLE_ORDER}")
     if truncation_order < 1:
         raise ValueError("truncation order must be >= 1")
-    a_table: list[float] = []
-    for j in range(n + 1):
-        exponent = j - (n + 1)
-        if exponent % 2 != 0:
-            a_table.append(0.0)
-            continue
-        sign = 1.0 if (exponent // 2) % 2 == 0 else -1.0
-        acc = 0.0
-        for k in range(1, truncation_order + 1):
-            acc += (TWO_PI * k) ** exponent
+    a_table = [0.0] * (n + 1)
+    sums = power_sums(range(2, n + 2, 2), truncation_order)
+    for m, total in sums.items():
+        j = n + 1 - m
         prefactor = float(factorial(n)) / float(factorial(j))
-        a_table.append(-prefactor * 2.0 * sign * acc)
+        a_table[j] = -prefactor * 2.0 * (-1) ** (m // 2) * TWO_PI ** -m * total
     b_table = [Fraction(0)] * (n + 1)
     for j in range(2, n + 1):
         b_table[j] = binomial(n + 1, j) * bernoulli(j) / (n + 1)

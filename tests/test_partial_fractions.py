@@ -55,8 +55,13 @@ def test_pole_guard():
     with pytest.raises(PoleProximityError) as info:
         pfd_eval(complex(0.0, 11.0 * TWO_PI), 10)
     assert info.value.k == 11
-    # ... but beyond it evaluation proceeds
+    with pytest.raises(PoleProximityError) as info:
+        pfd_eval(complex(0.0, -11.0 * TWO_PI) - 1e-8, 10)
+    assert info.value.k == -11
+    # ... but beyond it evaluation proceeds, on a pole as well as between
     pfd_eval(complex(0.0, 12.5 * TWO_PI), 10)
+    assert isinstance(pfd_eval(complex(0.0, 12.0 * TWO_PI), 10), complex)
+    assert isinstance(pfd_eval(complex(0.0, -12.0 * TWO_PI), 10), complex)
 
 
 def test_pole_guard_message_names_the_pole():

@@ -1,4 +1,5 @@
-"""Corrected mode-sum solver: mode polynomials, truncation, residuals."""
+"""Corrected mode-sum solver: power sums, mode polynomials, truncation,
+residuals, and the mode-by-mode pair sum as the reference oracle."""
 
 import math
 import random
@@ -11,7 +12,8 @@ from deltasolve.polynomials import ComplexPolynomial, Polynomial
 from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  SpectralConfig, difference_residual,
                                  euler_gap, exp_poly_integral,
-                                 iterated_integral, spectral_solve)
+                                 iterated_integral, power_sums,
+                                 spectral_solve)
 
 X = Polynomial((0, 1))
 TWO_PI = 2.0 * math.pi
@@ -87,8 +89,75 @@ def test_degree_cap():
     spectral_solve(Polynomial.monomial(MAX_FORCING_DEGREE), SpectralConfig(1))
 
 
+def _pair_sum_oracle(forcing, config):
+    """The paper's mode sum taken literally: -g/2 (if corrected) plus the
+    antiderivative plus, for k = 1..K ascending, the +k and -k modes
+    exp_poly_integral(+-2 pi i k, p) of every forcing power p, each pair
+    summed before it is accumulated.  Also returns, per coefficient, the sum
+    of the magnitudes of the real parts added into it: the scale that the
+    rounding of either route is measured against."""
+    g = [float(c) for c in forcing.coefficients]
+    base = ComplexPolynomial.from_exact(forcing.antiderivative())
+    if config.include_correction:
+        base = ComplexPolynomial.from_exact(forcing) * (-0.5) + base
+    acc = [base.coefficient(j) for j in range(len(g) + 1)]
+    scale = [abs(c) for c in acc]
+    for k in range(1, config.truncation_order + 1):
+        pair = [0j] * len(g)
+        for a in (complex(0.0, TWO_PI * k), complex(0.0, -TWO_PI * k)):
+            for p, coeff in enumerate(g):
+                for j, c in enumerate(exp_poly_integral(a, p).coefficients):
+                    pair[j] += coeff * c
+                    scale[j] += abs((coeff * c).real)
+        for j, c in enumerate(pair):
+            acc[j] += c
+    return acc, scale
+
+
+@pytest.mark.parametrize("include_correction", [True, False])
+def test_agrees_with_the_mode_by_mode_pair_sum(include_correction):
+    rng = random.Random(20261018)
+    # zero (degree -inf) and constant forcings have no surviving mode
+    forcings = [Polynomial.zero(), Polynomial((Fraction(-7, 3),))]
+    for degree in range(1, 13):
+        forcings.append(Polynomial(tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(degree)) + (rng.choice((-1, 1)),)))
+    for forcing in forcings:
+        for K in (1, 2, 9, 40):
+            config = SpectralConfig(K, include_correction)
+            solution = spectral_solve(forcing, config).polynomial_part
+            assert solution.max_abs_imag() == 0.0, (forcing, K)
+            oracle, scale = _pair_sum_oracle(forcing, config)
+            assert solution.degree <= len(oracle) - 1
+            for j, (want, size) in enumerate(zip(oracle, scale)):
+                got = solution.coefficient(j)
+                assert abs(got - want.real) <= 1e-12 * size, (forcing, K, j)
+                assert abs(want.imag) <= 1e-12 * size, (forcing, K, j)
+
+
+def test_power_sums_match_hurwitz_zeta():
+    mpmath = pytest.importorskip("mpmath")
+    exponents = range(2, 33)
+    with mpmath.workdps(40):
+        for K in (1, 2, 10, 999, 10 ** 4):
+            sums = power_sums(exponents, K)
+            assert list(sums) == list(exponents)
+            for m in exponents:
+                exact = mpmath.zeta(m) - mpmath.zeta(m, K + 1)
+                # K ascending additions of positive terms: relative error
+                # below K units in the last place
+                assert abs(sums[m] - exact) <= K * 2.0 ** -52 * exact, (m, K)
+
+
+def test_power_sums_underflow_instead_of_overflowing():
+    # 2 ** 2000 is not a double; 2.0 ** -2000 rounds to 0.0
+    assert power_sums((2000, 2), 3) == {2000: 1.0, 2: 1.0 + 0.25 + 1.0 / 9.0}
+    assert power_sums((), 10) == {}
+
+
 def test_imaginary_parts_cancel_exactly():
-    # +-k mode polynomials are bitwise conjugate, so each pair sum is real
+    # each +-k pair adds 2 Re(c_j) k^-m, a real number
     for forcing in (X, Polynomial((2, 0, 1)), Polynomial((0, 1, 1, 1))):
         sol = spectral_solve(forcing, SpectralConfig(50))
         assert sol.polynomial_part.max_abs_imag() == 0.0
