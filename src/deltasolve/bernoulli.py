@@ -7,23 +7,36 @@ Solutions of the difference equation are only determined up to an additive
 result canonical.  This exact construction is the reference that the
 truncated spectral summation is judged against.
 
+Following Euler, the antidifference of x^n is the Bernoulli polynomial
+difference (B_{n+1}(x) - B_{n+1}) / (n+1), so by linearity the x^j
+coefficient of f (j >= 1) is
+
+    (1/j) sum_{n >= j-1} g_n C(n, j-1) B_{n+1-j},
+
+read straight off the Bernoulli table; the Faulhaber polynomial is
+S_n(x) = antidifference(x^n) + x^n.
+
 Bernoulli numbers use the B_1 = -1/2 convention and come from the defining
 recurrence
 
     sum_{k=0}^{n} C(n+1, k) B_k = 0,   B_0 = 1,
 
-solved for B_n.  They are deliberately *not* obtained by back-substituting
-zeta values: the zeta closed forms downstream are validated against these
+solved for B_n.  The table keeps every B_k as an integer over one common
+denominator (the running lcm of the denominators stored so far), so each
+step sums plain integers; odd B_n, n >= 3, are 0 and appended without a
+sum.  They are deliberately *not* obtained by back-substituting zeta
+values: the zeta closed forms downstream are validated against these
 numbers, and that check would be circular if the numbers came from zeta.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
 from .polynomials import Polynomial
-from .rationals import Rational, binomial
+from .rationals import Rational
 
 __all__ = [
     "BernoulliTable",
@@ -38,6 +51,9 @@ class BernoulliTable:
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
+        # B_k * _denominator for every stored k, all integers.
+        self._scaled: list[int] = [1]
+        self._denominator = 1
         self._lock = threading.Lock()
 
     @property
@@ -52,13 +68,31 @@ class BernoulliTable:
                 self._append_next()
             return self._values[n]
 
+    def _scaled_prefix(self, n: int) -> tuple[list[int], int]:
+        """(numerators, d) with B_k = numerators[k] / d for k = 0..n."""
+        self.value(n)
+        with self._lock:
+            return self._scaled[:n + 1], self._denominator
+
     def _append_next(self) -> None:
-        # C(m+1, m) B_m = -sum_{k<m} C(m+1, k) B_k, and C(m+1, m) = m + 1.
         m = len(self._values)
-        acc = Fraction(0)
-        for k, b_k in enumerate(self._values):
-            acc += binomial(m + 1, k) * b_k
-        self._values.append(-acc / (m + 1))
+        if m >= 3 and m % 2:
+            self._values.append(Fraction(0))
+            self._scaled.append(0)
+            return
+        # C(m+1, m) B_m = -sum_{k<m} C(m+1, k) B_k, and C(m+1, m) = m + 1.
+        acc = 0
+        for k, b_k in enumerate(self._scaled):
+            if b_k:
+                acc += math.comb(m + 1, k) * b_k
+        b_m = Fraction(-acc, self._denominator * (m + 1))
+        self._values.append(b_m)
+        grow = b_m.denominator // math.gcd(b_m.denominator, self._denominator)
+        if grow != 1:
+            self._denominator *= grow
+            self._scaled = [b_k * grow for b_k in self._scaled]
+        self._scaled.append(
+            b_m.numerator * (self._denominator // b_m.denominator))
 
 
 _TABLE = BernoulliTable()
@@ -69,42 +103,51 @@ def bernoulli(n: int) -> Rational:
     return _TABLE.value(n)
 
 
+def _antidifference_coefficients(
+        coeffs: tuple[Fraction, ...]) -> list[Fraction]:
+    """Ascending coefficients of the antidifference of sum coeffs[n] x^n,
+    constant term 0, from the Bernoulli-polynomial formula in the module
+    docstring.  Each coefficient is one integer sum over the common
+    denominator q d of the forcing (q) and the table (d)."""
+    top = len(coeffs)
+    out = [Fraction(0)] * (top + 1)
+    b, d = _TABLE._scaled_prefix(top)
+    q = math.lcm(*(c.denominator for c in coeffs))
+    g = [c.numerator * (q // c.denominator) for c in coeffs]
+    for j in range(1, top + 1):
+        acc = 0
+        for n in range(j - 1, top):
+            if g[n] and b[n + 1 - j]:
+                acc += g[n] * math.comb(n, j - 1) * b[n + 1 - j]
+        out[j] = Fraction(acc, j * q * d)
+    return out
+
+
 def faulhaber(n: int) -> Polynomial:
     """The power-sum polynomial S_n with S_n(m) = sum_{k=1}^{m} k^n.
 
-    For n >= 1,
+    For n >= 1, S_n(x) - S_n(x-1) = x^n and S_n(0) = 0, so S_n is the
+    antidifference of x^n plus x^n:
 
         S_n(x) = x^(n+1)/(n+1) + x^n/2
                  + (1/(n+1)) sum_{j=2}^{n} C(n+1, j) B_j x^(n+1-j),
 
-    which has no constant term.  The formula's x^n/2 term presumes n >= 1,
-    so n = 0 is the explicit base case S_0(x) = x.
+    which has no constant term.  The x^n/2 comes from B_1 = -1/2 and
+    presumes n >= 1, so n = 0 is the explicit base case S_0(x) = x.
     """
     if n < 0:
         raise ValueError("faulhaber requires n >= 0")
     if n == 0:
         return Polynomial.monomial(1)
-    coeffs = [Fraction(0)] * (n + 2)
-    coeffs[n + 1] = Fraction(1, n + 1)
-    coeffs[n] = Fraction(1, 2)
-    for j in range(2, n + 1):
-        coeffs[n + 1 - j] += binomial(n + 1, j) * bernoulli(j) / (n + 1)
+    coeffs = _antidifference_coefficients((Fraction(0),) * n + (Fraction(1),))
+    coeffs[n] += 1
     return Polynomial(coeffs)
 
 
 def antidifference_polynomial(forcing: Polynomial) -> Polynomial:
     """The unique f with f(x+1) - f(x) = forcing(x) and f(0) = 0.
 
-    Built by linearity: the antidifference of x^n is S_n(x-1), since
-    S_n(x) - S_n(x-1) = x^n.  For n >= 1 that shift already has a zero
-    constant term; S_0(x-1) = x - 1 does not, so the constant is dropped at
-    the end (constants lie in the kernel of the forward difference).
+    By linearity, the sum over n of forcing_n (B_{n+1}(x) - B_{n+1}) / (n+1);
+    the coefficients come straight from the Bernoulli table.
     """
-    acc = Polynomial.zero()
-    for power, coeff in enumerate(forcing.coefficients):
-        if coeff:
-            acc = acc + coeff * faulhaber(power).translate(-1)
-    constant = acc.coefficient(0)
-    if constant:
-        acc = acc - Polynomial.constant(constant)
-    return acc
+    return Polynomial(_antidifference_coefficients(forcing.coefficients))

@@ -1,6 +1,8 @@
 """Bernoulli numbers, Faulhaber polynomials, exact antidifference."""
 
+import importlib
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -10,6 +12,9 @@ from deltasolve.bernoulli import (BernoulliTable, antidifference_polynomial,
                                   bernoulli, faulhaber)
 from deltasolve.polynomials import Polynomial
 from deltasolve.rationals import binomial
+
+# The package re-exports the function ``bernoulli`` over the module's name.
+bernoulli_module = importlib.import_module("deltasolve.bernoulli")
 
 X = Polynomial((0, 1))
 
@@ -50,13 +55,64 @@ def test_negative_index_rejected():
         bernoulli(-1)
 
 
-def test_table_extension_is_thread_safe():
+def _tangent_bernoulli(n):
+    """B_0..B_n (n >= 2) from the integer tangent numbers T_k of Brent &
+    Harvey (arXiv:1108.0286): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    Shares nothing with the package's recurrence."""
+    half = n // 2
+    t = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for k in range(1, half + 1):
+        values[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k],
+                                 4 ** k * (4 ** k - 1))
+    return values
+
+
+def test_table_matches_tangent_numbers():
+    table = BernoulliTable()
+    table.value(200)
+    for n, expected in enumerate(_tangent_bernoulli(200)):
+        assert table.value(n) == expected, n
+    for n in range(3, 201, 2):
+        value = table.value(n)
+        assert type(value) is Fraction and value == 0, n
+
+
+def test_table_extension_is_thread_safe(monkeypatch):
     table = BernoulliTable()
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(table.value, [40] * 16))
     assert len(set(results)) == 1
     assert results[0] == bernoulli(40)
     assert table.computed_up_to >= 40
+
+    # One fresh table grown to 150 by several threads at once, read both
+    # as values and, through antidifferences, as integers over the table's
+    # common denominator, which grows and rescales while others read it.
+    fresh = BernoulliTable()
+    monkeypatch.setattr(bernoulli_module, "_TABLE", fresh)
+    indices = list(range(150, 0, -7)) + list(range(3, 150, 11))
+    forcings = [Polynomial.monomial(n - 1) for n in indices]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            values = pool.map(fresh.value, indices, timeout=120)
+            antidiffs = pool.map(antidifference_polynomial, forcings,
+                                 timeout=120)
+            values, antidiffs = list(values), list(antidiffs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert fresh.computed_up_to == 150
+    expected = _tangent_bernoulli(150)
+    assert values == [expected[n] for n in indices]
+    monkeypatch.setattr(bernoulli_module, "_TABLE", BernoulliTable())
+    assert antidiffs == [antidifference_polynomial(g) for g in forcings]
 
 
 def _power_sum(n, m):
@@ -113,3 +169,41 @@ def test_antidifference_of_monomials_is_shifted_faulhaber():
             == faulhaber(n).translate(-1)
         assert faulhaber(n) - Polynomial.monomial(n) \
             == faulhaber(n).translate(-1)
+
+
+def _translate_oracle(forcing):
+    """The antidifference by the translate route: sum_n g_n S_n(x-1), since
+    S_n(x) - S_n(x-1) = x^n, with the constant of S_0(x-1) = x - 1
+    dropped."""
+    acc = Polynomial.zero()
+    for power, coeff in enumerate(forcing.coefficients):
+        if coeff:
+            acc = acc + coeff * faulhaber(power).translate(-1)
+    return acc - Polynomial.constant(acc.coefficient(0))
+
+
+def test_antidifference_matches_translate_route():
+    rng = random.Random(20261018)
+    for degree in range(41):
+        g = Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                        for _ in range(degree)]
+                       + [Fraction(rng.randint(1, 99), rng.randint(1, 99))])
+        assert antidifference_polynomial(g) == _translate_oracle(g), degree
+
+
+def test_antidifference_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                             max_denominator=10 ** 6)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.lists(rationals, max_size=26))
+    def round_trip(coeffs):
+        g = Polynomial(coeffs)
+        f = antidifference_polynomial(g)
+        assert f.forward_difference() == g
+        assert f.coefficient(0) == 0
+
+    round_trip()

@@ -145,9 +145,13 @@ def test_power_sums_match_hurwitz_zeta():
             assert list(sums) == list(exponents)
             for m in exponents:
                 exact = mpmath.zeta(m) - mpmath.zeta(m, K + 1)
-                # K ascending additions of positive terms: relative error
-                # below K units in the last place
-                assert abs(sums[m] - exact) <= K * 2.0 ** -52 * exact, (m, K)
+                # Descending k: each addition rounds, by half an ulp, a
+                # partial sum that is a tail sum_{i=k..K} i^-m, and those
+                # tails add up to sum_{k<=K} k^(1-m); each term's power
+                # rounds once more.  Never above the K ulps of any order.
+                tails = math.fsum(k ** (1 - m) for k in range(1, K + 1))
+                bound = 2.0 ** -53 * (exact + tails)
+                assert abs(sums[m] - exact) <= bound, (m, K)
 
 
 def test_power_sums_underflow_instead_of_overflowing():
