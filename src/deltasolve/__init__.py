@@ -17,8 +17,8 @@ from .ode import (CharacteristicPolynomial, ExpPoly, ExpPolyTerm,
 from .partial_fractions import (POLE_EXCLUSION_RADIUS, PoleProximityError,
                                 characteristic_zeros, laurent_from_modes,
                                 pfd_eval)
-from .polynomials import (NEG_INFINITY, ComplexPolynomial, Polynomial,
-                          format_complex, format_complex_polynomial,
+from .polynomials import (MAX_PARSED_DEGREE, NEG_INFINITY, ComplexPolynomial,
+                          Polynomial, format_complex, format_complex_polynomial,
                           format_polynomial, format_real_polynomial,
                           parse_complex, parse_complex_polynomial,
                           parse_polynomial, parse_real_polynomial)
@@ -41,6 +41,7 @@ __all__ = [
     "ExpPoly",
     "ExpPolyTerm",
     "MAX_FORCING_DEGREE",
+    "MAX_PARSED_DEGREE",
     "MultipleRootUnsupported",
     "NEG_INFINITY",
     "POLE_EXCLUSION_RADIUS",

@@ -221,8 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("plain", "json"), default="plain",
                         help="output format (default: plain)")
     common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for sweep studies (default: 1); "
-                             "results are identical for any value")
+                        help="accepted for compatibility; report rows are "
+                             "computed serially, identically for any value")
 
     parser = argparse.ArgumentParser(
         prog="deltasolve",

@@ -4,13 +4,16 @@ Coefficients are stored ascending: index i holds the coefficient of x^i.
 Both classes keep a canonical form with no trailing zero coefficient, so the
 zero polynomial has an empty coefficient tuple and its degree is -inf.
 
-``Polynomial`` (exact ``Rational`` coefficients) carries the operator
-calculus used on the exact side: shift p(x) -> p(x+1), forward difference,
-derivative and antiderivative, all computed without rounding.
-``ComplexPolynomial`` is the double-precision sibling that truncated mode
-sums accumulate into.  The exact/float boundary is crossed only through
-``ComplexPolynomial.from_exact`` or an explicit float()/complex() call,
-never implicitly.
+A private base class holds everything the two classes do identically:
+canonical storage, comparison and hashing, the additive group operations
+and the derivative.  It is parameterised only by the coefficient type, so
+the subclasses keep just what differs.  ``Polynomial`` (exact ``Rational``
+coefficients) adds the operator calculus used on the exact side: shift
+p(x) -> p(x+1), forward difference and antiderivative, all computed without
+rounding.  ``ComplexPolynomial`` is the double-precision sibling that
+truncated mode sums accumulate into.  The exact/float boundary is crossed
+only through ``ComplexPolynomial.from_exact`` or an explicit
+float()/complex() call, never implicitly.
 
 This module also owns the textual polynomial grammar shared by the CLI and
 the tests::
@@ -20,19 +23,20 @@ the tests::
 
 with coefficients written as ``p/q`` rationals (exact polynomials), plain
 float literals (real polynomials), or parenthesised ``(a+bi)`` literals
-(complex polynomials).  Rendering is in descending powers, e.g.
-``1/2*x^2 - 1/2*x``.
+(complex polynomials), and ``power`` at most ``MAX_PARSED_DEGREE``.
+Rendering is in descending powers, e.g. ``1/2*x^2 - 1/2*x``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 from .rationals import Rational, format_rational, parse_rational
 
 __all__ = [
     "NEG_INFINITY",
+    "MAX_PARSED_DEGREE",
     "Polynomial",
     "ComplexPolynomial",
     "format_polynomial",
@@ -48,21 +52,88 @@ __all__ = [
 # Degree of the zero polynomial.  Compares below every integer degree.
 NEG_INFINITY = float("-inf")
 
+# Largest power the polynomial grammars accept.  A term's power sizes the
+# dense coefficient list, so it is checked before that list is built.
+MAX_PARSED_DEGREE = 1000
 
-class Polynomial:
-    """Immutable dense polynomial with exact Rational coefficients."""
+
+def _trimmed(coeffs: list) -> tuple:
+    """``coeffs`` without trailing zero coefficients, as a tuple."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+class _DensePolynomial:
+    """Immutable dense polynomial over the coefficient type ``_scalar``."""
 
     __slots__ = ("_coeffs",)
+    _scalar: type
 
-    def __init__(self, coefficients: Iterable[Rational | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
+    def __init__(self, coefficients: Iterable = ()):
+        scalar = self._scalar
+        self._coeffs: tuple = _trimmed([scalar(c) for c in coefficients])
 
     @classmethod
-    def zero(cls) -> "Polynomial":
+    def zero(cls):
         return cls()
+
+    @property
+    def coefficients(self) -> tuple:
+        return self._coeffs
+
+    @property
+    def degree(self) -> int | float:
+        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def coefficient(self, power: int):
+        if 0 <= power < len(self._coeffs):
+            return self._coeffs[power]
+        return self._scalar(0)
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self._coeffs == other._coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._coeffs)
+
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self._coeffs))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        merged = list(a)
+        for i, c in enumerate(b):
+            merged[i] += c
+        return type(self)(merged)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def derivative(self):
+        return type(self)(tuple(c * i for i, c in enumerate(self._coeffs) if i))
+
+
+class Polynomial(_DensePolynomial):
+    """Immutable dense polynomial with exact Rational coefficients."""
+
+    __slots__ = ()
+    _scalar = Fraction
 
     @classmethod
     def constant(cls, value: Rational | int) -> "Polynomial":
@@ -74,58 +145,11 @@ class Polynomial:
             raise ValueError("monomial power must be >= 0")
         return cls((0,) * power + (coefficient,))
 
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int | float:
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]})"
 
     def __str__(self) -> str:
         return format_polynomial(self)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self._coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(merged)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial | Rational | int") -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -151,9 +175,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(c * i for i, c in enumerate(self._coeffs) if i))
-
     def antiderivative(self) -> "Polynomial":
         """The antiderivative with zero constant of integration."""
         return Polynomial((Fraction(0),) + tuple(
@@ -176,41 +197,15 @@ class Polynomial:
         return self.shift() - self
 
 
-class ComplexPolynomial:
+class ComplexPolynomial(_DensePolynomial):
     """Immutable dense polynomial with complex double coefficients."""
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coefficients: Iterable[complex] = ()):
-        coeffs = [complex(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs: tuple[complex, ...] = tuple(coeffs)
-
-    @classmethod
-    def zero(cls) -> "ComplexPolynomial":
-        return cls()
+    __slots__ = ()
+    _scalar = complex
 
     @classmethod
     def from_exact(cls, polynomial: Polynomial) -> "ComplexPolynomial":
         return cls(tuple(complex(float(c)) for c in polynomial.coefficients))
-
-    @property
-    def coefficients(self) -> tuple[complex, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int | float:
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coefficient(self, power: int) -> complex:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return 0j
 
     def real_coefficients(self) -> tuple[float, ...]:
         return tuple(c.real for c in self._coeffs)
@@ -218,38 +213,8 @@ class ComplexPolynomial:
     def max_abs_imag(self) -> float:
         return max((abs(c.imag) for c in self._coeffs), default=0.0)
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ComplexPolynomial):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __repr__(self) -> str:
         return f"ComplexPolynomial({list(self._coeffs)})"
-
-    def __neg__(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(-c for c in self._coeffs))
-
-    def __add__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return ComplexPolynomial(merged)
-
-    def __sub__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, scalar: complex | float | int) -> "ComplexPolynomial":
         if isinstance(scalar, (int, float, complex)):
@@ -263,10 +228,6 @@ class ComplexPolynomial:
         for c in reversed(self._coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(
-            c * i for i, c in enumerate(self._coeffs) if i))
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +286,9 @@ def _parse_term(chunk: str) -> tuple[int, str | None]:
             if not exponent.isdigit():
                 raise ValueError(f"malformed exponent in {chunk!r}")
             power = int(exponent)
+            if power > MAX_PARSED_DEGREE:
+                raise ValueError(f"power {power} in {chunk!r} exceeds "
+                                 f"the maximum of {MAX_PARSED_DEGREE}")
         if head.endswith("*"):
             head = head[:-1]
         return power, (head if head else None)
@@ -333,65 +297,67 @@ def _parse_term(chunk: str) -> tuple[int, str | None]:
     return 0, chunk
 
 
-def format_polynomial(polynomial: Polynomial) -> str:
-    """Render in descending powers with rational coefficients."""
-    if polynomial.is_zero:
-        return "0"
-    parts: list[str] = []
-    for power in range(int(polynomial.degree), -1, -1):
-        c = polynomial.coefficient(power)
-        if c == 0:
-            continue
-        magnitude = abs(c)
-        if power == 0:
-            body = format_rational(magnitude)
-        else:
-            x_part = "x" if power == 1 else f"x^{power}"
-            body = x_part if magnitude == 1 else f"{format_rational(magnitude)}*{x_part}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+def _collect_terms(text: str, parse_coeff: Callable, scalar: type) -> list:
+    """Ascending coefficients of ``text``: the signed terms summed by power.
 
-
-def parse_polynomial(text: str) -> Polynomial:
-    """Parse the polynomial grammar with exact rational coefficients."""
-    powers: dict[int, Fraction] = {}
+    ``parse_coeff`` reads a written coefficient; an omitted one is
+    ``scalar(1)``, and powers with no term hold ``scalar(0)``.
+    """
+    one, zero = scalar(1), scalar(0)
+    powers: dict = {}
     for sign, chunk in _split_signed_terms(text):
         power, coeff_text = _parse_term(chunk)
-        coeff = Fraction(1) if coeff_text is None else parse_rational(coeff_text)
-        powers[power] = powers.get(power, Fraction(0)) + sign * coeff
-    size = max(powers) + 1 if powers else 0
-    coeffs = [Fraction(0)] * size
+        coeff = one if coeff_text is None else parse_coeff(coeff_text)
+        powers[power] = powers.get(power, zero) + sign * coeff
+    coeffs = [zero] * (max(powers) + 1)
     for power, coeff in powers.items():
         coeffs[power] = coeff
-    return Polynomial(coeffs)
+    return coeffs
 
 
-def format_real_polynomial(coefficients: Sequence[float]) -> str:
-    """Render a float-coefficient polynomial, descending powers, repr floats."""
-    coeffs = list(coefficients)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return "0"
+def _format_signed(coeffs: Sequence, render: Callable[[object, str], str]) -> str:
+    """Nonzero terms in descending powers, joined by their signs.
+
+    ``render(magnitude, x_part)`` writes one term's body, where ``x_part``
+    is ``""``, ``"x"`` or ``"x^p"``.
+    """
     parts: list[str] = []
     for power in range(len(coeffs) - 1, -1, -1):
         c = coeffs[power]
         if c == 0:
             continue
-        magnitude = abs(c)
-        if power == 0:
-            body = repr(magnitude)
-        else:
-            x_part = "x" if power == 1 else f"x^{power}"
-            body = f"{magnitude!r}*{x_part}"
+        x_part = "" if power == 0 else "x" if power == 1 else f"x^{power}"
+        body = render(abs(c), x_part)
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:
             parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"
+
+
+def _rational_term(magnitude: Fraction, x_part: str) -> str:
+    if not x_part:
+        return format_rational(magnitude)
+    return x_part if magnitude == 1 else f"{format_rational(magnitude)}*{x_part}"
+
+
+def _float_term(magnitude: float, x_part: str) -> str:
+    return f"{magnitude!r}*{x_part}" if x_part else repr(magnitude)
+
+
+def format_polynomial(polynomial: Polynomial) -> str:
+    """Render in descending powers with rational coefficients."""
+    return _format_signed(polynomial.coefficients, _rational_term)
+
+
+def parse_polynomial(text: str) -> Polynomial:
+    """Parse the polynomial grammar with exact rational coefficients."""
+    return Polynomial(_collect_terms(text, parse_rational, Fraction))
+
+
+def format_real_polynomial(coefficients: Sequence[float]) -> str:
+    """Render a float-coefficient polynomial, descending powers, repr floats."""
+    return _format_signed(list(coefficients), _float_term)
 
 
 def _parse_float(token: str) -> float:
@@ -402,18 +368,7 @@ def _parse_float(token: str) -> float:
 
 def parse_real_polynomial(text: str) -> tuple[float, ...]:
     """Parse the polynomial grammar with float coefficients (ascending out)."""
-    powers: dict[int, float] = {}
-    for sign, chunk in _split_signed_terms(text):
-        power, coeff_text = _parse_term(chunk)
-        coeff = 1.0 if coeff_text is None else _parse_float(coeff_text)
-        powers[power] = powers.get(power, 0.0) + sign * coeff
-    size = max(powers) + 1 if powers else 0
-    coeffs = [0.0] * size
-    for power, coeff in powers.items():
-        coeffs[power] = coeff
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    return _trimmed(_collect_terms(text, _parse_float, float))
 
 
 def format_complex(value: complex) -> str:
@@ -462,20 +417,12 @@ def format_complex_polynomial(polynomial: ComplexPolynomial) -> str:
     return " + ".join(parts)
 
 
+def _parse_complex_coeff(text: str) -> complex:
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
+    return parse_complex(text)
+
+
 def parse_complex_polynomial(text: str) -> ComplexPolynomial:
     """Parse the polynomial grammar with complex coefficients."""
-    powers: dict[int, complex] = {}
-    for sign, chunk in _split_signed_terms(text):
-        power, coeff_text = _parse_term(chunk)
-        if coeff_text is None:
-            coeff = 1 + 0j
-        elif coeff_text.startswith("(") and coeff_text.endswith(")"):
-            coeff = parse_complex(coeff_text[1:-1])
-        else:
-            coeff = parse_complex(coeff_text)
-        powers[power] = powers.get(power, 0j) + sign * coeff
-    size = max(powers) + 1 if powers else 0
-    coeffs = [0j] * size
-    for power, coeff in powers.items():
-        coeffs[power] = coeff
-    return ComplexPolynomial(coeffs)
+    return ComplexPolynomial(_collect_terms(text, _parse_complex_coeff, complex))

@@ -1,17 +1,16 @@
 """Convergence-study tables behind the ``report`` CLI subcommand.
 
-Each study returns plain rows for one CSV table.  Data points are
-independent, so they may be computed on a thread pool; ``pool.map``
-preserves input order, which keeps the emitted table identical for any
-thread count.
+Each study returns plain rows for one CSV table, computed serially in input
+order.  The row functions accept a ``threads`` keyword but ignore it: the
+rows are pure Python, which a thread pool does not speed up, so every value
+gives the same table.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from statistics import median
 
 from .partial_fractions import pfd_eval
@@ -32,49 +31,37 @@ RESIDUAL_DECAY_HEADER = ["K", "median_residual", "max_residual"]
 PFD_CONVERGENCE_HEADER = ["z", "K", "abs_error", "tail_bound"]
 AB_COMPARISON_HEADER = ["n", "K", "max_mismatch"]
 
-
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+# The residual-decay study samples its residual on this many points of [0, 1].
+_GRID_POINTS = 21
 
 
 def residual_decay_rows(forcing: Polynomial, k_values: Iterable[int],
-                        grid_points: int = 21, threads: int = 1) -> list[list]:
+                        threads: int = 1) -> list[list]:
     """Median and max difference residual on a [0, 1] grid, per K."""
-    xs = [i / (grid_points - 1) for i in range(grid_points)]
+    xs = [i / (_GRID_POINTS - 1) for i in range(_GRID_POINTS)]
 
     def row(truncation_order: int) -> list:
         solution = spectral_solve(forcing, SpectralConfig(truncation_order))
         residuals = difference_residual(solution, forcing, xs)
         return [truncation_order, median(residuals), max(residuals)]
 
-    return _map_ordered(row, list(k_values), threads)
+    return [row(k) for k in k_values]
 
 
 def pfd_convergence_rows(z_values: Iterable[complex], k_values: Iterable[int],
                          threads: int = 1) -> list[list]:
     """Truncated partial-fraction error against direct 1/(e^z - 1), per (z, K)."""
-    combos = [(z, k) for z in z_values for k in k_values]
 
-    def row(combo: tuple[complex, int]) -> list:
-        z, truncation_order = combo
+    def row(z: complex, truncation_order: int) -> list:
         approx = pfd_eval(z, truncation_order)
         direct = 1.0 / (cmath.exp(z) - 1.0)
         bound = 2.0 * abs(z) / (math.pi ** 2 * truncation_order)
         return [format_complex(z), truncation_order, abs(approx - direct), bound]
 
-    return _map_ordered(row, combos, threads)
+    return [row(z, k) for z in z_values for k in k_values]
 
 
 def ab_comparison_rows(n_values: Iterable[int], k_values: Iterable[int],
                        threads: int = 1) -> list[list]:
     """Worst numeric-vs-exact coefficient mismatch, per (n, K)."""
-    combos = [(n, k) for n in n_values for k in k_values]
-
-    def row(combo: tuple[int, int]) -> list:
-        n, truncation_order = combo
-        return [n, truncation_order, verify_comparison(n, truncation_order)]
-
-    return _map_ordered(row, combos, threads)
+    return [[n, k, verify_comparison(n, k)] for n in n_values for k in k_values]

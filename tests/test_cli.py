@@ -142,6 +142,13 @@ def test_usage_errors_exit_2(capsys):
     assert _run(["bernoulli", "-3"], capsys)[0] == 2
 
 
+def test_polynomial_power_over_cap_exits_2(capsys):
+    code, out, err = _run(["antidiff", "--g", "x^1001"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the maximum of 1000" in err
+
+
 def test_report_residual_decay(tmp_path, capsys):
     out_path = tmp_path / "decay.csv"
     code, out, _ = _run(

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from deltasolve.polynomials import (NEG_INFINITY, ComplexPolynomial,
-                                    Polynomial, format_complex,
+from deltasolve.polynomials import (MAX_PARSED_DEGREE, NEG_INFINITY,
+                                    ComplexPolynomial, Polynomial,
+                                    format_complex,
                                     format_complex_polynomial,
                                     format_polynomial,
                                     format_real_polynomial, parse_complex,
@@ -20,6 +21,32 @@ def _random_poly(rng, max_degree=8):
     degree = rng.randint(0, max_degree)
     return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                        for _ in range(degree + 1)])
+
+
+def _check_property(check, strategy, cases):
+    """Run ``check`` on every fixed case as an ``@example`` and on
+    derandomized draws from ``strategy(st)``."""
+    hypothesis = pytest.importorskip("hypothesis")
+    prop = hypothesis.given(strategy(hypothesis.strategies))(check)
+    for case in cases:
+        prop = hypothesis.example(case)(prop)
+    hypothesis.settings(max_examples=200, deadline=None, database=None,
+                        derandomize=True)(prop)()
+
+
+def _rationals(st):
+    return st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                     st.integers(1, 10 ** 6))
+
+
+def _finite_floats(st):
+    # Includes -0.0 and subnormals.  Non-finite values do not round-trip:
+    # inf renders as "inf", which the float grammar rejects.
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _finite_complexes(st):
+    return st.builds(complex, _finite_floats(st), _finite_floats(st))
 
 
 def test_canonical_form_and_degree():
@@ -117,10 +144,13 @@ def test_parse_polynomial_forms():
 
 
 def test_parse_format_round_trip():
-    rng = random.Random(29)
-    for _ in range(50):
-        p = _random_poly(rng)
+    def check(coeffs):
+        p = Polynomial(coeffs)
         assert parse_polynomial(format_polynomial(p)) == p
+
+    rng = random.Random(29)
+    _check_property(check, lambda st: st.lists(_rationals(st), max_size=10),
+                    [_random_poly(rng).coefficients for _ in range(50)])
 
 
 def test_parse_rejects_garbage():
@@ -130,19 +160,22 @@ def test_parse_rejects_garbage():
 
 
 def test_real_polynomial_round_trip():
-    cases = [
-        (0.5, -0.5, 0.083),
-        (5e-05, 0.0, -1.25e3),
-        (1.0,),
-        (),
-    ]
-    for coeffs in cases:
+    def check(coeffs):
         rendered = format_real_polynomial(coeffs)
         parsed = parse_real_polynomial(rendered) if rendered != "0" else ()
         stripped = list(coeffs)
         while stripped and stripped[-1] == 0:
             stripped.pop()
         assert list(parsed) == stripped, (coeffs, rendered)
+
+    cases = [
+        (0.5, -0.5, 0.083),
+        (5e-05, 0.0, -1.25e3),
+        (1.0,),
+        (),
+    ]
+    _check_property(check, lambda st: st.lists(_finite_floats(st), max_size=10)
+                    .map(tuple), cases)
 
 
 def test_real_polynomial_rejects_rational_and_complex_tokens():
@@ -153,10 +186,15 @@ def test_real_polynomial_rejects_rational_and_complex_tokens():
 
 
 def test_complex_literal_round_trip():
+    def check(z):
+        assert parse_complex(format_complex(z)) == z
+
     values = [complex(1.5, -2.25), complex(0, 1), complex(-3, 0),
               complex(5e-7, -5e-7), complex(0, 0)]
-    for z in values:
-        assert parse_complex(format_complex(z)) == z
+    _check_property(check, _finite_complexes, values)
+
+
+def test_complex_literal_forms():
     assert parse_complex("i") == 1j
     assert parse_complex("-i") == -1j
     assert parse_complex("2i") == 2j
@@ -171,10 +209,26 @@ def test_complex_literal_rejects_garbage():
 
 
 def test_complex_polynomial_round_trip():
-    p = ComplexPolynomial((complex(-1, 0.5), 0j, complex(0, -2)))
-    rendered = format_complex_polynomial(p)
-    assert parse_complex_polynomial(rendered) == p
+    def check(coeffs):
+        p = ComplexPolynomial(coeffs)
+        assert parse_complex_polynomial(format_complex_polynomial(p)) == p
+
+    _check_property(check, lambda st: st.lists(_finite_complexes(st), max_size=8)
+                    .map(tuple), [(complex(-1, 0.5), 0j, complex(0, -2))])
     assert format_complex_polynomial(ComplexPolynomial.zero()) == "0"
+
+
+def test_parsed_power_is_capped():
+    cap = MAX_PARSED_DEGREE
+    for parse in (parse_polynomial, parse_real_polynomial,
+                  parse_complex_polynomial):
+        for text in (f"x^{cap}", f"2*x^{cap} + 1"):
+            parsed = parse(text)
+            coeffs = parsed if isinstance(parsed, tuple) else parsed.coefficients
+            assert len(coeffs) == cap + 1, (parse, text)
+        for text in (f"x^{cap + 1}", f"1 + x^{cap + 1}", f"x^0{cap + 1}"):
+            with pytest.raises(ValueError, match="exceeds the maximum"):
+                parse(text)
 
 
 def test_complex_polynomial_basics():
