@@ -17,7 +17,8 @@ from .ode import (CharacteristicPolynomial, ExpPoly, ExpPolyTerm,
 from .partial_fractions import (POLE_EXCLUSION_RADIUS, PoleProximityError,
                                 characteristic_zeros, laurent_from_modes,
                                 pfd_eval)
-from .polynomials import (MAX_PARSED_DEGREE, NEG_INFINITY, ComplexPolynomial,
+from .polynomials import (MAX_PARSED_DEGREE, NEG_INFINITY,
+                          CoefficientOverflowError, ComplexPolynomial,
                           Polynomial, format_complex, format_complex_polynomial,
                           format_polynomial, format_real_polynomial,
                           parse_complex, parse_complex_polynomial,
@@ -36,6 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BernoulliTable",
     "CharacteristicPolynomial",
+    "CoefficientOverflowError",
     "ComplexPolynomial",
     "DegreeOverflowError",
     "ExpPoly",

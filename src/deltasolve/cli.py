@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 on success, 1 on a domain error (pole proximity, repeated
-characteristic roots, degree overflow, division by zero), 2 on a usage
-error (unknown subcommand, malformed literal, bad flag value).
+characteristic roots, degree overflow, a coefficient outside double range,
+division by zero), 2 on a usage error (unknown subcommand, malformed
+literal, bad flag value).
 
 Every subcommand prints a single plain-text value built from the documented
 grammars (rational, polynomial, complex literals), or with ``--format json``
@@ -23,7 +24,8 @@ from .bernoulli import antidifference_polynomial, bernoulli, faulhaber
 from .ode import (CharacteristicPolynomial, MultipleRootUnsupported,
                   RootFindingError, solve_linear_ode)
 from .partial_fractions import PoleProximityError, pfd_eval
-from .polynomials import (ComplexPolynomial, Polynomial, format_complex,
+from .polynomials import (CoefficientOverflowError, ComplexPolynomial,
+                          Polynomial, format_complex,
                           format_complex_polynomial, format_polynomial,
                           format_real_polynomial, parse_complex,
                           parse_polynomial)
@@ -37,7 +39,8 @@ from .zeta import zeta_even_closed_form, zeta_partial_sum
 __all__ = ["main"]
 
 _DOMAIN_ERRORS = (PoleProximityError, MultipleRootUnsupported, RootFindingError,
-                  DegreeOverflowError, ZeroDivisionError, ValueError)
+                  DegreeOverflowError, CoefficientOverflowError,
+                  ZeroDivisionError, ValueError)
 
 _DEFAULT_RESIDUAL_KS = [10, 100, 1000]
 _DEFAULT_SWEEP_KS = [100, 1000, 10000]

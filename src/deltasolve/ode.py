@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polynomials import ComplexPolynomial, Polynomial
 from .spectral import exp_poly_integral
@@ -57,25 +57,35 @@ class MultipleRootUnsupported(ValueError):
     """Repeated (or numerically indistinguishable) characteristic roots."""
 
 
-@dataclass(frozen=True)
-class RootFinderSettings:
-    tolerance: float = 1e-12
-    max_iterations: int = 200
+class RootFinderSettings(namedtuple("RootFinderSettings",
+                                    "tolerance max_iterations",
+                                    defaults=(1e-12, 200))):
+    """Converged when no step exceeds ``tolerance`` * (1 + the largest
+    estimate's magnitude); give up after ``max_iterations`` sweeps."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CharacteristicPolynomial:
-    """P(z) = a_0 + a_1 z + ... + a_n z^n with a_n != 0 and n >= 1."""
+class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
+                                          "coefficients")):
+    """P(z) = a_0 + a_1 z + ... + a_n z^n with a_n != 0 and n >= 1.
 
-    coefficients: tuple[complex, ...]
+    ``coefficients`` is stored as a tuple of complex a_0, ..., a_n.
+    """
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coefficients)
+    __slots__ = ()
+
+    def __new__(cls, coefficients):
+        coeffs = tuple(complex(c) for c in coefficients)
         if len(coeffs) < 2:
             raise ValueError("characteristic polynomial needs degree >= 1")
         if coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
+        return super().__new__(cls, coeffs)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that ``_replace`` validates too
 
     @property
     def degree(self) -> int:
@@ -173,21 +183,21 @@ def find_roots(polynomial: CharacteristicPolynomial,
     return roots
 
 
-@dataclass(frozen=True)
-class ExpPolyTerm:
-    exponent: complex
-    polynomial: ComplexPolynomial
+class ExpPolyTerm(namedtuple("ExpPolyTerm", "exponent polynomial")):
+    """e^{exponent x} times a ``ComplexPolynomial``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(namedtuple("ExpPoly", "terms", defaults=((),))):
     """A finite sum of terms e^{a x} p(x), canonicalised.
 
-    Exponents closer than EXPONENT_MERGE_TOLERANCE are merged and terms with
-    a zero polynomial are dropped, so the zero function is the empty sum.
+    ``terms`` is a tuple of ``ExpPolyTerm``.  Exponents closer than
+    EXPONENT_MERGE_TOLERANCE are merged and terms with a zero polynomial are
+    dropped, so the zero function is the empty sum.
     """
 
-    terms: tuple[ExpPolyTerm, ...] = ()
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "ExpPoly":
@@ -241,7 +251,7 @@ def solve_linear_ode(polynomial: CharacteristicPolynomial,
     else:
         nonzero_roots = find_roots(polynomial)
 
-    forcing_coeffs = tuple(complex(float(c)) for c in forcing.coefficients)
+    forcing_coeffs = ComplexPolynomial.from_exact(forcing).coefficients
     total = ComplexPolynomial.zero()
     if has_zero_root:
         # e^{0 x} integral(e^{0 x} g) is the plain antiderivative; P'(0) = a_1.

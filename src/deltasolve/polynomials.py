@@ -13,7 +13,8 @@ p(x) -> p(x+1), forward difference and antiderivative, all computed without
 rounding.  ``ComplexPolynomial`` is the double-precision sibling that
 truncated mode sums accumulate into.  The exact/float boundary is crossed
 only through ``ComplexPolynomial.from_exact`` or an explicit
-float()/complex() call, never implicitly.
+float()/complex() call, never implicitly; ``from_exact`` refuses a
+coefficient outside double range with ``CoefficientOverflowError``.
 
 This module also owns the textual polynomial grammar shared by the CLI and
 the tests::
@@ -37,6 +38,7 @@ from .rationals import Rational, format_rational, parse_rational
 __all__ = [
     "NEG_INFINITY",
     "MAX_PARSED_DEGREE",
+    "CoefficientOverflowError",
     "Polynomial",
     "ComplexPolynomial",
     "format_polynomial",
@@ -55,6 +57,10 @@ NEG_INFINITY = float("-inf")
 # Largest power the polynomial grammars accept.  A term's power sizes the
 # dense coefficient list, so it is checked before that list is built.
 MAX_PARSED_DEGREE = 1000
+
+
+class CoefficientOverflowError(ValueError):
+    """An exact coefficient is too large in magnitude to become a double."""
 
 
 def _trimmed(coeffs: list) -> tuple:
@@ -205,7 +211,13 @@ class ComplexPolynomial(_DensePolynomial):
 
     @classmethod
     def from_exact(cls, polynomial: Polynomial) -> "ComplexPolynomial":
-        return cls(tuple(complex(float(c)) for c in polynomial.coefficients))
+        """Each rational coefficient rounded to the nearest double."""
+        try:
+            return cls(tuple(complex(float(c)) for c in polynomial.coefficients))
+        except OverflowError:
+            raise CoefficientOverflowError(
+                "a coefficient is outside double range "
+                "(magnitude above about 1.8e308)") from None
 
     def real_coefficients(self) -> tuple[float, ...]:
         return tuple(c.real for c in self._coeffs)

@@ -30,8 +30,8 @@ Pairing is structural: one-sided sums diverge for any linear forcing term.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .polynomials import ComplexPolynomial, Polynomial
 
@@ -59,28 +59,34 @@ class DegreeOverflowError(ValueError):
     """Forcing degree exceeds what the double-precision mode sum supports."""
 
 
-@dataclass(frozen=True)
-class SpectralConfig:
+# Records are namedtuple subclasses: importing ``dataclasses`` would cost
+# every CLI start milliseconds.
+class SpectralConfig(namedtuple("SpectralConfig",
+                                "truncation_order include_correction")):
     """Truncation order K (modes 1 <= |k| <= K) and the -g/2 correction flag."""
 
-    truncation_order: int
-    include_correction: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.truncation_order < 1:
+    def __new__(cls, truncation_order: int, include_correction: bool = True):
+        if truncation_order < 1:
             raise ValueError("truncation order must be >= 1")
+        return super().__new__(cls, truncation_order, include_correction)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that ``_replace`` validates too
 
 
-@dataclass(frozen=True)
-class SpectralSolution:
+class SpectralSolution(namedtuple("SpectralSolution", "polynomial_part config")):
     """A truncated spectral solution; the mode sum collapses to a polynomial.
 
-    Each +-k pair adds a real multiple of x^j, so the imaginary parts are
-    exactly 0; they are kept complex so that this is observable, not forced.
+    ``polynomial_part`` is a ``ComplexPolynomial``, ``config`` the
+    ``SpectralConfig`` it was solved with.  Each +-k pair adds a real
+    multiple of x^j, so the imaginary parts are exactly 0; they are kept
+    complex so that this is observable, not forced.
     """
 
-    polynomial_part: ComplexPolynomial
-    config: SpectralConfig
+    __slots__ = ()
 
     def evaluate(self, x: float) -> complex:
         return self.polynomial_part(x)
@@ -157,11 +163,12 @@ def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolut
         raise DegreeOverflowError(
             f"forcing degree {forcing.degree} exceeds the supported maximum "
             f"of {MAX_FORCING_DEGREE}")
+    float_forcing = ComplexPolynomial.from_exact(forcing)
     acc = ComplexPolynomial.zero()
     if config.include_correction:
-        acc = acc + ComplexPolynomial.from_exact(forcing) * (-0.5)
+        acc = acc + float_forcing * (-0.5)
     acc = acc + ComplexPolynomial.from_exact(forcing.antiderivative())
-    forcing_coeffs = [float(c) for c in forcing.coefficients]
+    forcing_coeffs = [c.real for c in float_forcing.coefficients]
     sums = power_sums(range(2, len(forcing_coeffs) + 1, 2),
                       config.truncation_order)
     modes = [0.0] * len(forcing_coeffs)

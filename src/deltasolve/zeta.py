@@ -27,7 +27,7 @@ Agreement is A(n, n+1-j) = B(n, j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .bernoulli import bernoulli
@@ -47,13 +47,11 @@ __all__ = [
 MAX_TABLE_ORDER = 12
 
 
-@dataclass(frozen=True)
-class ZetaClosedForm:
-    """zeta(2j) = coefficient * pi^pi_power with an exact coefficient."""
+class ZetaClosedForm(namedtuple("ZetaClosedForm", "j coefficient pi_power")):
+    """zeta(2j) = coefficient * pi^pi_power with an exact ``Rational``
+    coefficient and an integer ``pi_power``."""
 
-    j: int
-    coefficient: Rational
-    pi_power: int
+    __slots__ = ()
 
     def value(self) -> float:
         return float(self.coefficient) * math.pi ** self.pi_power

@@ -6,6 +6,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from deltasolve.cli import main
 from deltasolve.polynomials import parse_complex, parse_complex_polynomial
 
@@ -129,6 +131,35 @@ def test_domain_errors_exit_1(capsys):
 
     code, _, err = _run(["zeta", "--j", "1", "--oracle-N", "1"], capsys)
     assert code == 1
+
+
+# A rational coefficient far outside double range.
+_HUGE_X = "1" + "0" * 400 + "*x"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--g", _HUGE_X, "--K", "10"],
+    ["euler-gap", "--g", _HUGE_X, "--x", "1", "--K", "10"],
+    ["ode", "--coeffs=1,1", "--g", _HUGE_X],
+    ["report", "residual-decay", "--g", _HUGE_X, "--K-list", "10"],
+], ids=["spectral", "euler-gap", "ode", "residual-decay"])
+def test_out_of_range_coefficient_exits_1(argv, tmp_path, capsys):
+    if argv[0] == "report":
+        argv = argv + ["--out", str(tmp_path / "decay.csv")]
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "outside double range" in err
+    assert not (tmp_path / "decay.csv").exists()
+
+
+def test_out_of_range_coefficient_stays_exact_in_antidiff(capsys):
+    code, out, err = _run(["antidiff", "--g", _HUGE_X], capsys)
+    assert code == 0
+    assert err == ""
+    assert out == "5" + "0" * 399 + "*x^2 - 5" + "0" * 399 + "*x\n"
 
 
 def test_usage_errors_exit_2(capsys):

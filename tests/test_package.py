@@ -1,7 +1,10 @@
-"""The public surface: every name each ``__all__`` lists resolves."""
+"""The public surface: every name each ``__all__`` lists resolves, and what
+importing the CLI pulls in."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,3 +24,14 @@ def test_submodule_all_resolves(name):
     module = importlib.import_module(f"deltasolve.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_cli_import_leaves_out_slow_modules():
+    """Every CLI run pays for what ``deltasolve.cli`` imports; these standard
+    modules cost milliseconds of start-up and nothing needs them."""
+    code = ("import sys, deltasolve.cli; print(' '.join(m for m in "
+            "('dataclasses', 'inspect', 'statistics') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
