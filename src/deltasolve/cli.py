@@ -71,9 +71,12 @@ def _positive_int(text: str) -> int:
 
 def _float_arg(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"float literal {text!r} is not finite")
+    return value
 
 
 def _poly_arg(text: str) -> Polynomial:
@@ -90,15 +93,12 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"bad complex literal: {exc}")
 
 
-def _coeff_list_arg(text: str) -> tuple[complex, ...]:
-    parts = text.split(",")
-    if len(parts) < 2:
-        raise argparse.ArgumentTypeError(
-            "need at least two comma-separated coefficients (degree >= 1)")
-    coeffs = tuple(_complex_arg(part) for part in parts)
-    if coeffs[-1] == 0:
-        raise argparse.ArgumentTypeError("leading coefficient must be nonzero")
-    return coeffs
+def _operator_arg(text: str) -> CharacteristicPolynomial:
+    coeffs = [_complex_arg(part) for part in text.split(",")]
+    try:
+        return CharacteristicPolynomial(coeffs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _k_list_arg(text: str) -> list[int]:
@@ -110,22 +110,22 @@ def _z_list_arg(text: str) -> list[complex]:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers; each returns (plain, inputs, result, meta_K)
+# subcommand handlers; each returns (plain, inputs, result)
 # ----------------------------------------------------------------------
 
 def _run_bernoulli(args):
     value = format_rational(bernoulli(args.n))
-    return value, {"n": args.n}, {"value": value}, None
+    return value, {"n": args.n}, {"value": value}
 
 
 def _run_faulhaber(args):
     rendered = format_polynomial(faulhaber(args.n))
-    return rendered, {"n": args.n}, {"polynomial": rendered}, None
+    return rendered, {"n": args.n}, {"polynomial": rendered}
 
 
 def _run_antidiff(args):
     rendered = format_polynomial(antidifference_polynomial(args.g))
-    return rendered, {"g": format_polynomial(args.g)}, {"polynomial": rendered}, None
+    return rendered, {"g": format_polynomial(args.g)}, {"polynomial": rendered}
 
 
 def _run_spectral(args):
@@ -134,19 +134,19 @@ def _run_spectral(args):
     rendered = format_real_polynomial(solution.polynomial_part.real_coefficients())
     inputs = {"g": format_polynomial(args.g), "K": args.K,
               "include_correction": config.include_correction}
-    return rendered, inputs, {"polynomial": rendered}, args.K
+    return rendered, inputs, {"polynomial": rendered}
 
 
 def _run_euler_gap(args):
     value = euler_gap(args.g, args.x, args.K)
     inputs = {"g": format_polynomial(args.g), "x": args.x, "K": args.K}
-    return repr(value), inputs, {"value": value}, args.K
+    return repr(value), inputs, {"value": value}
 
 
 def _run_pfd(args):
     rendered = format_complex(pfd_eval(args.z, args.K))
     inputs = {"z": format_complex(args.z), "K": args.K}
-    return rendered, inputs, {"value": rendered}, args.K
+    return rendered, inputs, {"value": rendered}
 
 
 def _run_zeta(args):
@@ -164,17 +164,16 @@ def _run_zeta(args):
         result["bracket"] = [lower, upper]
         result["bracket_N"] = args.oracle_N
         result["contains"] = contains
-    return plain, {"j": args.j, "oracle_N": args.oracle_N}, result, None
+    return plain, {"j": args.j, "oracle_N": args.oracle_N}, result
 
 
 def _run_ode(args):
-    operator = CharacteristicPolynomial(args.coeffs)
-    solution = solve_linear_ode(operator, args.g)
+    solution = solve_linear_ode(args.coeffs, args.g)
     poly = solution.terms[0].polynomial if solution.terms else ComplexPolynomial.zero()
     rendered = format_complex_polynomial(poly)
-    inputs = {"coeffs": [format_complex(c) for c in args.coeffs],
+    inputs = {"coeffs": [format_complex(c) for c in args.coeffs.coefficients],
               "g": format_polynomial(args.g)}
-    return rendered, inputs, {"solution": rendered}, None
+    return rendered, inputs, {"solution": rendered}
 
 
 def _run_report(args):
@@ -203,20 +202,7 @@ def _run_report(args):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    return "", inputs, {"study": args.study, "rows": len(rows), "out": args.out}, None
-
-
-_HANDLERS = {
-    "bernoulli": _run_bernoulli,
-    "faulhaber": _run_faulhaber,
-    "antidiff": _run_antidiff,
-    "spectral": _run_spectral,
-    "euler-gap": _run_euler_gap,
-    "pfd": _run_pfd,
-    "zeta": _run_zeta,
-    "ode": _run_ode,
-    "report": _run_report,
-}
+    return "", inputs, {"study": args.study, "rows": len(rows), "out": args.out}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -235,15 +221,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bernoulli", parents=[common],
                        help="Bernoulli number B_n (B_1 = -1/2 convention)")
     p.add_argument("n", type=_nonnegative_int)
+    p.set_defaults(run=_run_bernoulli)
 
     p = sub.add_parser("faulhaber", parents=[common],
                        help="power-sum polynomial for sum_{k=1}^{x} k^n")
     p.add_argument("n", type=_nonnegative_int)
+    p.set_defaults(run=_run_faulhaber)
 
     p = sub.add_parser("antidiff", parents=[common],
                        help="exact antidifference: f with f(x+1)-f(x)=g, f(0)=0")
     p.add_argument("--g", type=_poly_arg, required=True,
                    help="polynomial with rational coefficients, e.g. '1/2*x^2 - x'")
+    p.set_defaults(run=_run_antidiff)
 
     p = sub.add_parser("spectral", parents=[common],
                        help="truncated spectral solution of f(x+1)-f(x)=g")
@@ -252,18 +241,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="mode truncation order (pairs 1 <= |k| <= K)")
     p.add_argument("--uncorrected", action="store_true",
                    help="omit the -g/2 correction term")
+    p.set_defaults(run=_run_spectral)
 
     p = sub.add_parser("euler-gap", parents=[common],
                        help="uncorrected minus corrected solution at x (= g(x)/2)")
     p.add_argument("--g", type=_poly_arg, required=True)
     p.add_argument("--x", type=_float_arg, required=True)
     p.add_argument("--K", type=_positive_int, required=True)
+    p.set_defaults(run=_run_euler_gap)
 
     p = sub.add_parser("pfd", parents=[common],
                        help="truncated partial-fraction value of 1/(e^z - 1)")
     p.add_argument("--z", type=_complex_arg, required=True,
                    help="complex literal a+bi, e.g. '0.5+0.5i'")
     p.add_argument("--K", type=_positive_int, required=True)
+    p.set_defaults(run=_run_pfd)
 
     p = sub.add_parser("zeta", parents=[common],
                        help="exact zeta(2j) as a rational multiple of pi^(2j)")
@@ -274,13 +266,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         "modest for large j, the width ~N^(1-2j) must stay "
                         "above double rounding for containment to be "
                         "certifiable")
+    p.set_defaults(run=_run_zeta)
 
     p = sub.add_parser("ode", parents=[common],
                        help="particular solution of a_0 f + a_1 f' + ... = g")
-    p.add_argument("--coeffs", type=_coeff_list_arg, required=True,
+    p.add_argument("--coeffs", type=_operator_arg, required=True,
                    help="comma-separated complex literals a_0,...,a_n; use "
                         "--coeffs=-1,0,1 when the first one is negative")
     p.add_argument("--g", type=_poly_arg, required=True)
+    p.set_defaults(run=_run_ode)
 
     p = sub.add_parser("report", parents=[common],
                        help="write a convergence-study CSV")
@@ -295,6 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated complex points for pfd-convergence")
     p.add_argument("--n-max", dest="n_max", type=_positive_int, default=6,
                    help="largest forcing degree for ab-comparison (default: 6)")
+    p.set_defaults(run=_run_report)
 
     return parser
 
@@ -306,13 +301,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        plain, inputs, result, meta_k = _HANDLERS[args.command](args)
+        plain, inputs, result = args.run(args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
         envelope = {"command": args.command, "inputs": inputs,
-                    "result": result, "meta": {"K": meta_k}}
+                    "result": result, "meta": {"K": getattr(args, "K", None)}}
         print(json.dumps(envelope))
     elif plain:
         print(plain)

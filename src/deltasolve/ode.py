@@ -5,8 +5,8 @@ characteristic roots, a particular solution for polynomial forcing g is
 
     f = sum over roots r of (1/P'(r)) e^{r x} integral(e^{-r x} g dx),
 
-where each nonzero-root term is the closed-form polynomial from
-``exp_poly_integral`` and a zero root (a_0 = 0) contributes the plain
+where each nonzero-root term is the polynomial ``spectral.mode_polynomial``
+builds and a zero root (a_0 = 0) contributes the plain
 antiderivative divided by P'(0).  With all integration constants zero every
 term is a polynomial, so the returned ``ExpPoly`` collapses to a single
 exponent-zero term.  Repeated or numerically near-multiple roots are outside
@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 
 from .polynomials import ComplexPolynomial, Polynomial
-from .spectral import exp_poly_integral
+from .spectral import mode_polynomial
 
 __all__ = [
     "MIN_ROOT_SEPARATION",
@@ -92,16 +92,10 @@ class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
         return len(self.coefficients) - 1
 
     def value(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
+        return ComplexPolynomial(self.coefficients)(z)
 
     def derivative_value(self, z: complex) -> complex:
-        acc = 0j
-        for i in range(self.degree, 0, -1):
-            acc = acc * z + self.coefficients[i] * i
-        return acc
+        return ComplexPolynomial(self.coefficients).derivative()(z)
 
 
 def find_roots(polynomial: CharacteristicPolynomial,
@@ -115,17 +109,15 @@ def find_roots(polynomial: CharacteristicPolynomial,
     settings = settings or RootFinderSettings()
     n = polynomial.degree
     leading = polynomial.coefficients[-1]
-    monic = [c / leading for c in polynomial.coefficients[:-1]]
-
-    def monic_value(z: complex) -> complex:
-        acc = 1 + 0j
-        for i in range(n - 1, -1, -1):
-            acc = acc * z + monic[i]
-        return acc
+    # The monic form has leading coefficient exactly 1, not leading / leading.
+    monic = ComplexPolynomial([c / leading for c in polynomial.coefficients[:-1]]
+                              + [1])
+    p = ComplexPolynomial(polynomial.coefficients)
+    dp = p.derivative()
 
     # Perturbed circle: Cauchy bound radius, angles offset off the axes so
     # real-coefficient symmetry cannot trap the iteration.
-    radius = 1.0 + max(abs(b) for b in monic)
+    radius = 1.0 + max(abs(b) for b in monic.coefficients[:-1])
     estimates = [radius * cmath.exp(1j * (2.0 * math.pi * j / n + math.pi / (2 * n)))
                  for j in range(n)]
 
@@ -143,7 +135,7 @@ def find_roots(polynomial: CharacteristicPolynomial,
                 estimates[idx] = z + 1e-6
                 largest_step = math.inf
                 continue
-            step = monic_value(z) / denom
+            step = monic(z) / denom
             estimates[idx] = z - step
             largest_step = max(largest_step, abs(step))
         scale = 1.0 + max(abs(z) for z in estimates)
@@ -154,10 +146,10 @@ def find_roots(polynomial: CharacteristicPolynomial,
     for idx in range(n):
         z = estimates[idx]
         for _ in range(NEWTON_POLISH_STEPS):
-            slope = polynomial.derivative_value(z)
+            slope = dp(z)
             if slope == 0:
                 break
-            z = z - polynomial.value(z) / slope
+            z = z - p(z) / slope
         estimates[idx] = z
 
     roots = sorted(estimates, key=lambda r: (r.real, r.imag))
@@ -168,7 +160,7 @@ def find_roots(polynomial: CharacteristicPolynomial,
                     f"roots {roots[i]} and {roots[j]} are closer than "
                     f"{MIN_ROOT_SEPARATION:g}")
     for root in roots:
-        if abs(polynomial.derivative_value(root)) < DERIVATIVE_MAGNITUDE_FLOOR:
+        if abs(dp(root)) < DERIVATIVE_MAGNITUDE_FLOOR:
             raise MultipleRootUnsupported(
                 f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g}")
     if not converged:
@@ -176,10 +168,10 @@ def find_roots(polynomial: CharacteristicPolynomial,
             f"no convergence after {settings.max_iterations} iterations")
     residual_scale = max(abs(c) for c in polynomial.coefficients)
     for root in roots:
-        if abs(polynomial.value(root)) > RESIDUAL_SCALE * residual_scale:
+        if abs(p(root)) > RESIDUAL_SCALE * residual_scale:
             raise RootFindingError(
                 f"root {root} fails the residual check: "
-                f"|P(root)| = {abs(polynomial.value(root)):.3e}")
+                f"|P(root)| = {abs(p(root)):.3e}")
     return roots
 
 
@@ -251,7 +243,7 @@ def solve_linear_ode(polynomial: CharacteristicPolynomial,
     else:
         nonzero_roots = find_roots(polynomial)
 
-    forcing_coeffs = ComplexPolynomial.from_exact(forcing).coefficients
+    float_forcing = ComplexPolynomial.from_exact(forcing)
     total = ComplexPolynomial.zero()
     if has_zero_root:
         # e^{0 x} integral(e^{0 x} g) is the plain antiderivative; P'(0) = a_1.
@@ -262,14 +254,7 @@ def solve_linear_ode(polynomial: CharacteristicPolynomial,
         if abs(slope) < DERIVATIVE_MAGNITUDE_FLOOR:
             raise MultipleRootUnsupported(
                 f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g}")
-        term = [0j] * len(forcing_coeffs)
-        for power, coeff in enumerate(forcing_coeffs):
-            if coeff == 0:
-                continue
-            mode = exp_poly_integral(root, power)
-            for i, c in enumerate(mode.coefficients):
-                term[i] += coeff * c
-        total = total + ComplexPolynomial(term) * (1.0 / slope)
+        total = total + mode_polynomial(root, float_forcing) * (1.0 / slope)
     return ExpPoly.from_terms([(0j, total)])
 
 

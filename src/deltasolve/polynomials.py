@@ -30,6 +30,7 @@ Rendering is in descending powers, e.g. ``1/2*x^2 - 1/2*x``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
@@ -373,9 +374,13 @@ def format_real_polynomial(coefficients: Sequence[float]) -> str:
 
 
 def _parse_float(token: str) -> float:
+    """A finite float; a literal that overflows, or ``nan``, is refused."""
     if "/" in token or "i" in token or "(" in token:
         raise ValueError(f"not a float literal: {token!r}")
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"float literal {token!r} is not finite")
+    return value
 
 
 def parse_real_polynomial(text: str) -> tuple[float, ...]:

@@ -61,5 +61,6 @@ def parse_rational(text: str) -> Rational:
 
 
 def to_float(value: Rational) -> float:
-    """The single sanctioned exact-to-double conversion."""
+    """``float(value)``.  Not the only exact-to-double conversion:
+    ``ComplexPolynomial.from_exact`` and ``zeta`` call ``float()`` directly."""
     return float(value)

@@ -9,8 +9,10 @@ monomial forcing x^n has the closed form
         = -(1/a^(n+1)) sum_{j=0}^{n} (n!/j!) a^j x^j,
 
 a polynomial once the integration constant is dropped (``exp_poly_integral``
-below; its defining property is q'(x) - a q(x) = x^n).  The k = 0 mode is
-the plain antiderivative, and the corrected solution also subtracts g/2:
+below).  That is the x^n case of ``mode_polynomial``, the polynomial q with
+q' - a q = g, which ``ode`` also takes at each characteristic root.  The
+k = 0 mode is the plain antiderivative, and the corrected solution also
+subtracts g/2:
 
     f = -g/2 + integral(g) + sum_{k != 0} e^{2 k pi i x}
                                   integral(e^{-2 k pi i x} g dx).
@@ -41,6 +43,7 @@ __all__ = [
     "SpectralConfig",
     "SpectralSolution",
     "power_sums",
+    "mode_polynomial",
     "exp_poly_integral",
     "iterated_integral",
     "spectral_solve",
@@ -92,26 +95,32 @@ class SpectralSolution(namedtuple("SpectralSolution", "polynomial_part config"))
         return self.polynomial_part(x)
 
 
-def exp_poly_integral(a: complex, n: int) -> ComplexPolynomial:
-    """The polynomial q(x) = e^{a x} integral(e^{-a x} x^n dx), a != 0.
+def mode_polynomial(a: complex, g: ComplexPolynomial) -> ComplexPolynomial:
+    """The polynomial q(x) = e^{a x} integral(e^{-a x} g(x) dx), a != 0.
 
-    Coefficients follow c_n = -1/a, c_{j-1} = c_j * j / a, which realises
-    c_j = -(n!/j!) a^(j-n-1).  The defining property q' - a q = x^n is what
-    the tests check it against.
+    q is the polynomial solution of q' - a q = g, of the same degree as g,
+    built from the top down: q_d = -g_d / a, q_j = ((j+1) q_{j+1} - g_j) / a.
+    """
+    a = complex(a)
+    if a == 0:
+        raise ValueError("the mode polynomial requires a != 0; the zero "
+                         "mode is a plain antiderivative")
+    coeffs = list(g.coefficients)
+    q = 0j
+    for j in range(len(coeffs) - 1, -1, -1):
+        q = ((j + 1) * q - coeffs[j]) / a
+        coeffs[j] = q
+    return ComplexPolynomial(coeffs)
+
+
+def exp_poly_integral(a: complex, n: int) -> ComplexPolynomial:
+    """``mode_polynomial`` of the monomial x^n, a != 0.
+
+    Its coefficients are c_j = -(n!/j!) a^(j-n-1).
     """
     if n < 0:
         raise ValueError("monomial degree must be >= 0")
-    a = complex(a)
-    if a == 0:
-        raise ValueError("exp_poly_integral requires a != 0; the zero mode "
-                         "is a plain antiderivative")
-    coeffs = [0j] * (n + 1)
-    c = -1.0 / a
-    coeffs[n] = c
-    for j in range(n, 0, -1):
-        c = c * j / a
-        coeffs[j - 1] = c
-    return ComplexPolynomial(coeffs)
+    return mode_polynomial(a, ComplexPolynomial((0,) * n + (1,)))
 
 
 def iterated_integral(forcing: Polynomial, count: int) -> Polynomial:

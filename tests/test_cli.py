@@ -173,6 +173,24 @@ def test_usage_errors_exit_2(capsys):
     assert _run(["bernoulli", "-3"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["pfd", "--z", "1e400", "--K", "10"],
+    ["pfd", "--z", "nan", "--K", "10"],
+    ["euler-gap", "--g", "x", "--x", "1e400", "--K", "10"],
+    ["euler-gap", "--g", "x", "--x", "nan", "--K", "10"],
+    ["report", "pfd-convergence", "--z-list", "1e400"],
+], ids=["pfd-overflow", "pfd-nan", "euler-gap-overflow", "euler-gap-nan",
+        "pfd-convergence-overflow"])
+def test_non_finite_float_literal_exits_2(argv, tmp_path, capsys):
+    if argv[0] == "report":
+        argv = argv + ["--out", str(tmp_path / "pfd.csv")]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+    assert not (tmp_path / "pfd.csv").exists()
+
+
 def test_polynomial_power_over_cap_exits_2(capsys):
     code, out, err = _run(["antidiff", "--g", "x^1001"], capsys)
     assert code == 2

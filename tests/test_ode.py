@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from deltasolve.ode import (MIN_ROOT_SEPARATION, CharacteristicPolynomial,
                             RootFinderSettings, RootFindingError, apply_operator,
                             find_roots, solve_linear_ode)
 from deltasolve.polynomials import ComplexPolynomial, Polynomial
+from deltasolve.spectral import exp_poly_integral
 
 X = Polynomial((0, 1))
 
@@ -168,6 +170,42 @@ def test_solutions_verify_through_the_operator():
                            - float(forcing.coefficient(power))) <= 1e-8
             for power in range(degree + 1, back.degree + 1 if back.degree >= 0 else 0):
                 assert abs(back.coefficient(power)) <= 1e-8
+
+
+def _per_power_solution(operator: CharacteristicPolynomial,
+                        forcing: Polynomial) -> list[complex]:
+    """sum over roots r of (1/P'(r)) sum_p g_p exp_poly_integral(r, p): the
+    particular solution built power by power, by linearity; the test's own
+    oracle (a_0 != 0, so every root is nonzero)."""
+    g = ComplexPolynomial.from_exact(forcing).coefficients
+    total = [0j] * len(g)
+    for root in find_roots(operator):
+        slope = operator.derivative_value(root)
+        for power, coeff in enumerate(g):
+            for i, c in enumerate(exp_poly_integral(root, power).coefficients):
+                total[i] += coeff * c / slope
+    return total
+
+
+def test_solution_agrees_with_the_per_power_sum():
+    rng = random.Random(20240809)
+    for _ in range(60):
+        degree, roots = rng.randint(1, 6), []
+        while len(roots) < degree:
+            candidate = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+            if abs(candidate) >= 0.3 and all(abs(candidate - r) >= 0.5
+                                             for r in roots):
+                roots.append(candidate)
+        operator = _poly_from_roots(roots)
+        forcing = Polynomial([Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                              for _ in range(rng.randint(0, 8))] + [1])
+        expected = _per_power_solution(operator, forcing)
+        got = _as_single_polynomial(solve_linear_ode(operator, forcing))
+        scale = max(abs(c) for c in expected)
+        for power, c in enumerate(expected):
+            assert abs(got.coefficient(power) - c) <= 1e-12 * scale, \
+                (roots, forcing, power)
+        assert got.degree < len(expected)
 
 
 def test_apply_operator_on_exponential_terms():

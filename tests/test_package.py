@@ -19,6 +19,18 @@ def test_package_all_resolves():
     assert missing == []
 
 
+LIBRARY_MODULES = ("bernoulli", "ode", "partial_fractions", "polynomials",
+                   "rationals", "spectral", "zeta")
+
+
+def test_package_all_is_the_union_of_the_library_modules():
+    names = [name for module in LIBRARY_MODULES
+             for name in importlib.import_module(f"deltasolve.{module}").__all__]
+    assert sorted(deltasolve.__all__) == sorted(names)
+    assert deltasolve.bernoulli \
+        is importlib.import_module("deltasolve.bernoulli").bernoulli
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_all_resolves(name):
     module = importlib.import_module(f"deltasolve.{name}")

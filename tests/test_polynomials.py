@@ -185,6 +185,15 @@ def test_real_polynomial_rejects_rational_and_complex_tokens():
         parse_real_polynomial("2i*x")
 
 
+def test_non_finite_float_literals_are_refused():
+    for bad in ("1e400", "-1e400", "nan", "1+nani", "1e400i"):
+        with pytest.raises(ValueError):
+            parse_complex(bad)
+    for bad in ("nan", "1e400*x", "x - nan"):
+        with pytest.raises(ValueError):
+            parse_real_polynomial(bad)
+
+
 def test_complex_literal_round_trip():
     def check(z):
         assert parse_complex(format_complex(z)) == z

@@ -12,8 +12,8 @@ from deltasolve.polynomials import ComplexPolynomial, Polynomial
 from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  SpectralConfig, difference_residual,
                                  euler_gap, exp_poly_integral,
-                                 iterated_integral, power_sums,
-                                 spectral_solve)
+                                 iterated_integral, mode_polynomial,
+                                 power_sums, spectral_solve)
 
 X = Polynomial((0, 1))
 TWO_PI = 2.0 * math.pi
@@ -49,6 +49,22 @@ def test_exp_poly_integral_defining_property():
             for power in range(n + 1):
                 target = 1.0 if power == n else 0.0
                 assert abs(lhs.coefficient(power) - target) <= 1e-9, (a, n)
+    # mode_polynomial: q' - a*q = g for complex forcings of degree 0..12
+    rng = random.Random(20240808)
+    for degree in range(13):
+        for _ in range(4):
+            a = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            g = ComplexPolynomial([complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                                   for _ in range(degree + 1)])
+            q = mode_polynomial(a, g)
+            assert q.degree == degree
+            lhs = q.derivative() + q * (-a)
+            scale = max(abs(c) for c in q.coefficients) * max(1.0, abs(a))
+            for power in range(degree + 1):
+                assert abs(lhs.coefficient(power) - g.coefficient(power)) \
+                    <= 1e-13 * scale, (a, degree, power)
+    with pytest.raises(ValueError):
+        mode_polynomial(0j, ComplexPolynomial((1.0, 2.0)))
 
 
 def test_exp_poly_integral_rejects_degenerate_inputs():
