@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 on a domain error (pole proximity, repeated
 characteristic roots, degree overflow, a coefficient outside double range,
 division by zero), 2 on a usage error (unknown subcommand, malformed
-literal, bad flag value).
+literal, bad flag value, a size over its cap).
 
 Every subcommand prints a single plain-text value built from the documented
 grammars (rational, polynomial, complex literals), or with ``--format json``
@@ -34,9 +34,21 @@ from .reports import (AB_COMPARISON_HEADER, PFD_CONVERGENCE_HEADER,
                       RESIDUAL_DECAY_HEADER, ab_comparison_rows,
                       pfd_convergence_rows, residual_decay_rows)
 from .spectral import DegreeOverflowError, SpectralConfig, euler_gap, spectral_solve
-from .zeta import zeta_even_closed_form, zeta_partial_sum
+from .zeta import MAX_TABLE_ORDER, zeta_even_closed_form, zeta_partial_sum
 
-__all__ = ["main"]
+__all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX"]
+
+# Caps on the inputs whose cost grows with their value, checked while the
+# arguments are parsed, so that one over the cap exits 2 before any loop.
+# MAX_TERMS bounds every truncation order K (--K, each --K-list entry) and
+# --oracle-N; pfd, the slowest sum, takes about 0.3 s at 10^6 terms.
+# MAX_BERNOULLI_INDEX bounds n for bernoulli and faulhaber; a cold table
+# up to B_1000 takes about 2.5 s, and antidiff never needs more, as parsed
+# powers stop at MAX_PARSED_DEGREE = 1000.  MAX_ZETA_INDEX bounds --j:
+# pi^(2j) leaves double range from j = 310.
+MAX_TERMS = 10 ** 6
+MAX_BERNOULLI_INDEX = 1000
+MAX_ZETA_INDEX = 300
 
 _DOMAIN_ERRORS = (PoleProximityError, MultipleRootUnsupported, RootFindingError,
                   DegreeOverflowError, CoefficientOverflowError,
@@ -52,21 +64,23 @@ _DEFAULT_PFD_ZS = [complex(1.0), complex(-1.0), complex(0.5, 0.5),
 # argparse types (failures here are usage errors, exit code 2)
 # ----------------------------------------------------------------------
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """An argparse type accepting the integers low..high (no cap if None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+_truncation_order = _int_in(1, MAX_TERMS)
+_bernoulli_index = _int_in(0, MAX_BERNOULLI_INDEX)
 
 
 def _float_arg(text: str) -> float:
@@ -102,7 +116,7 @@ def _operator_arg(text: str) -> CharacteristicPolynomial:
 
 
 def _k_list_arg(text: str) -> list[int]:
-    return [_positive_int(part) for part in text.split(",")]
+    return [_truncation_order(part) for part in text.split(",")]
 
 
 def _z_list_arg(text: str) -> list[complex]:
@@ -209,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json"), default="plain",
                         help="output format (default: plain)")
-    common.add_argument("--threads", type=_positive_int, default=1,
+    common.add_argument("--threads", type=_int_in(1), default=1,
                         help="accepted for compatibility; report rows are "
                              "computed serially, identically for any value")
 
@@ -220,12 +234,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bernoulli", parents=[common],
                        help="Bernoulli number B_n (B_1 = -1/2 convention)")
-    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("n", type=_bernoulli_index,
+                   help=f"index, at most {MAX_BERNOULLI_INDEX}")
     p.set_defaults(run=_run_bernoulli)
 
     p = sub.add_parser("faulhaber", parents=[common],
                        help="power-sum polynomial for sum_{k=1}^{x} k^n")
-    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("n", type=_bernoulli_index,
+                   help=f"power, at most {MAX_BERNOULLI_INDEX}")
     p.set_defaults(run=_run_faulhaber)
 
     p = sub.add_parser("antidiff", parents=[common],
@@ -237,8 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", parents=[common],
                        help="truncated spectral solution of f(x+1)-f(x)=g")
     p.add_argument("--g", type=_poly_arg, required=True)
-    p.add_argument("--K", type=_positive_int, required=True,
-                   help="mode truncation order (pairs 1 <= |k| <= K)")
+    p.add_argument("--K", type=_truncation_order, required=True,
+                   help="mode truncation order (pairs 1 <= |k| <= K), at "
+                        f"most {MAX_TERMS}")
     p.add_argument("--uncorrected", action="store_true",
                    help="omit the -g/2 correction term")
     p.set_defaults(run=_run_spectral)
@@ -247,25 +264,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="uncorrected minus corrected solution at x (= g(x)/2)")
     p.add_argument("--g", type=_poly_arg, required=True)
     p.add_argument("--x", type=_float_arg, required=True)
-    p.add_argument("--K", type=_positive_int, required=True)
+    p.add_argument("--K", type=_truncation_order, required=True,
+                   help=f"mode truncation order, at most {MAX_TERMS}")
     p.set_defaults(run=_run_euler_gap)
 
     p = sub.add_parser("pfd", parents=[common],
                        help="truncated partial-fraction value of 1/(e^z - 1)")
     p.add_argument("--z", type=_complex_arg, required=True,
                    help="complex literal a+bi, e.g. '0.5+0.5i'")
-    p.add_argument("--K", type=_positive_int, required=True)
+    p.add_argument("--K", type=_truncation_order, required=True,
+                   help=f"pole pairs kept, at most {MAX_TERMS}")
     p.set_defaults(run=_run_pfd)
 
     p = sub.add_parser("zeta", parents=[common],
                        help="exact zeta(2j) as a rational multiple of pi^(2j)")
-    p.add_argument("--j", type=_positive_int, required=True)
-    p.add_argument("--oracle-N", dest="oracle_N", type=_positive_int,
+    p.add_argument("--j", type=_int_in(1, MAX_ZETA_INDEX), required=True,
+                   help=f"the even argument 2j, 1 <= j <= {MAX_ZETA_INDEX}")
+    p.add_argument("--oracle-N", dest="oracle_N", type=_int_in(2, MAX_TERMS),
                    default=None,
-                   help="also print the N-term integral-test bracket; keep N "
-                        "modest for large j, the width ~N^(1-2j) must stay "
-                        "above double rounding for containment to be "
-                        "certifiable")
+                   help=f"also print the N-term integral-test bracket, "
+                        f"2 <= N <= {MAX_TERMS}; keep N modest for large j, "
+                        "the width ~N^(1-2j) must stay above double rounding "
+                        "for containment to be certifiable")
     p.set_defaults(run=_run_zeta)
 
     p = sub.add_parser("ode", parents=[common],
@@ -284,11 +304,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=_poly_arg, default=Polynomial((0, 0, 1)),
                    help="forcing for residual-decay (default: x^2)")
     p.add_argument("--K-list", dest="K_list", type=_k_list_arg, default=None,
-                   help="comma-separated truncation orders")
+                   help=f"comma-separated truncation orders, each at most "
+                        f"{MAX_TERMS}")
     p.add_argument("--z-list", dest="z_list", type=_z_list_arg, default=None,
                    help="comma-separated complex points for pfd-convergence")
-    p.add_argument("--n-max", dest="n_max", type=_positive_int, default=6,
-                   help="largest forcing degree for ab-comparison (default: 6)")
+    p.add_argument("--n-max", dest="n_max", type=_int_in(1, MAX_TABLE_ORDER),
+                   default=6,
+                   help="largest forcing degree for ab-comparison, at most "
+                        f"{MAX_TABLE_ORDER} (default: 6)")
     p.set_defaults(run=_run_report)
 
     return parser

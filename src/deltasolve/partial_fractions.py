@@ -9,11 +9,18 @@ needs, and the k = 0 zero contributes the 1/z pole.  Each +-k pair is
 combined algebraically into 2z/(z^2 + 4 pi^2 k^2) before accumulation:
 that removes the catastrophic cancellation of the one-sided sums (which
 diverge separately) and bakes the symmetric summation into the formula.
+``pfd_eval`` sums 1/(z^2 + 4 pi^2 k^2) in descending k and multiplies by
+2z once.  Its error is the truncation tail, at most 2|z|/(pi^2 K) once
+2 pi (K+1) >= sqrt(2) |z|, plus rounding, at most
+2^-49 (1/2 + 1/|z| + 2|z| sum_k (k + (|z|^2 + (2 pi k)^2)/|d_k|)/|d_k|)
+with d_k = z^2 + (2 pi k)^2: a few ulps away from the poles, growing as
+|d_k| shrinks near one.
 
 Expanding the same mode sum about z = 0 term by term gives the Laurent
 data: the coefficient of z^j in sum_{k != 0} 1/(z - 2 k pi i) is
 -sum_{k != 0} (2 k pi i)^(-(j+1)), which converges to B_{j+1}/(j+1)! for
-odd j and cancels exactly for even j.
+odd j and cancels exactly for even j; ``laurent_from_modes`` takes it from
+``spectral.power_sums`` within that kernel's bound.
 """
 
 from __future__ import annotations
@@ -46,10 +53,21 @@ class PoleProximityError(ValueError):
 def pfd_eval(z: complex, truncation_order: int) -> complex:
     """Truncated partial fraction value of 1/(e^z - 1) at z.
 
-    Requires |z - 2*k*pi*i| > POLE_EXCLUSION_RADIUS for all |k| <= K+1; the
-    K+1 guard keeps the first *omitted* pole at a safe distance too.  Poles
-    are 2*pi apart, so only the nearest, k = round(Im z / 2 pi), can be that
-    close; a z with a non-finite part is near none.
+    Returns T_K(z) = -1/2 + 1/z + 2z sum_{k=1..K} 1/(z^2 + (2 pi k)^2),
+    summed in descending k with z^2 and (2 pi)^2 computed once.  Requires
+    |z - 2*k*pi*i| > POLE_EXCLUSION_RADIUS for all |k| <= K+1; the K+1
+    guard keeps the first *omitted* pole at a safe distance too.  Poles
+    are 2*pi apart, so only the nearest, k = round(Im z / 2 pi), can be
+    that close; a z with a non-finite part is near none.
+
+    Error bounds, while z^2 stays in double range (d_k = z^2 + (2 pi k)^2):
+
+    * truncation: |T_K(z) - 1/(e^z - 1)| <= 2|z|/(pi^2 K) once
+      2 pi (K+1) >= sqrt(2) |z|;
+    * rounding: |result - T_K(z)| <= 2^-49 (1/2 + 1/|z| + 2|z| E), where
+      E = sum_{k<=K} (k + (|z|^2 + (2 pi k)^2) / |d_k|) / |d_k|; the second
+      part of each term is the conditioning of d_k near a pole, the first
+      the descending summation.
     """
     if truncation_order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -58,11 +76,12 @@ def pfd_eval(z: complex, truncation_order: int) -> complex:
     if abs(k) <= truncation_order + 1 \
             and abs(z - complex(0.0, TWO_PI * k)) <= POLE_EXCLUSION_RADIUS:
         raise PoleProximityError(k)
-    total = -0.5 + 1.0 / z
     z_squared = z * z
-    for k in range(1, truncation_order + 1):
-        total += 2.0 * z / (z_squared + (TWO_PI * k) ** 2)
-    return total
+    four_pi_squared = TWO_PI * TWO_PI
+    total = 0j
+    for k in range(truncation_order, 0, -1):
+        total += 1.0 / (z_squared + four_pi_squared * (k * k))
+    return -0.5 + 1.0 / z + 2.0 * z * total
 
 
 def characteristic_zeros(truncation_order: int) -> list[complex]:

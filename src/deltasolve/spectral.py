@@ -26,6 +26,9 @@ a = 2*pi*i, and the -k mode is the conjugate, so each pair adds
 2 Re(c_j) k^(-m): exactly 0 for odd m.  The truncated solution is thus a
 fixed combination of the power sums S_m(K) = sum_{k<=K} k^(-m), which
 ``power_sums`` accumulates in descending k (bit-for-bit reproducible).
+For m >= 3 it starts at min(K, k1(m)), where the integral test puts the
+dropped tail below 2^-54; its error is that tail plus the rounding of a
+descending sum, 2^-53 (S_m + sum_{k<=min(K, k1)} k^(1-m)).
 Pairing is structural: one-sided sums diverge for any linear forcing term.
 """
 
@@ -56,6 +59,9 @@ TWO_PI = 2.0 * math.pi
 # n!/j! factors up to 30 stay comfortably inside double range; beyond that
 # the closed-form coefficients are no longer trustworthy in one pass.
 MAX_FORCING_DEGREE = 30
+
+# 2^54: power sums stop where the integral-test tail falls to 2^-54.
+_TAIL_LIMIT = 1 << 54
 
 
 class DegreeOverflowError(ValueError):
@@ -137,23 +143,48 @@ def iterated_integral(forcing: Polynomial, count: int) -> Polynomial:
     return result
 
 
+def _tail_cutoff(m: int) -> int:
+    """k1(m): the smallest k with k^(1-m)/(m-1) <= 2^-54, for m >= 3.
+
+    By the integral test, sum_{k>k1} k^-m < k1^(1-m)/(m-1) <= 2^-54, under
+    half an ulp of any S_m >= 1.  A float root only seeds the search; the
+    exact integer test (m-1) k^(m-1) >= 2^54 decides.
+    """
+    if m - 1 >= 54:  # 2^(m-1) alone passes the test, and (m-1) 1^(m-1) fails
+        return 1 if m - 1 >= _TAIL_LIMIT else 2
+    k = max(1, int((_TAIL_LIMIT / (m - 1)) ** (1.0 / (m - 1))))
+    while k > 1 and (m - 1) * (k - 1) ** (m - 1) >= _TAIL_LIMIT:
+        k -= 1
+    while (m - 1) * k ** (m - 1) < _TAIL_LIMIT:
+        k += 1
+    return k
+
+
 def power_sums(exponents: Iterable[int],
                truncation_order: int) -> dict[int, float]:
     """{m: sum_{k=1..K} k ** -m} for each m, K = truncation_order.
 
-    Each sum accumulates in descending k, smallest terms first, so every
-    partial sum is a tail sum_{i=k..K} i^-m and the rounding errors add up
-    to at most about 2^-53 (S + sum_{k<=K} k^(1-m)): a few ulps of S, and
-    growing only like log K for m = 2, where ascending k allows K ulps.
-    A tight pass per m is faster in CPython than one shared pass, and the
-    fixed order makes results reproducible bit for bit.  ``k ** -m`` is a
-    float power: it underflows to 0.0 for large m where ``1.0 / k ** m``
-    would raise OverflowError.
+    Each sum accumulates in descending k, smallest terms first, from
+    n = K, or for m >= 3 from n = min(K, k1(m)) (``_tail_cutoff``: at most
+    1293 terms for m >= 6, 8192 for m = 5, 181761 for m = 4).  Every
+    partial sum is then a tail sum_{i=k..n} i^-m, and the error is at most
+
+        [n < K] 2^-54 + 2^-53 (S_m(K) + sum_{k<=n} k^(1-m)):
+
+    the dropped terms (integral test) plus the first-order rounding of
+    descending summation, a few ulps of S_m that grow only like log K for
+    m = 2, where ascending k allows K ulps.  For K <= k1(m) the result is
+    the full descending sum, bit for bit.  A tight pass per m is faster in
+    CPython than one shared pass, and the fixed order makes results
+    reproducible bit for bit.  ``k ** -m`` is a float power: it underflows
+    to 0.0 for large m where ``1.0 / k ** m`` would raise OverflowError.
     """
     totals = {}
     for m in exponents:
         power, total = -m, 0.0
-        for k in range(truncation_order, 0, -1):
+        start = truncation_order if m < 3 \
+            else min(truncation_order, _tail_cutoff(m))
+        for k in range(start, 0, -1):
             total += k ** power
         totals[m] = total
     return totals

@@ -11,7 +11,10 @@ integral-test bracket around the partial sum S_N = sum_{k<=N} k^(-2j):
 
     S_N + integral_{N+1}^inf t^(-2j) dt  <  zeta(2j)  <  S_N + integral_N^inf,
 
-which never touches Bernoulli numbers.
+which never touches Bernoulli numbers.  S_N comes from
+``spectral.power_sums``: exact for N <= k1(2j) up to the rounding of a
+descending sum, and within a further 2^-54 beyond it, where the bracket
+is already narrower than double rounding.
 
 ``coefficient_tables`` compares the two solution routes of the difference
 equation coefficient by coefficient for forcing x^n:

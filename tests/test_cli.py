@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from deltasolve.cli import main
+from deltasolve.cli import (MAX_BERNOULLI_INDEX, MAX_TERMS, MAX_ZETA_INDEX,
+                            _build_parser, main)
 from deltasolve.polynomials import parse_complex, parse_complex_polynomial
 
 
@@ -129,9 +130,6 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     assert err.startswith("error: ")
 
-    code, _, err = _run(["zeta", "--j", "1", "--oracle-N", "1"], capsys)
-    assert code == 1
-
 
 # A rational coefficient far outside double range.
 _HUGE_X = "1" + "0" * 400 + "*x"
@@ -196,6 +194,58 @@ def test_polynomial_power_over_cap_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "exceeds the maximum of 1000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--j", "1", "--oracle-N", "1"],
+    ["report", "ab-comparison", "--n-max", "13"],
+    ["report", "ab-comparison", "--n-max", "0"],
+], ids=["oracle-N-1", "n-max-13", "n-max-0"])
+def test_bad_flag_values_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "report":
+        argv = argv + ["--out", str(tmp_path / "ab.csv")]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
+    assert not (tmp_path / "ab.csv").exists()
+
+
+# Each capped input: argv with "{}" where the value goes, and its cap.
+_CAPPED = [
+    (["bernoulli", "{}"], MAX_BERNOULLI_INDEX),
+    (["faulhaber", "{}"], MAX_BERNOULLI_INDEX),
+    (["spectral", "--g", "x", "--K", "{}"], MAX_TERMS),
+    (["euler-gap", "--g", "x", "--x", "1", "--K", "{}"], MAX_TERMS),
+    (["pfd", "--z", "1", "--K", "{}"], MAX_TERMS),
+    (["zeta", "--j", "{}"], MAX_ZETA_INDEX),
+    (["zeta", "--j", "1", "--oracle-N", "{}"], MAX_TERMS),
+    (["report", "residual-decay", "--K-list", "10,{}"], MAX_TERMS),
+    (["report", "pfd-convergence", "--K-list", "{}"], MAX_TERMS),
+]
+
+
+@pytest.mark.parametrize("argv, cap", _CAPPED,
+                         ids=["bernoulli", "faulhaber", "spectral", "euler-gap",
+                              "pfd", "zeta-j", "oracle-N", "residual-decay",
+                              "pfd-convergence"])
+def test_size_caps_are_checked_while_parsing(argv, cap, tmp_path, capsys):
+    def filled(value):
+        words = [word.format(value) for word in argv]
+        if words[0] == "report":
+            words += ["--out", str(tmp_path / "report.csv")]
+        return words
+
+    # the cap itself parses (without running the command) ...
+    parsed = vars(_build_parser().parse_args(filled(cap)))
+    assert cap in [v for value in parsed.values()
+                   for v in (value if isinstance(value, list) else [value])]
+    # ... and one more is a usage error before anything runs
+    code, out, err = _run(filled(cap + 1), capsys)
+    assert code == 2
+    assert out == ""
+    assert f"must be <= {cap}" in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_report_residual_decay(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,17 @@ TWO_PI = 2.0 * math.pi
 
 def _direct(z: complex) -> complex:
     return 1.0 / (cmath.exp(z) - 1.0)
+
+
+def _ascending_pfd(z: complex, truncation_order: int) -> complex:
+    """Reference oracle: each paired term 2z/(z^2 + (2 pi k)^2) in full,
+    accumulated in ascending k (pfd_eval sums 1/d_k descending and
+    multiplies by 2z once)."""
+    total = -0.5 + 1.0 / z
+    z_squared = z * z
+    for k in range(1, truncation_order + 1):
+        total += 2.0 * z / (z_squared + (TWO_PI * k) ** 2)
+    return total
 
 
 def _tail_bound(z: complex, truncation_order: int) -> float:
@@ -128,3 +140,65 @@ def test_laurent_matches_brute_force_mode_sum():
                 for signed in (k, -k):
                     acc -= complex(0.0, TWO_PI * signed) ** (-(j + 1))
             assert abs(laurent_from_modes(j, order) - acc) <= 1e-13, (j, order)
+
+
+def _truncated_sum_and_rounding_bound(mpmath, z: complex, truncation_order: int):
+    """T_K(z) at the working precision, and pfd_eval's stated rounding bound
+    2^-49 (1/2 + 1/|z| + 2|z| sum_k (k + (|z|^2 + (2 pi k)^2)/|d_k|)/|d_k|)."""
+    exact_z = mpmath.mpc(z)
+    z_squared = exact_z * exact_z
+    four_pi_squared = (2 * mpmath.pi) ** 2
+    total = 0
+    terms = []
+    for k in range(1, truncation_order + 1):
+        d = z_squared + four_pi_squared * (k * k)
+        total += 1 / d
+        size = abs(z) ** 2 + (TWO_PI * k) ** 2
+        magnitude = float(abs(d))
+        terms.append((k + size / magnitude) / magnitude)
+    value = -0.5 + 1 / exact_z + 2 * exact_z * total
+    bound = 2.0 ** -49 * (0.5 + 1 / abs(z) + 2 * abs(z) * math.fsum(terms))
+    return value, bound
+
+
+def test_pfd_eval_within_stated_rounding_bound():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    cases = [(complex(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0)),
+              round(10.0 ** rng.uniform(0.0, math.log10(20000))))
+             for _ in range(8)]
+    cases += [(complex(0.5, 0.5), 1), (complex(-29.5, 30.0), 20000)]
+    # near a pole 2 pi i k, just outside the guard radius, inside and
+    # beyond the truncation, where d_k is ill-conditioned
+    for k, order, offset in ((1, 5, 2e-6), (3, 40, -1e-4j), (4, 2, 3e-6 + 3e-6j)):
+        cases.append((complex(0.0, TWO_PI * k) + offset, order))
+    with mpmath.workdps(30):
+        for z, order in cases:
+            exact, bound = _truncated_sum_and_rounding_bound(mpmath, z, order)
+            assert abs(pfd_eval(z, order) - exact) <= bound, (z, order)
+
+
+def _outcome(evaluate, z: complex, truncation_order: int):
+    try:
+        value = evaluate(z, truncation_order)
+    except ArithmeticError as exc:
+        return type(exc)
+    return math.isfinite(value.real), math.isfinite(value.imag)
+
+
+def test_extreme_points_match_the_ascending_loop():
+    # |z| from 1e150 to 1e300: z^2 overflows, 1/d_k underflows; pfd_eval
+    # must raise, or give finite or non-finite parts, exactly where the
+    # ascending loop does
+    rng = random.Random(1150)
+    points = [complex(sign * 10.0 ** e, 0.0) for sign in (1, -1)
+              for e in (150, 154, 155, 300)]
+    points += [complex(0.0, sign * 10.0 ** e) for sign in (1, -1)
+               for e in (150, 155, 300)]
+    points += [cmath.rect(10.0 ** rng.uniform(150.0, 300.0),
+                          rng.uniform(-math.pi, math.pi)) for _ in range(40)]
+    points += [complex(1e154, 1e154), complex(1e200, -1e200), complex(1e-3, 1e200)]
+    for z in points:
+        for order in (1, 7, 50):
+            assert _outcome(pfd_eval, z, order) \
+                == _outcome(_ascending_pfd, z, order), (z, order)

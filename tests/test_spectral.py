@@ -14,6 +14,7 @@ from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  euler_gap, exp_poly_integral,
                                  iterated_integral, mode_polynomial,
                                  power_sums, spectral_solve)
+from deltasolve.spectral import _tail_cutoff
 
 X = Polynomial((0, 1))
 TWO_PI = 2.0 * math.pi
@@ -168,6 +169,44 @@ def test_power_sums_match_hurwitz_zeta():
                 tails = math.fsum(k ** (1 - m) for k in range(1, K + 1))
                 bound = 2.0 ** -53 * (exact + tails)
                 assert abs(sums[m] - exact) <= bound, (m, K)
+
+
+def _full_descending_sum(m: int, truncation_order: int) -> float:
+    total = 0.0
+    for k in range(truncation_order, 0, -1):
+        total += k ** -m
+    return total
+
+
+def test_tail_cutoff_is_the_smallest_order_with_a_small_tail():
+    # k1(m) is the first k whose integral-test tail bound k^(1-m)/(m-1)
+    # is at most 2^-54, decided in exact arithmetic
+    limit = Fraction(1, 2 ** 54)
+    for m in list(range(3, 33)) + [54, 55, 56, 2000]:
+        k1 = _tail_cutoff(m)
+        assert Fraction(1, (m - 1) * k1 ** (m - 1)) <= limit, m
+        assert k1 == 1 or Fraction(1, (m - 1) * (k1 - 1) ** (m - 1)) > limit, m
+    assert _tail_cutoff(3) == 94906266 and _tail_cutoff(6) == 1293
+
+
+def test_power_sums_stop_early_within_the_stated_bound():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for m in range(3, 33):
+            k1 = _tail_cutoff(m)
+            # k1(3) = 94906266: a pass near it takes seconds in pure Python
+            orders = [10 ** 5] if m == 3 \
+                else sorted({k1 - 1, k1, k1 + 1, 10 * k1, 10 ** 5})
+            for K in orders:
+                value = power_sums((m,), K)[m]
+                n = min(K, k1)
+                if K <= k1:
+                    assert value == _full_descending_sum(m, K), (m, K)
+                exact = mpmath.zeta(m) - mpmath.zeta(m, K + 1)
+                tails = math.fsum(k ** (1 - m) for k in range(1, n + 1))
+                bound = (2.0 ** -54 if n < K else 0.0) \
+                    + 2.0 ** -53 * (float(exact) + tails)
+                assert abs(value - exact) <= bound, (m, K)
 
 
 def test_power_sums_underflow_instead_of_overflowing():
