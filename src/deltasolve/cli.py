@@ -1,40 +1,32 @@
 """Command-line frontend.
 
-Exit codes: 0 on success, 1 on a domain error (pole proximity, repeated
-characteristic roots, degree overflow, a coefficient outside double range,
-division by zero), 2 on a usage error (unknown subcommand, malformed
-literal, bad flag value, a size over its cap).
+Exit codes: 0 on success, 1 on a domain error (a ``DeltasolveError``:
+pole proximity, repeated or too close characteristic roots, degree
+overflow, a coefficient outside double range; or division by zero, or a
+report CSV that cannot be written), 2 on a usage error (unknown subcommand,
+malformed literal, bad flag value, a size over its cap), 3 on any other
+exception, an internal error, reported in one line.
 
 Every subcommand prints a single plain-text value built from the documented
 grammars (rational, polynomial, complex literals), or with ``--format json``
 one envelope ``{"command", "inputs", "result", "meta"}`` whose numbers carry
 exactly the digits of the plain rendering.  Output is bit-for-bit
 reproducible for a fixed invocation, including across ``--threads`` values.
+
+Each handler, and each argparse type, imports the modules it calls when it
+runs, so a subcommand loads only those (the package registers its modules
+without running them); ``json`` is imported only for ``--format json``
+and ``csv`` only by ``report``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 
-from .bernoulli import antidifference_polynomial, bernoulli, faulhaber
-from .ode import (CharacteristicPolynomial, MultipleRootUnsupported,
-                  RootFindingError, solve_linear_ode)
-from .partial_fractions import PoleProximityError, pfd_eval
-from .polynomials import (CoefficientOverflowError, ComplexPolynomial,
-                          Polynomial, format_complex,
-                          format_complex_polynomial, format_polynomial,
-                          format_real_polynomial, parse_complex,
-                          parse_polynomial)
-from .rationals import format_rational
-from .reports import (AB_COMPARISON_HEADER, PFD_CONVERGENCE_HEADER,
-                      RESIDUAL_DECAY_HEADER, ab_comparison_rows,
-                      pfd_convergence_rows, residual_decay_rows)
-from .spectral import DegreeOverflowError, SpectralConfig, euler_gap, spectral_solve
-from .zeta import MAX_TABLE_ORDER, zeta_even_closed_form, zeta_partial_sum
+from . import MAX_TABLE_ORDER
+from .rationals import DeltasolveError
 
 __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX"]
 
@@ -44,15 +36,13 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX"]
 # --oracle-N; pfd, the slowest sum, takes about 0.3 s at 10^6 terms.
 # MAX_BERNOULLI_INDEX bounds n for bernoulli and faulhaber; a cold table
 # up to B_1000 takes about 2.5 s, and antidiff never needs more, as parsed
-# powers stop at MAX_PARSED_DEGREE = 1000.  MAX_ZETA_INDEX bounds --j:
-# pi^(2j) leaves double range from j = 310.
+# powers stop at MAX_PARSED_DEGREE = 1000.  MAX_ZETA_INDEX bounds --j by
+# cost: j = 300 needs B_600 from a cold table, about 0.4 s.
 MAX_TERMS = 10 ** 6
 MAX_BERNOULLI_INDEX = 1000
 MAX_ZETA_INDEX = 300
 
-_DOMAIN_ERRORS = (PoleProximityError, MultipleRootUnsupported, RootFindingError,
-                  DegreeOverflowError, CoefficientOverflowError,
-                  ZeroDivisionError, ValueError)
+_DOMAIN_ERRORS = (DeltasolveError, ZeroDivisionError, OSError)
 
 _DEFAULT_RESIDUAL_KS = [10, 100, 1000]
 _DEFAULT_SWEEP_KS = [100, 1000, 10000]
@@ -93,7 +83,8 @@ def _float_arg(text: str) -> float:
     return value
 
 
-def _poly_arg(text: str) -> Polynomial:
+def _poly_arg(text: str):
+    from .polynomials import parse_polynomial
     try:
         return parse_polynomial(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -101,13 +92,15 @@ def _poly_arg(text: str) -> Polynomial:
 
 
 def _complex_arg(text: str) -> complex:
+    from .polynomials import parse_complex
     try:
         return parse_complex(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad complex literal: {exc}")
 
 
-def _operator_arg(text: str) -> CharacteristicPolynomial:
+def _operator_arg(text: str):
+    from .ode import CharacteristicPolynomial
     coeffs = [_complex_arg(part) for part in text.split(",")]
     try:
         return CharacteristicPolynomial(coeffs)
@@ -128,21 +121,29 @@ def _z_list_arg(text: str) -> list[complex]:
 # ----------------------------------------------------------------------
 
 def _run_bernoulli(args):
+    from .bernoulli import bernoulli
+    from .rationals import format_rational
     value = format_rational(bernoulli(args.n))
     return value, {"n": args.n}, {"value": value}
 
 
 def _run_faulhaber(args):
+    from .bernoulli import faulhaber
+    from .polynomials import format_polynomial
     rendered = format_polynomial(faulhaber(args.n))
     return rendered, {"n": args.n}, {"polynomial": rendered}
 
 
 def _run_antidiff(args):
+    from .bernoulli import antidifference_polynomial
+    from .polynomials import format_polynomial
     rendered = format_polynomial(antidifference_polynomial(args.g))
     return rendered, {"g": format_polynomial(args.g)}, {"polynomial": rendered}
 
 
 def _run_spectral(args):
+    from .polynomials import format_polynomial, format_real_polynomial
+    from .spectral import SpectralConfig, spectral_solve
     config = SpectralConfig(args.K, include_correction=not args.uncorrected)
     solution = spectral_solve(args.g, config)
     rendered = format_real_polynomial(solution.polynomial_part.real_coefficients())
@@ -152,18 +153,24 @@ def _run_spectral(args):
 
 
 def _run_euler_gap(args):
+    from .polynomials import format_polynomial
+    from .spectral import euler_gap
     value = euler_gap(args.g, args.x, args.K)
     inputs = {"g": format_polynomial(args.g), "x": args.x, "K": args.K}
     return repr(value), inputs, {"value": value}
 
 
 def _run_pfd(args):
+    from .partial_fractions import pfd_eval
+    from .polynomials import format_complex
     rendered = format_complex(pfd_eval(args.z, args.K))
     inputs = {"z": format_complex(args.z), "K": args.K}
     return rendered, inputs, {"value": rendered}
 
 
 def _run_zeta(args):
+    from .rationals import format_rational
+    from .zeta import zeta_even_closed_form, zeta_partial_sum
     closed = zeta_even_closed_form(args.j)
     value = closed.value()
     coefficient = format_rational(closed.coefficient)
@@ -182,6 +189,9 @@ def _run_zeta(args):
 
 
 def _run_ode(args):
+    from .ode import solve_linear_ode
+    from .polynomials import (ComplexPolynomial, format_complex,
+                              format_complex_polynomial, format_polynomial)
     solution = solve_linear_ode(args.coeffs, args.g)
     poly = solution.terms[0].polynomial if solution.terms else ComplexPolynomial.zero()
     rendered = format_complex_polynomial(poly)
@@ -191,6 +201,12 @@ def _run_ode(args):
 
 
 def _run_report(args):
+    import csv
+
+    from .polynomials import format_complex, format_polynomial
+    from .reports import (AB_COMPARISON_HEADER, PFD_CONVERGENCE_HEADER,
+                          RESIDUAL_DECAY_HEADER, ab_comparison_rows,
+                          pfd_convergence_rows, residual_decay_rows)
     if args.study == "residual-decay":
         k_values = args.K_list or _DEFAULT_RESIDUAL_KS
         header = RESIDUAL_DECAY_HEADER
@@ -301,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("study", choices=("residual-decay", "pfd-convergence",
                                      "ab-comparison"))
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--g", type=_poly_arg, default=Polynomial((0, 0, 1)),
+    p.add_argument("--g", type=_poly_arg, default="x^2",
                    help="forcing for residual-decay (default: x^2)")
     p.add_argument("--K-list", dest="K_list", type=_k_list_arg, default=None,
                    help=f"comma-separated truncation orders, each at most "
@@ -328,7 +344,12 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     if args.format == "json":
+        import json
+
         envelope = {"command": args.command, "inputs": inputs,
                     "result": result, "meta": {"K": getattr(args, "K", None)}}
         print(json.dumps(envelope))

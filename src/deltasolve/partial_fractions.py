@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 
+from .rationals import DeltasolveError
 from .spectral import TWO_PI, power_sums
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
 POLE_EXCLUSION_RADIUS = 1e-6
 
 
-class PoleProximityError(ValueError):
+class PoleProximityError(DeltasolveError, ValueError):
     """Evaluation point is within the exclusion radius of a pole 2*k*pi*i."""
 
     def __init__(self, k: int):

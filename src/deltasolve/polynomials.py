@@ -34,7 +34,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import DeltasolveError, Rational, format_rational, parse_rational
 
 __all__ = [
     "NEG_INFINITY",
@@ -60,7 +60,7 @@ NEG_INFINITY = float("-inf")
 MAX_PARSED_DEGREE = 1000
 
 
-class CoefficientOverflowError(ValueError):
+class CoefficientOverflowError(DeltasolveError, ValueError):
     """An exact coefficient is too large in magnitude to become a double."""
 
 

@@ -5,6 +5,9 @@ canonical form (positive denominator, gcd(|p|, q) = 1), with structural
 equality.  The textual contract is ``p/q`` with the ``/q`` part omitted when
 q == 1, which is exactly what ``str()`` on a Fraction produces;
 ``parse_rational`` accepts that grammar and nothing else.
+
+``DeltasolveError`` lives here, in the module every other one imports, so
+that it is loaded whatever part of the package runs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import re
 from fractions import Fraction
 
 __all__ = [
+    "DeltasolveError",
     "Rational",
     "binomial",
     "factorial",
@@ -23,6 +27,13 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+
+class DeltasolveError(Exception):
+    """Base of the package's domain errors: an input the method cannot
+    handle (a pole, close roots, a degree or coefficient out of range).
+    The CLI reports these with exit code 1."""
+
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 

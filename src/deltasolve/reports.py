@@ -55,7 +55,11 @@ def pfd_convergence_rows(z_values: Iterable[complex], k_values: Iterable[int],
 
     def row(z: complex, truncation_order: int) -> list:
         approx = pfd_eval(z, truncation_order)
-        direct = 1.0 / (cmath.exp(z) - 1.0)
+        try:
+            direct = 1.0 / (cmath.exp(z) - 1.0)
+        except OverflowError:  # e^z leaves double range for Re z > 709.78
+            decay = cmath.exp(-z)
+            direct = decay / (1.0 - decay)
         bound = 2.0 * abs(z) / (math.pi ** 2 * truncation_order)
         return [format_complex(z), truncation_order, abs(approx - direct), bound]
 

@@ -39,6 +39,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .polynomials import ComplexPolynomial, Polynomial
+from .rationals import DeltasolveError
 
 __all__ = [
     "MAX_FORCING_DEGREE",
@@ -64,7 +65,7 @@ MAX_FORCING_DEGREE = 30
 _TAIL_LIMIT = 1 << 54
 
 
-class DegreeOverflowError(ValueError):
+class DegreeOverflowError(DeltasolveError, ValueError):
     """Forcing degree exceeds what the double-precision mode sum supports."""
 
 

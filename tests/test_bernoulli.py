@@ -207,3 +207,13 @@ def test_antidifference_round_trip_property():
         assert f.coefficient(0) == 0
 
     round_trip()
+
+
+def test_bernoulli_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(301):
+        expected = sympy.bernoulli(n)
+        expected = Fraction(int(expected.p), int(expected.q))
+        if n == 1:  # sympy 1.14 takes B_1 = +1/2, older releases -1/2
+            expected = -abs(expected)
+        assert bernoulli(n) == expected, n

@@ -316,3 +316,37 @@ def test_repeated_runs_are_identical():
     first = subprocess.run(argv, capture_output=True).stdout
     second = subprocess.run(argv, capture_output=True).stdout
     assert first == second
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom"),
+                                   OverflowError("boom")],
+                         ids=["ValueError", "KeyError", "OverflowError"])
+def test_internal_errors_exit_3(error, monkeypatch, capsys):
+    """An exception that is not a domain error is a bug: exit 3, one line."""
+    def broken(n):
+        raise error
+
+    monkeypatch.setattr(sys.modules["deltasolve.bernoulli"], "bernoulli", broken)
+    code, out, err = _run(["bernoulli", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {error!r}\n"
+
+
+def test_unwritable_report_path_exits_1(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "ab.csv"
+    code, out, err = _run(["report", "ab-comparison", "--n-max", "2",
+                           "--K-list", "10", "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_ode_with_too_close_roots_exits_1(capsys):
+    # (z - 2)(z - 2.001) = z^2 - 4.001 z + 4.002
+    code, out, err = _run(["ode", "--coeffs=4.002,-4.001,1", "--g", "x^3"],
+                          capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the solution misses P(D) f = g")

@@ -12,7 +12,7 @@ from deltasolve.ode import (MIN_ROOT_SEPARATION, CharacteristicPolynomial,
                             RootFinderSettings, RootFindingError, apply_operator,
                             find_roots, solve_linear_ode)
 from deltasolve.polynomials import ComplexPolynomial, Polynomial
-from deltasolve.spectral import exp_poly_integral
+from deltasolve.spectral import exp_poly_integral, mode_polynomial
 
 X = Polynomial((0, 1))
 
@@ -236,3 +236,43 @@ def test_exp_poly_term_fields():
     term = ExpPolyTerm(1j, ComplexPolynomial((1.0,)))
     assert term.exponent == 1j
     assert math.isclose(abs(term.polynomial(0.0)), 1.0)
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-3])
+@pytest.mark.parametrize("roots", [
+    [2.0],
+    [2.0, complex(-1.1, 0.7)],
+    [2.0, complex(-1.1, 0.7), complex(1.4, -0.9)],
+    [complex(-1, 2)],
+    [complex(-1, 2), complex(-1.1, 0.7)],
+], ids=["2", "2-one-more", "2-two-more", "-1+2i", "-1+2i-one-more"])
+def test_too_close_roots_are_refused_by_the_residual(roots, gap):
+    """Roots farther apart than MIN_ROOT_SEPARATION but close enough for
+    the 1/P'(r) weights to cancel away the answer: the separation tests
+    pass, and the check of P(D) f - g refuses the solution."""
+    operator = _poly_from_roots([roots[0] + gap] + roots)
+    assert len(find_roots(operator)) == len(roots) + 1
+    with pytest.raises(MultipleRootUnsupported, match="misses P"):
+        solve_linear_ode(operator, Polynomial((1, -2, 0, 1)))
+
+
+def test_residual_check_leaves_solutions_untouched():
+    """The check only reads: the solution is the root sum, bit for bit."""
+    rng = random.Random(20241018)
+    for _ in range(40):
+        degree, roots = rng.randint(1, 6), []
+        while len(roots) < degree:
+            candidate = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+            if abs(candidate) >= 0.3 and all(abs(candidate - r) >= 0.5
+                                             for r in roots):
+                roots.append(candidate)
+        operator = _poly_from_roots(roots)
+        forcing = Polynomial([Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                              for _ in range(rng.randint(0, 8))] + [1])
+        g = ComplexPolynomial.from_exact(forcing)
+        expected = ComplexPolynomial.zero()
+        for root in find_roots(operator):
+            expected = expected + mode_polynomial(root, g) \
+                * (1.0 / operator.derivative_value(root))
+        got = _as_single_polynomial(solve_linear_ode(operator, forcing))
+        assert got.coefficients == expected.coefficients

@@ -47,3 +47,11 @@ def test_rows_are_thread_invariant():
         == residual_decay_rows(X_SQUARED, [10, 50], threads=1)
     assert ab_comparison_rows([1, 2, 3], [50, 200], threads=5) \
         == ab_comparison_rows([1, 2, 3], [50, 200], threads=1)
+
+
+def test_pfd_convergence_rows_far_from_the_imaginary_axis():
+    # e^z leaves double range for Re z > 709.78; 1/(e^z - 1) does not
+    rows = pfd_convergence_rows([complex(800.0), complex(-800.0),
+                                 complex(710.0, 3.0)], [1000])
+    for _, _, abs_error, tail_bound in rows:
+        assert abs_error <= tail_bound

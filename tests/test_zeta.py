@@ -139,3 +139,22 @@ def test_table_order_validation():
 
 def test_verify_order_one_has_empty_range():
     assert verify_comparison(1, 100) == 0.0
+
+
+@pytest.mark.parametrize("j", [1, 30, 300, 309, 310, 320])
+def test_closed_form_value_against_mpmath(j):
+    """pi^(2j) alone leaves double range from j = 310, and the coefficient
+    nears the subnormal range at j = 309; the value stays within 4 ulps."""
+    mpmath = pytest.importorskip("mpmath")
+    value = zeta_even_closed_form(j).value()
+    with mpmath.workprec(200):
+        exact = mpmath.zeta(2 * j)
+        assert abs(mpmath.mpf(value) - exact) <= 4 * math.ulp(float(exact))
+
+
+def test_closed_form_coefficients_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for j in range(1, 51):
+        expected = sympy.zeta(2 * j) / sympy.pi ** (2 * j)
+        assert zeta_even_closed_form(j).coefficient \
+            == Fraction(int(expected.p), int(expected.q)), j
