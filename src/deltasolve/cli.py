@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on a domain error (a ``DeltasolveError``:
 pole proximity, repeated or too close characteristic roots, degree
-overflow, a coefficient outside double range; or division by zero, or a
+overflow, a value outside double range; or division by zero, or a
 report CSV that cannot be written), 2 on a usage error (unknown subcommand,
 malformed literal, bad flag value, a size over its cap), 3 on any other
 exception, an internal error, reported in one line.

@@ -8,20 +8,23 @@ characteristic roots, a particular solution for polynomial forcing g is
 where each nonzero-root term is the polynomial ``spectral.mode_polynomial``
 builds and a zero root (a_0 = 0) contributes the plain
 antiderivative divided by P'(0).  With all integration constants zero every
-term is a polynomial, so the returned ``ExpPoly`` collapses to a single
-exponent-zero term.  Repeated or numerically near-multiple roots are outside
-this method and abort with ``MultipleRootUnsupported`` rather than return
-something half-right.  Roots that pass the separation tests can still be
+term is a polynomial, so the returned ``ExpPoly`` is a single exponent-zero
+term.  Repeated or numerically near-multiple roots are outside this method
+and abort with ``MultipleRootUnsupported`` rather than return something
+half-right.  Roots that pass the separation tests can still be
 close enough for the 1/P'(r) weights to cancel away most digits, so the
 solution is also checked against the equation itself: no coefficient of
 P(D) f - g may exceed SOLUTION_RESIDUAL_TOLERANCE times the largest
-coefficient of sum_i |a_i f^(i)| + |g|.
+coefficient of sum_i |a_i f^(i)| + |g|, and a solution coefficient outside
+double range raises ``CoefficientOverflowError``.
 
 Roots come from a Weierstrass (Durand-Kerner) simultaneous iteration started
 on a perturbed circle whose radius is the Cauchy bound, then polished with a
-few Newton steps.  The iteration is sequential and the starting points are
-fixed, so the returned ordering (sorted by real part, then imaginary part)
-and everything accumulated from it is deterministic.
+few Newton steps.  It stops once no step exceeds _TOLERANCE times (1 + the
+largest estimate's magnitude), or gives up after _MAX_ITERATIONS sweeps.
+The iteration is sequential and the starting points are fixed, so the
+returned ordering (sorted by real part, then imaginary part) and everything
+accumulated from it is deterministic.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from itertools import combinations
 
-from .polynomials import ComplexPolynomial, Polynomial
+from .polynomials import CoefficientOverflowError, ComplexPolynomial, Polynomial
 from .rationals import DeltasolveError
 from .spectral import mode_polynomial
 
 __all__ = [
     "MIN_ROOT_SEPARATION",
-    "RootFinderSettings",
     "RootFindingError",
     "MultipleRootUnsupported",
     "CharacteristicPolynomial",
@@ -50,8 +53,9 @@ __all__ = [
 MIN_ROOT_SEPARATION = 1e-6
 DERIVATIVE_MAGNITUDE_FLOOR = 1e-8
 RESIDUAL_SCALE = 1e-9
-EXPONENT_MERGE_TOLERANCE = 1e-9
 NEWTON_POLISH_STEPS = 3
+_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 200
 # Relative residual of the solution (see ``_check_residual``).  Over 40
 # seeded operators each, roots 1e-3 apart leave up to 1.4e-6 and 1e-5 apart
 # up to 0.55; roots 0.1 apart stay below 2e-12.
@@ -66,15 +70,6 @@ class MultipleRootUnsupported(DeltasolveError, ValueError):
     """Repeated characteristic roots, or roots too close to solve with:
     numerically indistinguishable, or leaving a solution that misses the
     equation."""
-
-
-class RootFinderSettings(namedtuple("RootFinderSettings",
-                                    "tolerance max_iterations",
-                                    defaults=(1e-12, 200))):
-    """Converged when no step exceeds ``tolerance`` * (1 + the largest
-    estimate's magnitude); give up after ``max_iterations`` sweeps."""
-
-    __slots__ = ()
 
 
 class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
@@ -102,22 +97,15 @@ class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def value(self, z: complex) -> complex:
-        return ComplexPolynomial(self.coefficients)(z)
 
-    def derivative_value(self, z: complex) -> complex:
-        return ComplexPolynomial(self.coefficients).derivative()(z)
-
-
-def find_roots(polynomial: CharacteristicPolynomial,
-               settings: RootFinderSettings | None = None) -> list[complex]:
+def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
     """All roots, sorted by (real, imaginary); simple roots only.
 
     Raises ``MultipleRootUnsupported`` when two estimates land closer than
     MIN_ROOT_SEPARATION or |P'| at a root is below the derivative floor,
-    and ``RootFindingError`` on non-convergence or a failed residual check.
+    and ``RootFindingError`` on non-convergence, naming the closest pair of
+    final estimates, or on a failed residual check.
     """
-    settings = settings or RootFinderSettings()
     n = polynomial.degree
     leading = polynomial.coefficients[-1]
     # The monic form has leading coefficient exactly 1, not leading / leading.
@@ -133,7 +121,7 @@ def find_roots(polynomial: CharacteristicPolynomial,
                  for j in range(n)]
 
     converged = False
-    for _ in range(settings.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         largest_step = 0.0
         for idx in range(n):
             z = estimates[idx]
@@ -150,7 +138,7 @@ def find_roots(polynomial: CharacteristicPolynomial,
             estimates[idx] = z - step
             largest_step = max(largest_step, abs(step))
         scale = 1.0 + max(abs(z) for z in estimates)
-        if largest_step <= settings.tolerance * scale:
+        if largest_step <= _TOLERANCE * scale:
             converged = True
             break
 
@@ -164,19 +152,20 @@ def find_roots(polynomial: CharacteristicPolynomial,
         estimates[idx] = z
 
     roots = sorted(estimates, key=lambda r: (r.real, r.imag))
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < MIN_ROOT_SEPARATION:
-                raise MultipleRootUnsupported(
-                    f"roots {roots[i]} and {roots[j]} are closer than "
-                    f"{MIN_ROOT_SEPARATION:g}")
+    for a, b in combinations(roots, 2):
+        if abs(a - b) < MIN_ROOT_SEPARATION:
+            raise MultipleRootUnsupported(
+                f"roots {a} and {b} are closer than {MIN_ROOT_SEPARATION:g}")
     for root in roots:
         if abs(dp(root)) < DERIVATIVE_MAGNITUDE_FLOOR:
             raise MultipleRootUnsupported(
                 f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g}")
     if not converged:
+        # A linear P converges on the second sweep, so a pair exists.
+        a, b = min(combinations(roots, 2), key=lambda ab: abs(ab[0] - ab[1]))
         raise RootFindingError(
-            f"no convergence after {settings.max_iterations} iterations")
+            f"no convergence after {_MAX_ITERATIONS} iterations; the closest "
+            f"estimates, {a} and {b}, are {abs(a - b):.1e} apart")
     residual_scale = max(abs(c) for c in polynomial.coefficients)
     for root in roots:
         if abs(p(root)) > RESIDUAL_SCALE * residual_scale:
@@ -195,39 +184,22 @@ class ExpPolyTerm(namedtuple("ExpPolyTerm", "exponent polynomial")):
 class ExpPoly(namedtuple("ExpPoly", "terms", defaults=((),))):
     """A finite sum of terms e^{a x} p(x), canonicalised.
 
-    ``terms`` is a tuple of ``ExpPolyTerm``.  Exponents closer than
-    EXPONENT_MERGE_TOLERANCE are merged and terms with a zero polynomial are
-    dropped, so the zero function is the empty sum.
+    ``terms`` is a tuple of ``ExpPolyTerm`` sorted by exponent.  Terms with
+    equal exponents are merged and terms with a zero polynomial are dropped,
+    so the zero function is the empty sum.
     """
 
     __slots__ = ()
 
     @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls()
-
-    @classmethod
     def from_terms(cls, pairs) -> "ExpPoly":
-        merged: list[list] = []
+        merged: dict[complex, ComplexPolynomial] = {}
         for exponent, poly in pairs:
             exponent = complex(exponent)
-            for slot in merged:
-                if abs(slot[0] - exponent) <= EXPONENT_MERGE_TOLERANCE:
-                    slot[1] = slot[1] + poly
-                    break
-            else:
-                merged.append([exponent, poly])
-        kept = [(a, p) for a, p in merged if not p.is_zero]
-        kept.sort(key=lambda item: (item[0].real, item[0].imag))
+            merged[exponent] = merged.get(exponent, ComplexPolynomial()) + poly
+        kept = sorted((item for item in merged.items() if not item[1].is_zero),
+                      key=lambda item: (item[0].real, item[0].imag))
         return cls(tuple(ExpPolyTerm(a, p) for a, p in kept))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def evaluate(self, x: float) -> complex:
-        return sum((cmath.exp(term.exponent * x) * term.polynomial(x)
-                    for term in self.terms), 0j)
 
 
 def solve_linear_ode(polynomial: CharacteristicPolynomial,
@@ -255,17 +227,21 @@ def solve_linear_ode(polynomial: CharacteristicPolynomial,
         nonzero_roots = find_roots(polynomial)
 
     float_forcing = ComplexPolynomial.from_exact(forcing)
+    dp = ComplexPolynomial(coeffs).derivative()
     total = ComplexPolynomial.zero()
     if has_zero_root:
         # e^{0 x} integral(e^{0 x} g) is the plain antiderivative; P'(0) = a_1.
         total = total + ComplexPolynomial.from_exact(
             forcing.antiderivative()) * (1.0 / coeffs[1])
     for root in nonzero_roots:
-        slope = polynomial.derivative_value(root)
+        slope = dp(root)
         if abs(slope) < DERIVATIVE_MAGNITUDE_FLOOR:
             raise MultipleRootUnsupported(
                 f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g}")
         total = total + mode_polynomial(root, float_forcing) * (1.0 / slope)
+    if not all(map(cmath.isfinite, total.coefficients)):
+        raise CoefficientOverflowError(
+            "a solution coefficient is outside double range")
     _check_residual(coeffs, total, float_forcing)
     return ExpPoly.from_terms([(0j, total)])
 
@@ -291,7 +267,7 @@ def _check_residual(coeffs, solution: ComplexPolynomial,
             scale[m] += abs(a * c)
         derivative = derivative.derivative()
     worst = max(map(abs, residual), default=0.0)
-    if worst > SOLUTION_RESIDUAL_TOLERANCE * max(scale, default=0.0):
+    if not (worst <= SOLUTION_RESIDUAL_TOLERANCE * max(scale, default=0.0)):
         raise MultipleRootUnsupported(
             f"the solution misses P(D) f = g by {worst / max(scale):.1e} "
             f"relative to its terms; the characteristic roots are too close")

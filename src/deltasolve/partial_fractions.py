@@ -25,8 +25,10 @@ odd j and cancels exactly for even j; ``laurent_from_modes`` takes it from
 
 from __future__ import annotations
 
+import cmath
 import math
 
+from .polynomials import CoefficientOverflowError, format_complex
 from .rationals import DeltasolveError
 from .spectral import TWO_PI, power_sums
 
@@ -34,7 +36,6 @@ __all__ = [
     "POLE_EXCLUSION_RADIUS",
     "PoleProximityError",
     "pfd_eval",
-    "characteristic_zeros",
     "laurent_from_modes",
 ]
 
@@ -69,6 +70,8 @@ def pfd_eval(z: complex, truncation_order: int) -> complex:
       E = sum_{k<=K} (k + (|z|^2 + (2 pi k)^2) / |d_k|) / |d_k|; the second
       part of each term is the conditioning of d_k near a pole, the first
       the descending summation.
+
+    A finite z whose value is not finite raises ``CoefficientOverflowError``.
     """
     if truncation_order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -82,18 +85,11 @@ def pfd_eval(z: complex, truncation_order: int) -> complex:
     total = 0j
     for k in range(truncation_order, 0, -1):
         total += 1.0 / (z_squared + four_pi_squared * (k * k))
-    return -0.5 + 1.0 / z + 2.0 * z * total
-
-
-def characteristic_zeros(truncation_order: int) -> list[complex]:
-    """The zeros of e^z - 1 with |k| <= K: 0, then +-2*k*pi*i ascending."""
-    if truncation_order < 1:
-        raise ValueError("truncation order must be >= 1")
-    zeros = [0j]
-    for k in range(1, truncation_order + 1):
-        zeros.append(complex(0.0, TWO_PI * k))
-        zeros.append(complex(0.0, -TWO_PI * k))
-    return zeros
+    value = -0.5 + 1.0 / z + 2.0 * z * total
+    if cmath.isfinite(z) and not cmath.isfinite(value):
+        raise CoefficientOverflowError(
+            f"the value at z = {format_complex(z)} is outside double range")
+    return value
 
 
 def laurent_from_modes(j: int, truncation_order: int) -> complex:

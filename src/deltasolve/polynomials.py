@@ -8,13 +8,13 @@ A private base class holds everything the two classes do identically:
 canonical storage, comparison and hashing, the additive group operations
 and the derivative.  It is parameterised only by the coefficient type, so
 the subclasses keep just what differs.  ``Polynomial`` (exact ``Rational``
-coefficients) adds the operator calculus used on the exact side: shift
-p(x) -> p(x+1), forward difference and antiderivative, all computed without
-rounding.  ``ComplexPolynomial`` is the double-precision sibling that
-truncated mode sums accumulate into.  The exact/float boundary is crossed
-only through ``ComplexPolynomial.from_exact`` or an explicit
-float()/complex() call, never implicitly; ``from_exact`` refuses a
-coefficient outside double range with ``CoefficientOverflowError``.
+coefficients) adds the operator calculus used on the exact side:
+translation p(x) -> p(x+c), forward difference p(x+1) - p(x) and
+antiderivative, all computed without rounding.  ``ComplexPolynomial`` is the
+double-precision sibling that truncated mode sums accumulate into.  The
+exact/float boundary is crossed only through ``ComplexPolynomial.from_exact``
+or an explicit float()/complex() call, never implicitly; ``from_exact``
+refuses a coefficient outside double range with ``CoefficientOverflowError``.
 
 This module also owns the textual polynomial grammar shared by the CLI and
 the tests::
@@ -61,7 +61,9 @@ MAX_PARSED_DEGREE = 1000
 
 
 class CoefficientOverflowError(DeltasolveError, ValueError):
-    """An exact coefficient is too large in magnitude to become a double."""
+    """A value outside double range: an exact coefficient too large to become
+    a double, or a float result that overflowed although its inputs were
+    finite."""
 
 
 def _trimmed(coeffs: list) -> tuple:
@@ -195,13 +197,9 @@ class Polynomial(_DensePolynomial):
             acc = acc * x_plus + Polynomial.constant(c)
         return acc
 
-    def shift(self) -> "Polynomial":
-        """p(x + 1)."""
-        return self.translate(1)
-
     def forward_difference(self) -> "Polynomial":
         """p(x + 1) - p(x).  Drops the degree by exactly one."""
-        return self.shift() - self
+        return self.translate(1) - self
 
 
 class ComplexPolynomial(_DensePolynomial):

@@ -1,10 +1,11 @@
-"""Exact rational scalars and the combinatorial helpers built on them.
+"""Exact rational scalars, the binomial coefficient and the ``p/q`` grammar.
 
 ``Rational`` is ``fractions.Fraction``: arbitrary precision, always kept in
 canonical form (positive denominator, gcd(|p|, q) = 1), with structural
 equality.  The textual contract is ``p/q`` with the ``/q`` part omitted when
 q == 1, which is exactly what ``str()`` on a Fraction produces;
-``parse_rational`` accepts that grammar and nothing else.
+``parse_rational`` accepts that grammar and nothing else.  Exact values
+become doubles through a plain ``float()``, and n! is ``math.factorial``.
 
 ``DeltasolveError`` lives here, in the module every other one imports, so
 that it is loaded whatever part of the package runs.
@@ -20,10 +21,8 @@ __all__ = [
     "DeltasolveError",
     "Rational",
     "binomial",
-    "factorial",
     "format_rational",
     "parse_rational",
-    "to_float",
 ]
 
 Rational = Fraction
@@ -50,11 +49,6 @@ def binomial(n: int, k: int) -> Rational:
     return Fraction(math.comb(n, k))
 
 
-def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    return math.factorial(n)
-
-
 def format_rational(value: Rational) -> str:
     return str(value)
 
@@ -69,9 +63,3 @@ def parse_rational(text: str) -> Rational:
     if not _RATIONAL_RE.match(cleaned):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(cleaned)
-
-
-def to_float(value: Rational) -> float:
-    """``float(value)``.  Not the only exact-to-double conversion:
-    ``ComplexPolynomial.from_exact`` and ``zeta`` call ``float()`` directly."""
-    return float(value)

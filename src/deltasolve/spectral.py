@@ -38,7 +38,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .polynomials import ComplexPolynomial, Polynomial
+from .polynomials import CoefficientOverflowError, ComplexPolynomial, Polynomial
 from .rationals import DeltasolveError
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "power_sums",
     "mode_polynomial",
     "exp_poly_integral",
-    "iterated_integral",
     "spectral_solve",
     "euler_gap",
     "difference_residual",
@@ -98,9 +97,6 @@ class SpectralSolution(namedtuple("SpectralSolution", "polynomial_part config"))
 
     __slots__ = ()
 
-    def evaluate(self, x: float) -> complex:
-        return self.polynomial_part(x)
-
 
 def mode_polynomial(a: complex, g: ComplexPolynomial) -> ComplexPolynomial:
     """The polynomial q(x) = e^{a x} integral(e^{-a x} g(x) dx), a != 0.
@@ -128,20 +124,6 @@ def exp_poly_integral(a: complex, n: int) -> ComplexPolynomial:
     if n < 0:
         raise ValueError("monomial degree must be >= 0")
     return mode_polynomial(a, ComplexPolynomial((0,) * n + (1,)))
-
-
-def iterated_integral(forcing: Polynomial, count: int) -> Polynomial:
-    """count-fold antiderivative, zero integration constant at every stage.
-
-    Equals the single Cauchy-kernel quadrature
-    integral_0^x (x-t)^(count-1)/(count-1)! forcing(t) dt, exactly.
-    """
-    if count < 1:
-        raise ValueError("iterated_integral requires count >= 1")
-    result = forcing
-    for _ in range(count):
-        result = result.antiderivative()
-    return result
 
 
 def _tail_cutoff(m: int) -> int:
@@ -227,14 +209,18 @@ def euler_gap(forcing: Polynomial, x: float, truncation_order: int) -> float:
 
     Both solutions share the same mode sums and differ only in the -g/2
     term, so the gap is independent of the truncation order up to rounding.
+    A finite x whose gap is not finite raises ``CoefficientOverflowError``.
     """
     uncorrected = spectral_solve(
         forcing, SpectralConfig(truncation_order, include_correction=False))
     corrected = spectral_solve(
         forcing, SpectralConfig(truncation_order, include_correction=True))
-    gap = uncorrected.polynomial_part(float(x)) \
-        - corrected.polynomial_part(float(x))
-    return gap.real
+    x = float(x)
+    gap = (uncorrected.polynomial_part(x) - corrected.polynomial_part(x)).real
+    if math.isfinite(x) and not math.isfinite(gap):
+        raise CoefficientOverflowError(
+            f"the gap at x = {x!r} is outside double range")
+    return gap
 
 
 def difference_residual(solution: SpectralSolution, forcing: Polynomial,

@@ -29,12 +29,13 @@ Agreement is A(n, n+1-j) = B(n, j).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import MAX_TABLE_ORDER
 from .bernoulli import bernoulli
-from .rationals import Rational, binomial, factorial
+from .rationals import Rational, binomial
 from .spectral import TWO_PI, power_sums
 
 __all__ = [
@@ -81,7 +82,7 @@ def zeta_even_closed_form(j: int) -> ZetaClosedForm:
         raise ValueError("zeta_even_closed_form requires j >= 1")
     sign = 1 if j % 2 == 1 else -1
     coefficient = Fraction(sign * 2 ** (2 * j)) * bernoulli(2 * j) \
-        / (2 * factorial(2 * j))
+        / (2 * math.factorial(2 * j))
     return ZetaClosedForm(j=j, coefficient=coefficient, pi_power=2 * j)
 
 
@@ -117,7 +118,7 @@ def coefficient_tables(n: int, truncation_order: int
     sums = power_sums(range(2, n + 2, 2), truncation_order)
     for m, total in sums.items():
         j = n + 1 - m
-        prefactor = float(factorial(n)) / float(factorial(j))
+        prefactor = float(math.factorial(n)) / float(math.factorial(j))
         a_table[j] = -prefactor * 2.0 * (-1) ** (m // 2) * TWO_PI ** -m * total
     b_table = [Fraction(0)] * (n + 1)
     for j in range(2, n + 1):

@@ -153,6 +153,22 @@ def test_out_of_range_coefficient_exits_1(argv, tmp_path, capsys):
     assert not (tmp_path / "decay.csv").exists()
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("argv", [
+    ["euler-gap", "--g", "x^30", "--x", "1e300", "--K", "3"],
+    ["pfd", "--z", "1e200+1e200i", "--K", "3"],
+    ["ode", "--coeffs=1,1,1", "--g", "x^400"],
+], ids=["euler-gap", "pfd", "ode"])
+def test_overflow_from_finite_input_exits_1(argv, fmt, capsys):
+    """Finite inputs whose result overflows; each once printed NaN, exit 0."""
+    code, out, err = _run(argv + ["--format", fmt], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "outside double range" in err
+
+
 def test_out_of_range_coefficient_stays_exact_in_antidiff(capsys):
     code, out, err = _run(["antidiff", "--g", _HUGE_X], capsys)
     assert code == 0

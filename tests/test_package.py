@@ -1,11 +1,13 @@
 """The public surface: every name each ``__all__`` lists resolves, and what
 importing the CLI pulls in."""
 
+import ast
 import importlib
 import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,22 @@ def test_package_all_is_the_union_of_the_library_modules():
     assert sorted(deltasolve.__all__) == sorted(names)
     assert deltasolve.bernoulli \
         is importlib.import_module("deltasolve.bernoulli").bernoulli
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Every absolute import in the package names a standard-library module,
+    so the package runs on a bare Python."""
+    imported = []
+    for path in sorted(Path(deltasolve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module))
+    assert ("ode.py", "cmath") in imported
+    outside = [(file, name) for file, name in imported
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

@@ -10,9 +10,8 @@ import pytest
 from deltasolve.bernoulli import bernoulli
 from deltasolve.partial_fractions import (POLE_EXCLUSION_RADIUS,
                                           PoleProximityError,
-                                          characteristic_zeros,
                                           laurent_from_modes, pfd_eval)
-from deltasolve.rationals import factorial
+from deltasolve.polynomials import CoefficientOverflowError
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,21 +92,9 @@ def test_order_validation():
     with pytest.raises(ValueError):
         pfd_eval(1.0, 0)
     with pytest.raises(ValueError):
-        characteristic_zeros(0)
-    with pytest.raises(ValueError):
         laurent_from_modes(1, 0)
     with pytest.raises(ValueError):
         laurent_from_modes(-1, 10)
-
-
-def test_characteristic_zeros():
-    zeros = characteristic_zeros(3)
-    assert zeros[0] == 0j
-    assert zeros[1] == complex(0.0, TWO_PI)
-    assert zeros[2] == complex(0.0, -TWO_PI)
-    assert len(zeros) == 7
-    for z in zeros:
-        assert abs(cmath.exp(z) - 1.0) <= 1e-12
 
 
 def test_laurent_even_powers_cancel_exactly():
@@ -119,13 +106,13 @@ def test_laurent_odd_powers_recover_bernoulli_ratios():
     # coefficient of z^j converges to B_{j+1}/(j+1)!; the j = 1 truncation
     # error is the zeta(2) tail 1/(2 pi^2 K), higher j converge much faster
     value = laurent_from_modes(1, 10 ** 4)
-    target = float(Fraction(bernoulli(2), factorial(2)))
+    target = float(Fraction(bernoulli(2), math.factorial(2)))
     gap = target - value.real
     assert value.imag == 0.0
     assert 1.0 / (2.0 * math.pi ** 2 * (10 ** 4 + 1)) <= gap
     assert gap <= 1.0 / (2.0 * math.pi ** 2 * 10 ** 4)
     for j, order, tolerance in ((3, 1000, 1e-8), (5, 100, 1e-10)):
-        target = float(Fraction(bernoulli(j + 1), factorial(j + 1)))
+        target = float(Fraction(bernoulli(j + 1), math.factorial(j + 1)))
         assert abs(laurent_from_modes(j, order).real - target) <= tolerance
 
 
@@ -181,15 +168,16 @@ def test_pfd_eval_within_stated_rounding_bound():
 def _outcome(evaluate, z: complex, truncation_order: int):
     try:
         value = evaluate(z, truncation_order)
-    except ArithmeticError as exc:
+    except (ArithmeticError, CoefficientOverflowError) as exc:
         return type(exc)
     return math.isfinite(value.real), math.isfinite(value.imag)
 
 
 def test_extreme_points_match_the_ascending_loop():
     # |z| from 1e150 to 1e300: z^2 overflows, 1/d_k underflows; pfd_eval
-    # must raise, or give finite or non-finite parts, exactly where the
-    # ascending loop does
+    # must raise the same ArithmeticError, or give a finite value, exactly
+    # where the ascending loop does, and refuse where that loop's value has
+    # a non-finite part
     rng = random.Random(1150)
     points = [complex(sign * 10.0 ** e, 0.0) for sign in (1, -1)
               for e in (150, 154, 155, 300)]
@@ -200,5 +188,46 @@ def test_extreme_points_match_the_ascending_loop():
     points += [complex(1e154, 1e154), complex(1e200, -1e200), complex(1e-3, 1e200)]
     for z in points:
         for order in (1, 7, 50):
-            assert _outcome(pfd_eval, z, order) \
-                == _outcome(_ascending_pfd, z, order), (z, order)
+            expected = _outcome(_ascending_pfd, z, order)
+            if expected in ((True, False), (False, True), (False, False)):
+                expected = CoefficientOverflowError
+            assert _outcome(pfd_eval, z, order) == expected, (z, order)
+
+
+def _reference(z: complex) -> complex:
+    """1/(e^z - 1), with e^x cos y - 1 written as expm1(x) cos y - 2 sin^2(y/2)
+    so that nothing cancels near z = 0."""
+    x, y = z.real, z.imag
+    return 1.0 / complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2) ** 2,
+                         math.exp(x) * math.sin(y))
+
+
+def test_pfd_tail_bound_property():
+    """|T_K(z) - 1/(e^z - 1)| <= 2|z|/(pi^2 K) wherever the docstring claims
+    it: 2 pi (K+1) >= sqrt(2) |z|, here with Re z <= 700 so that e^z stays
+    in double range and z at least 1e-3 from every pole."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        order = draw(st.integers(1, 2000))
+        radius = TWO_PI * (order + 1) / math.sqrt(2.0)
+        z = complex(draw(st.floats(-radius, min(radius, 700.0))),
+                    draw(st.floats(-radius, radius)))
+        pole = complex(0.0, TWO_PI * round(z.imag / TWO_PI))
+        hypothesis.assume(TWO_PI * (order + 1) >= math.sqrt(2.0) * abs(z)
+                          and abs(z - pole) >= 1e-3)
+        return z, order
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(cases())
+    @hypothesis.example((complex(0.0, TWO_PI) + 1e-3, 1))
+    @hypothesis.example((complex(-6.0, 6.0), 1))
+    def tail_bound(case):
+        z, order = case
+        bound = 2.0 * abs(z) / (math.pi ** 2 * order)
+        assert abs(pfd_eval(z, order) - _reference(z)) <= bound
+
+    tail_bound()

@@ -59,17 +59,17 @@ def test_canonical_form_and_degree():
 
 def test_shift_examples():
     # Derived by expanding p(x+1); cross-checked by evaluation below.
-    assert (X * X).shift() == Polynomial((1, 2, 1))
-    assert Polynomial.constant(5).shift() == Polynomial.constant(5)
+    assert (X * X).translate(1) == Polynomial((1, 2, 1))
+    assert Polynomial.constant(5).translate(1) == Polynomial.constant(5)
     cubic = Polynomial((0, -1, 0, 1))  # x^3 - x
-    assert cubic.shift() == Polynomial((0, 2, 3, 1))
+    assert cubic.translate(1) == Polynomial((0, 2, 3, 1))
 
 
 def test_shift_agrees_with_evaluation():
     rng = random.Random(11)
     for _ in range(30):
         p = _random_poly(rng)
-        q = p.shift()
+        q = p.translate(1)
         for x in range(-3, 4):
             assert q(Fraction(x)) == p(Fraction(x + 1))
 
@@ -79,8 +79,8 @@ def test_shift_is_a_ring_homomorphism():
     for _ in range(25):
         p = _random_poly(rng, 5)
         q = _random_poly(rng, 5)
-        assert (p + q).shift() == p.shift() + q.shift()
-        assert (p * q).shift() == p.shift() * q.shift()
+        assert (p + q).translate(1) == p.translate(1) + q.translate(1)
+        assert (p * q).translate(1) == p.translate(1) * q.translate(1)
 
 
 def test_forward_difference_examples():
@@ -123,7 +123,7 @@ def test_evaluation_is_a_homomorphism():
 def test_translate():
     p = Polynomial((0, 0, 1))
     assert p.translate(-1) == Polynomial((1, -2, 1))
-    assert p.translate(1) == p.shift()
+    assert p.translate(1) == Polynomial((1, 2, 1))
 
 
 def test_format_examples():

@@ -1,12 +1,11 @@
-"""Exact scalar layer: combinatorial helpers and the rational text contract."""
+"""Exact scalar layer: the binomial coefficient and the rational text contract."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from deltasolve.rationals import (binomial, factorial, format_rational,
-                                  parse_rational, to_float)
+from deltasolve.rationals import binomial, format_rational, parse_rational
 
 
 def _pascal_rows(count):
@@ -41,19 +40,6 @@ def test_binomial_addition_recurrence():
 def test_binomial_rejects_negative_n():
     with pytest.raises(ValueError):
         binomial(-1, 0)
-
-
-def test_factorial_matches_iterated_product():
-    acc = 1
-    for n in range(1, 16):
-        acc *= n
-        assert factorial(n) == acc
-    assert factorial(0) == 1
-
-
-def test_factorial_frozen_values():
-    assert factorial(6) == 720
-    assert factorial(12) == 479001600
 
 
 def test_arithmetic_is_exact():
@@ -97,8 +83,3 @@ def test_parse_accepts_grammar_only():
 def test_parse_zero_denominator_is_reported():
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
-
-
-def test_to_float():
-    assert to_float(Fraction(1, 2)) == 0.5
-    assert to_float(Fraction(1, 3)) == 1.0 / 3.0

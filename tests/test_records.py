@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltasolve.ode import (CharacteristicPolynomial, ExpPoly, ExpPolyTerm,
-                            RootFinderSettings)
+from deltasolve.ode import CharacteristicPolynomial, ExpPoly, ExpPolyTerm
 from deltasolve.polynomials import ComplexPolynomial
 from deltasolve.spectral import SpectralConfig, SpectralSolution
 from deltasolve.zeta import ZetaClosedForm, zeta_even_closed_form
@@ -25,8 +24,6 @@ CASES = [
     (ZetaClosedForm(1, Fraction(1, 6), 2),
      ZetaClosedForm(j=1, coefficient=Fraction(1, 6), pi_power=2),
      ZetaClosedForm(1, Fraction(1, 7), 2), (1, Fraction(1, 6), 2)),
-    (RootFinderSettings(), RootFinderSettings(tolerance=1e-12, max_iterations=200),
-     RootFinderSettings(max_iterations=1), (1e-12, 200)),
     (CharacteristicPolynomial((-1, 0, 1)),
      CharacteristicPolynomial(coefficients=(-1 + 0j, 0j, 1 + 0j)),
      CharacteristicPolynomial((1, 0, 1)), ((-1 + 0j, 0j, 1 + 0j),)),
@@ -65,8 +62,6 @@ def test_reprs():
         "config=SpectralConfig(truncation_order=3, include_correction=False))")
     assert repr(zeta_even_closed_form(1)) == \
         "ZetaClosedForm(j=1, coefficient=Fraction(1, 6), pi_power=2)"
-    assert repr(RootFinderSettings()) == \
-        "RootFinderSettings(tolerance=1e-12, max_iterations=200)"
     assert repr(CharacteristicPolynomial([-1, 0, 1])) == \
         "CharacteristicPolynomial(coefficients=((-1+0j), 0j, (1+0j)))"
     assert repr(TERM) == \
@@ -78,12 +73,8 @@ def test_reprs():
 
 
 def test_defaults():
-    settings = RootFinderSettings()
-    assert (settings.tolerance, settings.max_iterations) == (1e-12, 200)
-    assert RootFinderSettings(1e-6).max_iterations == 200
     assert ExpPoly().terms == ()
-    assert ExpPoly() == ExpPoly.zero()
-    assert ExpPoly().is_zero
+    assert ExpPoly() == ExpPoly.from_terms([])
     config = SpectralConfig(5)
     assert (config.truncation_order, config.include_correction) == (5, True)
 

@@ -12,8 +12,7 @@ from deltasolve.polynomials import ComplexPolynomial, Polynomial
 from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  SpectralConfig, difference_residual,
                                  euler_gap, exp_poly_integral,
-                                 iterated_integral, mode_polynomial,
-                                 power_sums, spectral_solve)
+                                 mode_polynomial, power_sums, spectral_solve)
 from deltasolve.spectral import _tail_cutoff
 
 X = Polynomial((0, 1))
@@ -73,24 +72,6 @@ def test_exp_poly_integral_rejects_degenerate_inputs():
         exp_poly_integral(0.0, 3)
     with pytest.raises(ValueError):
         exp_poly_integral(1.0, -1)
-
-
-def test_iterated_integral():
-    assert iterated_integral(X, 1) == X.antiderivative()
-    assert iterated_integral(X, 2) == Polynomial(
-        (0, 0, 0, Fraction(1, 6)))
-    # every integration stage contributes a zero constant, so the lowest
-    # count coefficients vanish
-    g = Polynomial((3, Fraction(-1, 2), 5))
-    result = iterated_integral(g, 3)
-    for power in range(3):
-        assert result.coefficient(power) == 0
-    back = result
-    for _ in range(3):
-        back = back.derivative()
-    assert back == g
-    with pytest.raises(ValueError):
-        iterated_integral(g, 0)
 
 
 def test_config_validation():
@@ -245,7 +226,7 @@ def test_agreement_with_exact_antidifference():
     tail_cap = 1.0 / (math.pi ** 2 * K)
     for x in (0.0, 0.3, 1.0, 2.5):
         expected = float(exact(Fraction(x)))
-        assert abs(sol.evaluate(x) - expected) <= abs(x) * tail_cap + 1e-12, x
+        assert abs(sol.polynomial_part(x) - expected) <= abs(x) * tail_cap + 1e-12, x
 
 
 def test_euler_gap_is_half_the_forcing():
@@ -272,5 +253,5 @@ def test_uncorrected_solution_misses_by_half_g():
     forcing = X
     sol = spectral_solve(forcing, SpectralConfig(500, include_correction=False))
     x = 0.25
-    wrong = sol.evaluate(x + 1.0) - sol.evaluate(x)
+    wrong = sol.polynomial_part(x + 1.0) - sol.polynomial_part(x)
     assert abs(wrong.real - (forcing(x) + 0.5)) <= 1e-3
