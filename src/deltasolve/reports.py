@@ -8,7 +8,6 @@ gives the same table.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterable
 
@@ -49,19 +48,29 @@ def residual_decay_rows(forcing: Polynomial, k_values: Iterable[int],
     return [row(k) for k in k_values]
 
 
+def _reciprocal_expm1(z: complex) -> complex:
+    """1/(e^z - 1) without cancellation or overflow.
+
+    For Re z <= 0, e^z - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y
+    (z = x + iy) keeps every digit near z = 0 and cannot overflow; for
+    Re z > 0, 1/(e^z - 1) = -1 - 1/(e^-z - 1).
+    """
+    if z.real > 0:
+        return -1.0 - _reciprocal_expm1(-z)
+    x, y = z.real, z.imag
+    real = math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2) ** 2
+    return 1.0 / complex(real, math.exp(x) * math.sin(y))
+
+
 def pfd_convergence_rows(z_values: Iterable[complex], k_values: Iterable[int],
                          threads: int = 1) -> list[list]:
     """Truncated partial-fraction error against direct 1/(e^z - 1), per (z, K)."""
 
     def row(z: complex, truncation_order: int) -> list:
         approx = pfd_eval(z, truncation_order)
-        try:
-            direct = 1.0 / (cmath.exp(z) - 1.0)
-        except OverflowError:  # e^z leaves double range for Re z > 709.78
-            decay = cmath.exp(-z)
-            direct = decay / (1.0 - decay)
         bound = 2.0 * abs(z) / (math.pi ** 2 * truncation_order)
-        return [format_complex(z), truncation_order, abs(approx - direct), bound]
+        return [format_complex(z), truncation_order,
+                abs(approx - _reciprocal_expm1(z)), bound]
 
     return [row(z, k) for z in z_values for k in k_values]
 

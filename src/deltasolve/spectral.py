@@ -34,6 +34,7 @@ Pairing is structural: one-sided sums diverge for any linear forcing term.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -173,14 +174,38 @@ def power_sums(exponents: Iterable[int],
     return totals
 
 
+def _mode_part(forcing: Sequence[float],
+               truncation_order: int) -> list[float]:
+    """x^j coefficients of the paired modes 1 <= |k| <= K for the forcing
+    sum_p g_p x^p, g = forcing: the terms 2 g_p Re(c_j) S_m(K), m = p+1-j even.
+
+    Against exact arithmetic on a = TWO_PI i (2 pi i within 2^-54 relative)
+    and the float S_m, a term is within (2m + 1) 2^-53 relative to first
+    order: 2m - 1 roundings build c_j (-1/a, then an integer product and a
+    division by a per step), two more multiply by 2 g_p and S_m.  Each term
+    after the first adds 2^-53 of the terms' magnitude sum; a monomial has
+    one term per coefficient.
+    """
+    sums = power_sums(range(2, len(forcing) + 1, 2), truncation_order)
+    modes = [0.0] * len(forcing)
+    for p, coeff in enumerate(forcing):
+        unit_mode = exp_poly_integral(complex(0.0, TWO_PI), p)
+        for j in range(p - 1, -1, -2):
+            modes[j] += 2.0 * coeff * unit_mode.coefficient(j).real \
+                * sums[p + 1 - j]
+    return modes
+
+
 def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolution:
     """Truncated (optionally corrected) mode-sum solution of Df = forcing.
 
     polynomial_part = [-forcing/2 if corrected] + antiderivative(forcing)
         + sum over p, j with p+1-j even of 2 g_p Re(c_j) S_{p+1-j}(K) x^j,
-    with c_j from ``exp_poly_integral(2 pi i, p)``.  All integration
-    constants are zero, which picks one member of the solution family
-    (solutions differ by 1-periodic functions).
+    with c_j from ``exp_poly_integral(2 pi i, p)``; ``_mode_part`` bounds
+    their rounding.  All integration constants are zero, which picks one
+    member of the solution family (solutions differ by 1-periodic
+    functions).  A coefficient outside double range raises
+    ``CoefficientOverflowError``.
     """
     if forcing.degree > MAX_FORCING_DEGREE:
         raise DegreeOverflowError(
@@ -191,17 +216,12 @@ def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolut
     if config.include_correction:
         acc = acc + float_forcing * (-0.5)
     acc = acc + ComplexPolynomial.from_exact(forcing.antiderivative())
-    forcing_coeffs = [c.real for c in float_forcing.coefficients]
-    sums = power_sums(range(2, len(forcing_coeffs) + 1, 2),
-                      config.truncation_order)
-    modes = [0.0] * len(forcing_coeffs)
-    for p, coeff in enumerate(forcing_coeffs):
-        unit_mode = exp_poly_integral(complex(0.0, TWO_PI), p)
-        for j in range(p - 1, -1, -2):
-            modes[j] += 2.0 * coeff * unit_mode.coefficient(j).real \
-                * sums[p + 1 - j]
-    return SpectralSolution(polynomial_part=acc + ComplexPolynomial(modes),
-                            config=config)
+    acc = acc + ComplexPolynomial(_mode_part(
+        [c.real for c in float_forcing.coefficients], config.truncation_order))
+    if not all(map(cmath.isfinite, acc.coefficients)):
+        raise CoefficientOverflowError(
+            "a solution coefficient is outside double range")
+    return SpectralSolution(polynomial_part=acc, config=config)
 
 
 def euler_gap(forcing: Polynomial, x: float, truncation_order: int) -> float:
@@ -225,10 +245,18 @@ def euler_gap(forcing: Polynomial, x: float, truncation_order: int) -> float:
 
 def difference_residual(solution: SpectralSolution, forcing: Polynomial,
                         sample_points: Sequence[float]) -> list[float]:
-    """|s(x+1) - s(x) - forcing(x)| at each sample point."""
+    """|s(x+1) - s(x) - forcing(x)| at each sample point.
+
+    A finite point whose residual is not finite raises
+    ``CoefficientOverflowError``.
+    """
     s = solution.polynomial_part
     out = []
     for x in sample_points:
         x = float(x)
-        out.append(abs(s(x + 1.0) - s(x) - forcing(x)))
+        residual = abs(s(x + 1.0) - s(x) - forcing(x))
+        if math.isfinite(x) and not math.isfinite(residual):
+            raise CoefficientOverflowError(
+                f"the residual at x = {x!r} is outside double range")
+        out.append(residual)
     return out

@@ -16,15 +16,13 @@ which never touches Bernoulli numbers.  S_N comes from
 descending sum, and within a further 2^-54 beyond it, where the bracket
 is already narrower than double rounding.
 
-``coefficient_tables`` compares the two solution routes of the difference
-equation coefficient by coefficient for forcing x^n:
-
-    A(n, j) = -(n!/j!) sum_{k != 0} (2 k pi i)^(j-(n+1))   (numeric, truncated)
-    B(n, j) = (1/(n+1)) C(n+1, j) B_j for 2 <= j <= n, else 0   (exact)
-
-The A sums are computed as truncated symmetric mode sums on purpose; backing
-them out of the Bernoulli identity would make the comparison circular.
-Agreement is A(n, n+1-j) = B(n, j).
+``coefficient_tables`` compares the two solvers coefficient by coefficient
+for forcing x^n.  A(n, j) is the x^j coefficient of the truncated spectral
+mode part, -(n!/j!) sum_{1<=|k|<=K} (2 k pi i)^(j-(n+1)), from
+``spectral._mode_part``; B(n, j) is the x^(n+1-j) coefficient of
+``faulhaber(n)``, C(n+1, j) B_j / (n+1) for 2 <= j <= n, else 0.  A comes
+from power sums and B from the Bernoulli recurrence, so the comparison is
+not circular.  Agreement is A(n, n+1-j) = B(n, j).
 """
 
 from __future__ import annotations
@@ -34,9 +32,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import MAX_TABLE_ORDER
-from .bernoulli import bernoulli
-from .rationals import Rational, binomial
-from .spectral import TWO_PI, power_sums
+from .bernoulli import bernoulli, faulhaber
+from .rationals import Rational
+from .spectral import _mode_part, power_sums
 
 __all__ = [
     "ZetaClosedForm",
@@ -105,24 +103,18 @@ def zeta_partial_sum(j: int, n_terms: int) -> tuple[float, float]:
 
 def coefficient_tables(n: int, truncation_order: int
                        ) -> tuple[list[float], list[Rational]]:
-    """(A, B) tables for forcing x^n, both indexed by j = 0..n.
-
-    A entries with odd n+1-j vanish identically: the +-k pair contributions
-    are opposite, so the symmetric sum cancels before accumulation.
+    """(A, B) tables for forcing x^n, both indexed by j = 0..n (module
+    docstring).  A entries with odd n+1-j are exactly 0: each +-k pair
+    cancels there.
     """
     if not 1 <= n <= MAX_TABLE_ORDER:
         raise ValueError(f"table order must be in 1..{MAX_TABLE_ORDER}")
     if truncation_order < 1:
         raise ValueError("truncation order must be >= 1")
-    a_table = [0.0] * (n + 1)
-    sums = power_sums(range(2, n + 2, 2), truncation_order)
-    for m, total in sums.items():
-        j = n + 1 - m
-        prefactor = float(math.factorial(n)) / float(math.factorial(j))
-        a_table[j] = -prefactor * 2.0 * (-1) ** (m // 2) * TWO_PI ** -m * total
-    b_table = [Fraction(0)] * (n + 1)
-    for j in range(2, n + 1):
-        b_table[j] = binomial(n + 1, j) * bernoulli(j) / (n + 1)
+    a_table = _mode_part([0.0] * n + [1.0], truncation_order)
+    power_sum = faulhaber(n)
+    b_table = [Fraction(0)] * 2 + [power_sum.coefficient(n + 1 - j)
+                                   for j in range(2, n + 1)]
     return a_table, b_table
 
 

@@ -50,6 +50,48 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
+def _package_imports(path: Path) -> set:
+    """The names that ``path`` imports from the package, relative or
+    absolute, anywhere in the file; a module imports as its file stem."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "deltasolve" + (f".{base}" if base else "")
+            dotted = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted
+                     if name.startswith("deltasolve."))
+    return found
+
+
+def test_the_two_routes_stay_independent():
+    """The comparison is not circular: the Bernoulli numbers never come from
+    the mode sums or from zeta, and the mode sums never from Bernoulli
+    numbers, not even through another module."""
+    graph = {path.stem: _package_imports(path)
+             for path in Path(deltasolve.__file__).parent.glob("*.py")}
+
+    def reachable(module):
+        seen, todo = set(), [module]
+        while todo:
+            for name in graph.get(todo.pop(), ()):
+                if name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+        return seen
+
+    assert {"bernoulli", "spectral"} <= graph["zeta"]
+    assert reachable("bernoulli") & {"zeta", "spectral", "partial_fractions"} \
+        == set()
+    for module in ("spectral", "partial_fractions"):
+        assert reachable(module) & {"bernoulli", "zeta"} == set(), module
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_all_resolves(name):
     module = importlib.import_module(f"deltasolve.{name}")

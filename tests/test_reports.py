@@ -1,9 +1,15 @@
 """Convergence-study row builders and their thread-count invariance."""
 
+import math
+import random
+
+import pytest
+
 from deltasolve.polynomials import Polynomial
 from deltasolve.reports import (AB_COMPARISON_HEADER, PFD_CONVERGENCE_HEADER,
                                 RESIDUAL_DECAY_HEADER, ab_comparison_rows,
                                 pfd_convergence_rows, residual_decay_rows)
+from deltasolve.reports import _reciprocal_expm1
 
 X_SQUARED = Polynomial((0, 0, 1))
 
@@ -55,3 +61,26 @@ def test_pfd_convergence_rows_far_from_the_imaginary_axis():
                                  complex(710.0, 3.0)], [1000])
     for _, _, abs_error, tail_bound in rows:
         assert abs_error <= tail_bound
+
+
+def test_pfd_convergence_rows_near_zero():
+    # 1/(exp(z) - 1) cancels here: it put abs_error near 3e-6, above both
+    # bounds (4.05e-8 and 4.05e-10)
+    rows = pfd_convergence_rows([complex(2e-6)], [10, 1000])
+    for _, _, abs_error, tail_bound in rows:
+        assert abs_error <= tail_bound
+
+
+def test_reference_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    points = [complex(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-12, 2.85),
+                      rng.uniform(-40.0, 40.0)) for _ in range(400)]
+    points += [complex(2e-6), complex(-1e-9, 3e-9), complex(800.0),
+               complex(-800.0, 1.0), complex(0.0, 1e-7)]
+    with mpmath.workprec(120):
+        for z in points:
+            want = 1 / mpmath.expm1(mpmath.mpc(z))
+            got = _reciprocal_expm1(z)
+            assert abs(mpmath.mpc(got) - want) \
+                <= 2e-15 * max(abs(want), 1), z

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from deltasolve.bernoulli import antidifference_polynomial
-from deltasolve.polynomials import ComplexPolynomial, Polynomial
+from deltasolve.polynomials import (CoefficientOverflowError, ComplexPolynomial,
+                                    Polynomial)
 from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  SpectralConfig, difference_residual,
                                  euler_gap, exp_poly_integral,
@@ -255,3 +256,21 @@ def test_uncorrected_solution_misses_by_half_g():
     x = 0.25
     wrong = sol.polynomial_part(x + 1.0) - sol.polynomial_part(x)
     assert abs(wrong.real - (forcing(x) + 0.5)) <= 1e-3
+
+
+def test_overflowing_solution_is_refused():
+    """A forcing within double range whose mode coefficients are not; the
+    solve once returned inf and nan coefficients."""
+    with pytest.raises(CoefficientOverflowError, match="outside double range"):
+        spectral_solve(Polynomial((0,) * 30 + (10 ** 300,)), SpectralConfig(5))
+    spectral_solve(Polynomial((0,) * 30 + (10 ** 200,)), SpectralConfig(5))
+
+
+def test_overflowing_residual_is_refused():
+    forcing = Polynomial.monomial(30)
+    solution = spectral_solve(forcing, SpectralConfig(5))
+    with pytest.raises(CoefficientOverflowError, match=r"x = 1e\+308 "):
+        difference_residual(solution, forcing, [0.5, 1e308])
+    # a point that is not finite is no finite input, and is not refused
+    (residual,) = difference_residual(solution, forcing, [math.inf])
+    assert not math.isfinite(residual)
