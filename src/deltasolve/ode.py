@@ -182,24 +182,19 @@ class ExpPolyTerm(namedtuple("ExpPolyTerm", "exponent polynomial")):
 
 
 class ExpPoly(namedtuple("ExpPoly", "terms", defaults=((),))):
-    """A finite sum of terms e^{a x} p(x), canonicalised.
-
-    ``terms`` is a tuple of ``ExpPolyTerm`` sorted by exponent.  Terms with
-    equal exponents are merged and terms with a zero polynomial are dropped,
-    so the zero function is the empty sum.
+    """A finite sum of terms e^{a x} p(x), as a plain record: ``terms`` is
+    a tuple of ``ExpPolyTerm``.  ``from_terms`` keeps the (exponent,
+    polynomial) pairs in their order, merging none, and drops those whose
+    polynomial is zero.  ``solve_linear_ode`` returns one exponent-zero
+    term, or none for the zero solution.
     """
 
     __slots__ = ()
 
     @classmethod
     def from_terms(cls, pairs) -> "ExpPoly":
-        merged: dict[complex, ComplexPolynomial] = {}
-        for exponent, poly in pairs:
-            exponent = complex(exponent)
-            merged[exponent] = merged.get(exponent, ComplexPolynomial()) + poly
-        kept = sorted((item for item in merged.items() if not item[1].is_zero),
-                      key=lambda item: (item[0].real, item[0].imag))
-        return cls(tuple(ExpPolyTerm(a, p) for a, p in kept))
+        return cls(tuple(ExpPolyTerm(complex(exponent), poly)
+                         for exponent, poly in pairs if not poly.is_zero))
 
 
 def solve_linear_ode(polynomial: CharacteristicPolynomial,
@@ -246,6 +241,13 @@ def solve_linear_ode(polynomial: CharacteristicPolynomial,
     return ExpPoly.from_terms([(0j, total)])
 
 
+def _operator_terms(coeffs, f: ComplexPolynomial):
+    """The terms a_i f^(i) of P(D) f, for i = 0..n, in that order."""
+    for a in coeffs:
+        yield f * a
+        f = f.derivative()
+
+
 def _check_residual(coeffs, solution: ComplexPolynomial,
                     forcing: ComplexPolynomial) -> None:
     """Raises ``MultipleRootUnsupported`` unless the largest coefficient of
@@ -256,16 +258,13 @@ def _check_residual(coeffs, solution: ComplexPolynomial,
     that is 0 in the exact solution comes out as rounding noise whose
     residual is as large as its own scale.
     """
-    size = max(len(solution.coefficients), len(forcing.coefficients))
     residual = [-c for c in forcing.coefficients]
-    residual += [0j] * (size - len(residual))
+    residual += [0j] * (len(solution.coefficients) - len(residual))
     scale = [abs(c) for c in residual]
-    derivative = solution
-    for a in coeffs:
-        for m, c in enumerate(derivative.coefficients):
-            residual[m] += a * c
-            scale[m] += abs(a * c)
-        derivative = derivative.derivative()
+    for term in _operator_terms(coeffs, solution):
+        for m, c in enumerate(term.coefficients):
+            residual[m] += c
+            scale[m] += abs(c)
     worst = max(map(abs, residual), default=0.0)
     if not (worst <= SOLUTION_RESIDUAL_TOLERANCE * max(scale, default=0.0)):
         raise MultipleRootUnsupported(
@@ -273,19 +272,8 @@ def _check_residual(coeffs, solution: ComplexPolynomial,
             f"relative to its terms; the characteristic roots are too close")
 
 
-def apply_operator(polynomial: CharacteristicPolynomial, f: ExpPoly) -> ExpPoly:
-    """P(D) applied to an ExpPoly, term by term.
-
-    Uses (e^{a x} p)' = e^{a x} (a p + p'), so D^i maps the polynomial part
-    through (a + d/dx)^i while the exponent is untouched.
-    """
-    out = []
-    for term in f.terms:
-        q = term.polynomial
-        acc = ComplexPolynomial.zero()
-        for coeff in polynomial.coefficients:
-            if coeff != 0:
-                acc = acc + q * coeff
-            q = q * term.exponent + q.derivative()
-        out.append((term.exponent, acc))
-    return ExpPoly.from_terms(out)
+def apply_operator(polynomial: CharacteristicPolynomial,
+                   f: ComplexPolynomial) -> ComplexPolynomial:
+    """P(D) f = a_0 f + a_1 f' + ... + a_n f^(n) for a polynomial f."""
+    return sum(_operator_terms(polynomial.coefficients, f),
+               ComplexPolynomial.zero())

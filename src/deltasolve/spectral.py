@@ -184,11 +184,14 @@ def _mode_part(forcing: Sequence[float],
     order: 2m - 1 roundings build c_j (-1/a, then an integer product and a
     division by a per step), two more multiply by 2 g_p and S_m.  Each term
     after the first adds 2^-53 of the terms' magnitude sum; a monomial has
-    one term per coefficient.
+    one term per coefficient.  A power whose coefficient is 0 adds nothing,
+    so its unit mode is not built.
     """
     sums = power_sums(range(2, len(forcing) + 1, 2), truncation_order)
     modes = [0.0] * len(forcing)
     for p, coeff in enumerate(forcing):
+        if coeff == 0:
+            continue
         unit_mode = exp_poly_integral(complex(0.0, TWO_PI), p)
         for j in range(p - 1, -1, -2):
             modes[j] += 2.0 * coeff * unit_mode.coefficient(j).real \

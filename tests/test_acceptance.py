@@ -209,7 +209,7 @@ def test_criterion_08_ode_round_trip(report):
             g_coeffs[-1] = rng.randint(-5, 5)
         forcing = Polynomial(g_coeffs)
         solution = solve_linear_ode(operator, forcing)
-        recovered = _solution_polynomial(apply_operator(operator, solution))
+        recovered = apply_operator(operator, _solution_polynomial(solution))
         scale = max(1.0, max(abs(float(c)) for c in forcing.coefficients))
         top = max(int(recovered.degree) if not recovered.is_zero else 0,
                   int(forcing.degree))

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from deltasolve.cli import (MAX_BERNOULLI_INDEX, MAX_TERMS, MAX_ZETA_INDEX,
-                            _build_parser, main)
+from deltasolve.cli import (MAX_BERNOULLI_INDEX, MAX_OPERATOR_DEGREE,
+                            MAX_TERMS, MAX_ZETA_INDEX, _build_parser, main)
 from deltasolve.polynomials import parse_complex, parse_complex_polynomial
 
 
@@ -272,6 +272,27 @@ def test_size_caps_are_checked_while_parsing(argv, cap, tmp_path, capsys):
     assert out == ""
     assert f"must be <= {cap}" in err
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_operator_degree_cap_is_checked_while_parsing(monkeypatch, capsys):
+    def argv(*coeffs):
+        return ["ode", "--coeffs=" + ",".join(coeffs), "--g", "x"]
+
+    # the cap itself parses ...
+    at_cap = ["1"] * (MAX_OPERATOR_DEGREE + 1)
+    parsed = _build_parser().parse_args(argv(*at_cap))
+    assert parsed.coeffs.degree == MAX_OPERATOR_DEGREE
+    # ... and one more coefficient is a usage error before the solver runs
+    # or the literals are read
+    def solver_must_not_run(*args):
+        raise AssertionError("the solver ran")
+    monkeypatch.setattr("deltasolve.ode.solve_linear_ode", solver_must_not_run)
+    for extra in ("1", "not-a-number"):
+        code, out, err = _run(argv(*at_cap, extra), capsys)
+        assert code == 2
+        assert out == ""
+        assert f"operator degree {MAX_OPERATOR_DEGREE + 1} must be <= " \
+            f"{MAX_OPERATOR_DEGREE}" in err
 
 
 def test_report_residual_decay(tmp_path, capsys):

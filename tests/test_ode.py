@@ -174,13 +174,10 @@ def test_solutions_verify_through_the_operator():
             forcing = Polynomial([rng.randint(-5, 5)
                                   for _ in range(degree + 1)])
             solution = solve_linear_ode(operator, forcing)
-            recovered = apply_operator(operator, solution)
             if forcing.is_zero:
-                assert not recovered.terms or max(
-                    abs(c) for c in recovered.terms[0].polynomial.coefficients
-                ) <= 1e-9
+                assert solution == ExpPoly()
                 continue
-            back = _as_single_polynomial(recovered)
+            back = apply_operator(operator, _as_single_polynomial(solution))
             for power in range(degree + 1):
                 assert abs(back.coefficient(power)
                            - float(forcing.coefficient(power))) <= 1e-8
@@ -224,27 +221,26 @@ def test_solution_agrees_with_the_per_power_sum():
         assert got.degree < len(expected)
 
 
-def test_apply_operator_on_exponential_terms():
-    # P(D) e^{a x} = P(a) e^{a x}
-    operator = CharacteristicPolynomial((-1, 0, 1))
-    f = ExpPoly.from_terms([(2.0 + 0j, ComplexPolynomial((1.0,)))])
-    result = apply_operator(operator, f)
-    assert len(result.terms) == 1
-    term = result.terms[0]
-    assert term.exponent == 2 + 0j
-    assert abs(term.polynomial.coefficient(0) - 3.0) <= 1e-12
+def test_apply_operator_sums_the_derivative_terms():
+    # f = x^2 + x: 2 f = 2x^2 + 2x, 3 f' = 6x + 3 and f'' = 2.
+    operator = CharacteristicPolynomial((2, 3, 1))
+    result = apply_operator(operator, ComplexPolynomial((0.0, 1.0, 1.0)))
+    assert result == ComplexPolynomial((5.0, 8.0, 2.0))
+    assert apply_operator(operator, ComplexPolynomial.zero()).is_zero
 
 
 def test_exp_poly_canonicalisation():
+    # from_terms keeps the pairs in order, merges no exponents and drops
+    # zero polynomials, so the zero function is the empty sum.
     p = ComplexPolynomial((1.0,))
-    merged = ExpPoly.from_terms([(1.0 + 0j, p), (2j, p), (1, p)])
-    assert merged.terms == (ExpPolyTerm(2j, p),
-                            ExpPolyTerm(1.0 + 0j, ComplexPolynomial((2.0,))))
-    apart = ExpPoly.from_terms([(1.0 + 0j, p), (1.0 + 1e-12 + 0j, p)])
-    assert [term.exponent for term in apart.terms] == [1.0, 1.0 + 1e-12]
+    kept = ExpPoly.from_terms([(1.0, p), (2j, p), (1, p)])
+    assert kept.terms == (ExpPolyTerm(1 + 0j, p), ExpPolyTerm(2j, p),
+                          ExpPolyTerm(1 + 0j, p))
+    assert all(type(term.exponent) is complex for term in kept.terms)
     dropped = ExpPoly.from_terms([(0j, ComplexPolynomial.zero()), (1j, p),
-                                  (1j, -p)])
-    assert dropped == ExpPoly()
+                                  (2j, p * 0)])
+    assert dropped == ExpPoly((ExpPolyTerm(1j, p),))
+    assert ExpPoly.from_terms([(0j, ComplexPolynomial.zero())]) == ExpPoly()
 
 
 def test_exp_poly_term_fields():

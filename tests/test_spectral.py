@@ -135,6 +135,59 @@ def test_agrees_with_the_mode_by_mode_pair_sum(include_correction):
                 assert abs(want.imag) <= 1e-12 * size, (forcing, K, j)
 
 
+def _exact_coefficients(forcing, config):
+    """Per coefficient j of ``spectral_solve``: its formula evaluated in
+    Fractions on the float forcing, the float TWO_PI and the float S_m, the
+    magnitude sum of its terms, and the constant c of its rounding bound.
+
+    c follows the ``_mode_part`` docstring, (2m + 1) per mode term with m
+    at most its largest m and 1 per further mode term, plus 4 for the rest
+    of the solve: the rounded antiderivative (2, as the forcing was rounded
+    too) and the two additions that join -g/2, it and the mode part."""
+    g = [Fraction(float(c)) for c in forcing.coefficients]
+    sums = power_sums(range(2, len(g) + 1, 2), config.truncation_order)
+    two_pi = Fraction(TWO_PI)
+    rows = []
+    for j in range(len(g) + 1):
+        terms = []
+        if config.include_correction and j < len(g):
+            terms.append(-g[j] / 2)
+        if j >= 1:
+            terms.append(g[j - 1] / j)
+        modes, top = [], 0
+        for p in range(j + 1, len(g), 2):
+            if g[p]:
+                m = p + 1 - j
+                c = -Fraction(math.factorial(p), math.factorial(j)) \
+                    * (-1) ** (m // 2) / two_pi ** m
+                modes.append(2 * g[p] * c * Fraction(sums[m]))
+                top = m
+        c = 4 + (2 * top + len(modes) if modes else 0)
+        terms += modes
+        rows.append((sum(terms), sum(map(abs, terms)), c))
+    return rows
+
+
+def test_rounding_stays_within_the_stated_bound():
+    """Each coefficient lies within c 2^-53 sum|terms| of exact arithmetic
+    on the same floats; the worst case here uses 0.33 of the bound."""
+    rng = random.Random(20261019)
+    for _ in range(120):
+        degree = rng.randint(0, MAX_FORCING_DEGREE)
+        coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 50))
+                  if rng.random() < 0.7 else 0 for _ in range(degree)]
+        forcing = Polynomial(coeffs + [rng.choice((-1, 1, Fraction(7, 3)))])
+        config = SpectralConfig(rng.choice((1, 2, 3, 7, 50, 1000)),
+                                rng.random() < 0.5)
+        solution = spectral_solve(forcing, config).polynomial_part
+        for j, (want, size, c) in enumerate(_exact_coefficients(forcing,
+                                                                config)):
+            got = solution.coefficient(j)
+            assert got.imag == 0.0
+            assert abs(Fraction(got.real) - want) \
+                <= c * Fraction(1, 2 ** 53) * size, (forcing, config, j)
+
+
 def test_power_sums_match_hurwitz_zeta():
     mpmath = pytest.importorskip("mpmath")
     exponents = range(2, 33)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from deltasolve import spectral
 from deltasolve.bernoulli import bernoulli
 from deltasolve.polynomials import Polynomial
 from deltasolve.rationals import binomial
@@ -116,6 +117,20 @@ def test_a_table_is_the_mode_part_of_the_uncorrected_solve():
                                       SpectralConfig(order, False))
             assert a_table == [solution.polynomial_part.coefficient(j).real
                                for j in range(n + 1)], (n, order)
+
+
+def test_a_table_builds_one_unit_mode(monkeypatch):
+    # x^n has one nonzero coefficient, so only its unit mode is needed
+    built = []
+    unit_mode = spectral.exp_poly_integral
+    def counted(a, p):
+        built.append(p)
+        return unit_mode(a, p)
+    monkeypatch.setattr(spectral, "exp_poly_integral", counted)
+    for n in range(1, MAX_TABLE_ORDER + 1):
+        built.clear()
+        coefficient_tables(n, 10)
+        assert built == [n], n
 
 
 def test_a_table_odd_entries_vanish():
