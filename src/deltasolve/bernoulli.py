@@ -36,7 +36,6 @@ import threading
 from fractions import Fraction
 
 from .polynomials import Polynomial
-from .rationals import Rational
 
 __all__ = [
     "BernoulliTable",
@@ -60,7 +59,7 @@ class BernoulliTable:
     def computed_up_to(self) -> int:
         return len(self._values) - 1
 
-    def value(self, n: int) -> Rational:
+    def value(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("Bernoulli index must be >= 0")
         with self._lock:
@@ -98,7 +97,7 @@ class BernoulliTable:
 _TABLE = BernoulliTable()
 
 
-def bernoulli(n: int) -> Rational:
+def bernoulli(n: int) -> Fraction:
     """B_n in the B_1 = -1/2 convention (B_n = 0 for odd n >= 3)."""
     return _TABLE.value(n)
 

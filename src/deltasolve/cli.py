@@ -29,7 +29,7 @@ from . import MAX_TABLE_ORDER
 from .rationals import DeltasolveError
 
 __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
-           "MAX_OPERATOR_DEGREE"]
+           "MAX_OPERATOR_DEGREE", "MAX_REPORT_TERMS"]
 
 # Caps on the inputs whose cost grows with their value, checked while the
 # arguments are parsed, so that one over the cap exits 2 before any loop.
@@ -43,10 +43,17 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # each root-finder sweep costs O(n^2), and its worst case, all 200 sweeps
 # without convergence, takes 0.46 s for (z-1)^90 against 0.55 s for
 # (z-1)^100 (in-process, best of 5, 2-core Intel Xeon, Python 3.11).
+# MAX_REPORT_TERMS bounds the terms a report sums over all its rows:
+# |z-list| * sum(K-list) for pfd-convergence, n-max * sum(K-list) for
+# ab-comparison and sum(K-list) for residual-decay.  It is checked once the
+# arguments are parsed.  At the budget, pfd-convergence, the slowest per
+# term, takes 0.41 s (one z, --K-list 1000000,500000); residual-decay and
+# ab-comparison take about 0.15 s (same machine and method as above).
 MAX_TERMS = 10 ** 6
 MAX_BERNOULLI_INDEX = 1000
 MAX_ZETA_INDEX = 300
 MAX_OPERATOR_DEGREE = 90
+MAX_REPORT_TERMS = 1_500_000
 
 _DOMAIN_ERRORS = (DeltasolveError, ZeroDivisionError, OSError)
 
@@ -219,31 +226,43 @@ def _run_report(args):
                           RESIDUAL_DECAY_HEADER, ab_comparison_rows,
                           pfd_convergence_rows, residual_decay_rows)
     if args.study == "residual-decay":
-        k_values = args.K_list or _DEFAULT_RESIDUAL_KS
         header = RESIDUAL_DECAY_HEADER
-        rows = residual_decay_rows(args.g, k_values, threads=args.threads)
+        rows = residual_decay_rows(args.g, args.K_list, threads=args.threads)
         inputs = {"study": args.study, "g": format_polynomial(args.g),
-                  "K_list": list(k_values), "out": args.out}
+                  "K_list": list(args.K_list), "out": args.out}
     elif args.study == "pfd-convergence":
-        k_values = args.K_list or _DEFAULT_SWEEP_KS
-        z_values = args.z_list or _DEFAULT_PFD_ZS
         header = PFD_CONVERGENCE_HEADER
-        rows = pfd_convergence_rows(z_values, k_values, threads=args.threads)
+        rows = pfd_convergence_rows(args.z_list, args.K_list,
+                                    threads=args.threads)
         inputs = {"study": args.study,
-                  "z_list": [format_complex(z) for z in z_values],
-                  "K_list": list(k_values), "out": args.out}
+                  "z_list": [format_complex(z) for z in args.z_list],
+                  "K_list": list(args.K_list), "out": args.out}
     else:
-        k_values = args.K_list or _DEFAULT_SWEEP_KS
         n_values = list(range(1, args.n_max + 1))
         header = AB_COMPARISON_HEADER
-        rows = ab_comparison_rows(n_values, k_values, threads=args.threads)
+        rows = ab_comparison_rows(n_values, args.K_list, threads=args.threads)
         inputs = {"study": args.study, "n_max": args.n_max,
-                  "K_list": list(k_values), "out": args.out}
+                  "K_list": list(args.K_list), "out": args.out}
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     return "", inputs, {"study": args.study, "rows": len(rows), "out": args.out}
+
+
+def _size_report(parser: argparse.ArgumentParser, args) -> None:
+    """Fill in a report's default lists, and refuse (exit 2) a report that
+    sums more than MAX_REPORT_TERMS terms, before any row runs."""
+    residual = args.study == "residual-decay"
+    args.K_list = args.K_list or (_DEFAULT_RESIDUAL_KS if residual
+                                  else _DEFAULT_SWEEP_KS)
+    args.z_list = args.z_list or _DEFAULT_PFD_ZS
+    rows_per_k = {"residual-decay": 1, "pfd-convergence": len(args.z_list),
+                  "ab-comparison": args.n_max}[args.study]
+    terms = rows_per_k * sum(args.K_list)
+    if terms > MAX_REPORT_TERMS:
+        parser.error(f"the {args.study} report sums {terms} terms, more than "
+                     f"the budget of {MAX_REPORT_TERMS}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="forcing for residual-decay (default: x^2)")
     p.add_argument("--K-list", dest="K_list", type=_k_list_arg, default=None,
                    help=f"comma-separated truncation orders, each at most "
-                        f"{MAX_TERMS}")
+                        f"{MAX_TERMS}; a report sums at most "
+                        f"{MAX_REPORT_TERMS} terms over all its rows")
     p.add_argument("--z-list", dest="z_list", type=_z_list_arg, default=None,
                    help="comma-separated complex points for pfd-convergence")
     p.add_argument("--n-max", dest="n_max", type=_int_in(1, MAX_TABLE_ORDER),
@@ -350,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "report":
+            _size_report(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -5,16 +5,16 @@ Both classes keep a canonical form with no trailing zero coefficient, so the
 zero polynomial has an empty coefficient tuple and its degree is -inf.
 
 A private base class holds everything the two classes do identically:
-canonical storage, comparison and hashing, the additive group operations
-and the derivative.  It is parameterised only by the coefficient type, so
-the subclasses keep just what differs.  ``Polynomial`` (exact ``Rational``
-coefficients) adds the operator calculus used on the exact side:
-translation p(x) -> p(x+c), forward difference p(x+1) - p(x) and
-antiderivative, all computed without rounding.  ``ComplexPolynomial`` is the
-double-precision sibling that truncated mode sums accumulate into.  The
-exact/float boundary is crossed only through ``ComplexPolynomial.from_exact``
-or an explicit float()/complex() call, never implicitly; ``from_exact``
-refuses a coefficient outside double range with ``CoefficientOverflowError``.
+canonical storage, comparison and hashing, the additive group operations,
+multiplication by a scalar and the derivative; no class multiplies two
+polynomials.  ``Polynomial`` (exact ``Fraction`` coefficients) adds the
+exact side's operator calculus: translation p(x) -> p(x+c) by a Taylor
+shift, forward difference p(x+1) - p(x) and antiderivative, all without
+rounding.  ``ComplexPolynomial`` is the double-precision sibling that
+truncated mode sums accumulate into.  The exact/float boundary is crossed
+only through ``ComplexPolynomial.from_exact`` or an explicit
+float()/complex() call, never implicitly; ``from_exact`` refuses a
+coefficient outside double range with ``CoefficientOverflowError``.
 
 This module also owns the textual polynomial grammar shared by the CLI and
 the tests::
@@ -34,7 +34,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
-from .rationals import DeltasolveError, Rational, format_rational, parse_rational
+from .rationals import DeltasolveError, format_rational, parse_rational
 
 __all__ = [
     "NEG_INFINITY",
@@ -74,10 +74,12 @@ def _trimmed(coeffs: list) -> tuple:
 
 
 class _DensePolynomial:
-    """Immutable dense polynomial over the coefficient type ``_scalar``."""
+    """Immutable dense polynomial over the coefficient type ``_scalar``,
+    multiplied by scalars of the types ``_multipliers``."""
 
     __slots__ = ("_coeffs",)
     _scalar: type
+    _multipliers: tuple[type, ...]
 
     def __init__(self, coefficients: Iterable = ()):
         scalar = self._scalar
@@ -134,22 +136,30 @@ class _DensePolynomial:
             return NotImplemented
         return self + (-other)
 
+    def __mul__(self, scalar):
+        if isinstance(scalar, self._multipliers):
+            return type(self)(tuple(c * scalar for c in self._coeffs))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
     def derivative(self):
         return type(self)(tuple(c * i for i, c in enumerate(self._coeffs) if i))
 
 
 class Polynomial(_DensePolynomial):
-    """Immutable dense polynomial with exact Rational coefficients."""
+    """Immutable dense polynomial with exact Fraction coefficients."""
 
     __slots__ = ()
     _scalar = Fraction
+    _multipliers = (int, Fraction)
 
     @classmethod
-    def constant(cls, value: Rational | int) -> "Polynomial":
+    def constant(cls, value: Fraction | int) -> "Polynomial":
         return cls((value,))
 
     @classmethod
-    def monomial(cls, power: int, coefficient: Rational | int = 1) -> "Polynomial":
+    def monomial(cls, power: int, coefficient: Fraction | int = 1) -> "Polynomial":
         if power < 0:
             raise ValueError("monomial power must be >= 0")
         return cls((0,) * power + (coefficient,))
@@ -159,23 +169,6 @@ class Polynomial(_DensePolynomial):
 
     def __str__(self) -> str:
         return format_polynomial(self)
-
-    def __mul__(self, other: "Polynomial | Rational | int") -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if not self._coeffs or not other._coeffs:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self._coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         """Horner evaluation; the result type follows the argument type."""
@@ -189,13 +182,15 @@ class Polynomial(_DensePolynomial):
         return Polynomial((Fraction(0),) + tuple(
             c / (i + 1) for i, c in enumerate(self._coeffs)))
 
-    def translate(self, offset: Rational | int) -> "Polynomial":
-        """p(x + offset), computed exactly."""
-        x_plus = Polynomial((Fraction(offset), Fraction(1)))
-        acc = Polynomial()
-        for c in reversed(self._coeffs):
-            acc = acc * x_plus + Polynomial.constant(c)
-        return acc
+    def translate(self, offset: Fraction | int) -> "Polynomial":
+        """p(x + offset), computed exactly by a Taylor shift: deg p passes of
+        synthetic division by (x - offset), in place, O(deg^2) operations."""
+        offset = Fraction(offset)
+        c = list(self._coeffs)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += offset * c[j + 1]
+        return Polynomial(c)
 
     def forward_difference(self) -> "Polynomial":
         """p(x + 1) - p(x).  Drops the degree by exactly one."""
@@ -207,6 +202,7 @@ class ComplexPolynomial(_DensePolynomial):
 
     __slots__ = ()
     _scalar = complex
+    _multipliers = (int, float, complex)
 
     @classmethod
     def from_exact(cls, polynomial: Polynomial) -> "ComplexPolynomial":
@@ -226,13 +222,6 @@ class ComplexPolynomial(_DensePolynomial):
 
     def __repr__(self) -> str:
         return f"ComplexPolynomial({list(self._coeffs)})"
-
-    def __mul__(self, scalar: complex | float | int) -> "ComplexPolynomial":
-        if isinstance(scalar, (int, float, complex)):
-            return ComplexPolynomial(tuple(c * scalar for c in self._coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __call__(self, x) -> complex:
         acc = 0j
@@ -326,11 +315,12 @@ def _collect_terms(text: str, parse_coeff: Callable, scalar: type) -> list:
     return coeffs
 
 
-def _format_signed(coeffs: Sequence, render: Callable[[object, str], str]) -> str:
+def _format_signed(coeffs: Sequence, render: Callable) -> str:
     """Nonzero terms in descending powers, joined by their signs.
 
-    ``render(magnitude, x_part)`` writes one term's body, where ``x_part``
-    is ``""``, ``"x"`` or ``"x^p"``.
+    ``render(coefficient)`` returns whether the term is negative and the
+    coefficient text written after its sign; a text of ``1`` is left out
+    before a power of x.
     """
     parts: list[str] = []
     for power in range(len(coeffs) - 1, -1, -1):
@@ -338,27 +328,20 @@ def _format_signed(coeffs: Sequence, render: Callable[[object, str], str]) -> st
         if c == 0:
             continue
         x_part = "" if power == 0 else "x" if power == 1 else f"x^{power}"
-        body = render(abs(c), x_part)
+        negative, body = render(c)
+        if x_part:
+            body = x_part if body == "1" else f"{body}*{x_part}"
         if not parts:
-            parts.append(("-" if c < 0 else "") + body)
+            parts.append(("-" if negative else "") + body)
         else:
-            parts.append(("- " if c < 0 else "+ ") + body)
+            parts.append(("- " if negative else "+ ") + body)
     return " ".join(parts) if parts else "0"
-
-
-def _rational_term(magnitude: Fraction, x_part: str) -> str:
-    if not x_part:
-        return format_rational(magnitude)
-    return x_part if magnitude == 1 else f"{format_rational(magnitude)}*{x_part}"
-
-
-def _float_term(magnitude: float, x_part: str) -> str:
-    return f"{magnitude!r}*{x_part}" if x_part else repr(magnitude)
 
 
 def format_polynomial(polynomial: Polynomial) -> str:
     """Render in descending powers with rational coefficients."""
-    return _format_signed(polynomial.coefficients, _rational_term)
+    return _format_signed(polynomial.coefficients,
+                          lambda c: (c < 0, format_rational(abs(c))))
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -368,7 +351,7 @@ def parse_polynomial(text: str) -> Polynomial:
 
 def format_real_polynomial(coefficients: Sequence[float]) -> str:
     """Render a float-coefficient polynomial, descending powers, repr floats."""
-    return _format_signed(list(coefficients), _float_term)
+    return _format_signed(list(coefficients), lambda c: (c < 0, repr(abs(c))))
 
 
 def _parse_float(token: str) -> float:
@@ -414,22 +397,10 @@ def parse_complex(text: str) -> complex:
 
 
 def format_complex_polynomial(polynomial: ComplexPolynomial) -> str:
-    """Render with parenthesised complex coefficients, descending powers."""
-    if polynomial.is_zero:
-        return "0"
-    parts: list[str] = []
-    for power in range(int(polynomial.degree), -1, -1):
-        c = polynomial.coefficient(power)
-        if c == 0:
-            continue
-        literal = f"({format_complex(c)})"
-        if power == 0:
-            parts.append(literal)
-        elif power == 1:
-            parts.append(f"{literal}*x")
-        else:
-            parts.append(f"{literal}*x^{power}")
-    return " + ".join(parts)
+    """Render with parenthesised complex coefficients, descending powers.
+    A literal carries its own signs, so no term counts as negative."""
+    return _format_signed(polynomial.coefficients,
+                          lambda c: (False, f"({format_complex(c)})"))
 
 
 def _parse_complex_coeff(text: str) -> complex:

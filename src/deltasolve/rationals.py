@@ -1,7 +1,7 @@
 """Exact rational scalars, the binomial coefficient and the ``p/q`` grammar.
 
-``Rational`` is ``fractions.Fraction``: arbitrary precision, always kept in
-canonical form (positive denominator, gcd(|p|, q) = 1), with structural
+Exact values are ``fractions.Fraction``: arbitrary precision, always kept
+in canonical form (positive denominator, gcd(|p|, q) = 1), with structural
 equality.  The textual contract is ``p/q`` with the ``/q`` part omitted when
 q == 1, which is exactly what ``str()`` on a Fraction produces;
 ``parse_rational`` accepts that grammar and nothing else.  Exact values
@@ -23,13 +23,10 @@ from fractions import Fraction
 
 __all__ = [
     "DeltasolveError",
-    "Rational",
     "binomial",
     "format_rational",
     "parse_rational",
 ]
-
-Rational = Fraction
 
 
 class DeltasolveError(Exception):
@@ -41,8 +38,8 @@ class DeltasolveError(Exception):
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 
-def binomial(n: int, k: int) -> Rational:
-    """Binomial coefficient C(n, k) as an exact Rational.
+def binomial(n: int, k: int) -> Fraction:
+    """Binomial coefficient C(n, k) as an exact Fraction.
 
     Defined for n >= 0 with any integer k; values outside 0 <= k <= n are 0.
     """
@@ -53,15 +50,15 @@ def binomial(n: int, k: int) -> Rational:
     return Fraction(math.comb(n, k))
 
 
-def format_rational(value: Rational) -> str:
+def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or ``p`` (integer p, positive integer q).
 
     Decimal and scientific literals are rejected: the exact side of the
-    package never constructs a Rational from a rounded value.
+    package never constructs a Fraction from a rounded value.
     """
     cleaned = text.strip()
     if not _RATIONAL_RE.match(cleaned):

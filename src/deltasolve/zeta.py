@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from . import MAX_TABLE_ORDER
 from .bernoulli import bernoulli, faulhaber
-from .rationals import Rational
 from .spectral import _mode_part, power_sums
 
 __all__ = [
@@ -55,7 +54,7 @@ _PI_SCALED = 0x3243F6A8885A308D313198A2E03707344
 
 
 class ZetaClosedForm(namedtuple("ZetaClosedForm", "j coefficient pi_power")):
-    """zeta(2j) = coefficient * pi^pi_power with an exact ``Rational``
+    """zeta(2j) = coefficient * pi^pi_power with an exact ``Fraction``
     coefficient and an integer ``pi_power``."""
 
     __slots__ = ()
@@ -102,7 +101,7 @@ def zeta_partial_sum(j: int, n_terms: int) -> tuple[float, float]:
 
 
 def coefficient_tables(n: int, truncation_order: int
-                       ) -> tuple[list[float], list[Rational]]:
+                       ) -> tuple[list[float], list[Fraction]]:
     """(A, B) tables for forcing x^n, both indexed by j = 0..n (module
     docstring).  A entries with odd n+1-j are exactly 0: each +-k pair
     cancels there.

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from deltasolve.cli import (MAX_BERNOULLI_INDEX, MAX_OPERATOR_DEGREE,
-                            MAX_TERMS, MAX_ZETA_INDEX, _build_parser, main)
+                            MAX_REPORT_TERMS, MAX_TERMS, MAX_ZETA_INDEX,
+                            _build_parser, main)
 from deltasolve.polynomials import parse_complex, parse_complex_polynomial
 
 
@@ -293,6 +294,41 @@ def test_operator_degree_cap_is_checked_while_parsing(monkeypatch, capsys):
         assert out == ""
         assert f"operator degree {MAX_OPERATOR_DEGREE + 1} must be <= " \
             f"{MAX_OPERATOR_DEGREE}" in err
+
+
+@pytest.mark.parametrize("study, points, terms_per_k", [
+    ("residual-decay", [], 1),
+    ("pfd-convergence", ["--z-list", "1,-1,0.5+0.5i"], 3),
+    ("ab-comparison", ["--n-max", "3"], 3),
+])
+def test_report_budget_is_checked_before_any_row(study, points, terms_per_k,
+                                                 monkeypatch, tmp_path, capsys):
+    ran = []
+    for name in ("residual_decay_rows", "pfd_convergence_rows",
+                 "ab_comparison_rows"):
+        monkeypatch.setattr(f"deltasolve.reports.{name}",
+                            lambda *args, **kwargs: ran.append(args) or [])
+    out_path = tmp_path / "report.csv"
+
+    def argv(k_sum):
+        ks = [MAX_TERMS] * (k_sum // MAX_TERMS) + [k_sum % MAX_TERMS]
+        k_list = ",".join(str(k) for k in ks if k)
+        return ["report", study, *points, "--K-list", k_list,
+                "--out", str(out_path)]
+
+    assert MAX_REPORT_TERMS % terms_per_k == 0
+    # a report at the budget runs ...
+    code, _, err = _run(argv(MAX_REPORT_TERMS // terms_per_k), capsys)
+    assert (code, err, len(ran)) == (0, "", 1)
+    assert out_path.exists()
+    out_path.unlink()
+    # ... and one more K (terms_per_k more terms) is a usage error before
+    # any row runs or the CSV is opened
+    code, out, err = _run(argv(MAX_REPORT_TERMS // terms_per_k + 1), capsys)
+    assert (code, out, len(ran)) == (2, "", 1)
+    assert f"sums {MAX_REPORT_TERMS + terms_per_k} terms, more than the " \
+        f"budget of {MAX_REPORT_TERMS}" in err
+    assert not out_path.exists()
 
 
 def test_report_residual_decay(tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_canonical_form_and_degree():
 
 def test_shift_examples():
     # Derived by expanding p(x+1); cross-checked by evaluation below.
-    assert (X * X).translate(1) == Polynomial((1, 2, 1))
+    assert Polynomial((0, 0, 1)).translate(1) == Polynomial((1, 2, 1))
     assert Polynomial.constant(5).translate(1) == Polynomial.constant(5)
     cubic = Polynomial((0, -1, 0, 1))  # x^3 - x
     assert cubic.translate(1) == Polynomial((0, 2, 3, 1))
@@ -67,11 +67,14 @@ def test_shift_examples():
 
 def test_shift_agrees_with_evaluation():
     rng = random.Random(11)
-    for _ in range(30):
-        p = _random_poly(rng)
-        q = p.translate(1)
-        for x in range(-3, 4):
-            assert q(Fraction(x)) == p(Fraction(x + 1))
+    for case in range(60):
+        p = _random_poly(rng, 40)
+        offset = 1 if case < 10 else Fraction(rng.randint(-50, 50),
+                                               rng.randint(1, 12))
+        q = p.translate(offset)
+        assert q.degree == p.degree
+        for x in (Fraction(-3), Fraction(0), Fraction(2, 7), Fraction(5)):
+            assert q(x) == p(x + offset), (p, offset, x)
 
 
 def test_shift_is_a_ring_homomorphism():
@@ -79,8 +82,9 @@ def test_shift_is_a_ring_homomorphism():
     for _ in range(25):
         p = _random_poly(rng, 5)
         q = _random_poly(rng, 5)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         assert (p + q).translate(1) == p.translate(1) + q.translate(1)
-        assert (p * q).translate(1) == p.translate(1) * q.translate(1)
+        assert (c * p).translate(1) == c * p.translate(1)
 
 
 def test_forward_difference_examples():
@@ -117,7 +121,6 @@ def test_evaluation_is_a_homomorphism():
         q = _random_poly(rng, 6)
         for x in (Fraction(-3), Fraction(0), Fraction(5, 7)):
             assert (p + q)(x) == p(x) + q(x)
-            assert (p * q)(x) == p(x) * q(x)
 
 
 def test_translate():
@@ -225,6 +228,35 @@ def test_complex_polynomial_round_trip():
     _check_property(check, lambda st: st.lists(_finite_complexes(st), max_size=8)
                     .map(tuple), [(complex(-1, 0.5), 0j, complex(0, -2))])
     assert format_complex_polynomial(ComplexPolynomial.zero()) == "0"
+    # Every term is joined by " + ": a literal carries its own signs.
+    exact = [
+        ((complex(0.0, 2.5), 0j, 0j, complex(-1.0, -0.5)),
+         "(-1.0-0.5i)*x^3 + (0.0+2.5i)"),
+        ((complex(-0.0, -3.0), complex(-2.0, 0.0)),
+         "(-2.0+0.0i)*x + (-0.0-3.0i)"),
+        ((0j, 0j, complex(-0.0, -1e-300), 0j, complex(-7.5, 1.0)),
+         "(-7.5+1.0i)*x^4 + (-0.0-1e-300i)*x^2"),
+    ]
+    for coeffs, text in exact:
+        p = ComplexPolynomial(coeffs)
+        assert format_complex_polynomial(p) == text
+        assert parse_complex_polynomial(text) == p
+
+
+def test_scalar_multiplication_accepts_only_its_scalars():
+    p = Polynomial((1, Fraction(-1, 2)))
+    assert 2 * p == p * 2 == Polynomial((2, -1))
+    assert Fraction(2, 3) * p == Polynomial((Fraction(2, 3), Fraction(-1, 3)))
+    c = ComplexPolynomial((1, 2j))
+    assert 2 * c == c * 2.0 == ComplexPolynomial((2, 4j))
+    assert 1j * c == ComplexPolynomial((1j, -2))
+    # The exact/float boundary is never crossed implicitly, and no class
+    # multiplies two polynomials.
+    for a, b in ((p, 0.5), (p, 1j), (c, Fraction(1, 2)), (p, p), (c, c), (p, c)):
+        with pytest.raises(TypeError):
+            a * b
+        with pytest.raises(TypeError):
+            b * a
 
 
 def test_parsed_power_is_capped():
