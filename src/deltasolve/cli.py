@@ -13,10 +13,11 @@ one envelope ``{"command", "inputs", "result", "meta"}`` whose numbers carry
 exactly the digits of the plain rendering.  Output is bit-for-bit
 reproducible for a fixed invocation, including across ``--threads`` values.
 
-Each handler, and each argparse type, imports the modules it calls when it
-runs, so a subcommand loads only those (the package registers its modules
-without running them); ``json`` is imported only for ``--format json``
-and ``csv`` only by ``report``.
+The package registers its modules without running them.  This module binds
+those module objects and looks each function up on its module when a handler
+or argparse type runs, so a subcommand runs only the modules it calls, and a
+wrapper set on a module attribute takes effect.  ``json`` is imported only
+for ``--format json`` and ``csv`` only by ``report``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,12 @@ import argparse
 import math
 import sys
 
-from . import MAX_TABLE_ORDER
-from .rationals import DeltasolveError
+from . import (MAX_TABLE_ORDER, ode, partial_fractions, polynomials,
+               rationals, reports, spectral, zeta)
+
+# The package attribute ``bernoulli`` is the function, and looking it up
+# runs every module (PEP 562), so the module comes from ``sys.modules``.
+bernoulli = sys.modules[f"{__package__}.bernoulli"]
 
 __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
            "MAX_OPERATOR_DEGREE", "MAX_REPORT_TERMS"]
@@ -55,7 +60,7 @@ MAX_ZETA_INDEX = 300
 MAX_OPERATOR_DEGREE = 90
 MAX_REPORT_TERMS = 1_500_000
 
-_DOMAIN_ERRORS = (DeltasolveError, ZeroDivisionError, OSError)
+_DOMAIN_ERRORS = (rationals.DeltasolveError, ZeroDivisionError, OSError)
 
 _DEFAULT_RESIDUAL_KS = [10, 100, 1000]
 _DEFAULT_SWEEP_KS = [100, 1000, 10000]
@@ -97,23 +102,20 @@ def _float_arg(text: str) -> float:
 
 
 def _poly_arg(text: str):
-    from .polynomials import parse_polynomial
     try:
-        return parse_polynomial(text)
+        return polynomials.parse_polynomial(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad polynomial literal: {exc}")
 
 
 def _complex_arg(text: str) -> complex:
-    from .polynomials import parse_complex
     try:
-        return parse_complex(text)
+        return polynomials.parse_complex(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad complex literal: {exc}")
 
 
 def _operator_arg(text: str):
-    from .ode import CharacteristicPolynomial
     parts = text.split(",")
     degree = len(parts) - 1
     if degree > MAX_OPERATOR_DEGREE:
@@ -121,17 +123,16 @@ def _operator_arg(text: str):
             f"operator degree {degree} must be <= {MAX_OPERATOR_DEGREE}")
     coeffs = [_complex_arg(part) for part in parts]
     try:
-        return CharacteristicPolynomial(coeffs)
+        return ode.CharacteristicPolynomial(coeffs)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _k_list_arg(text: str) -> list[int]:
-    return [_truncation_order(part) for part in text.split(",")]
-
-
-def _z_list_arg(text: str) -> list[complex]:
-    return [_complex_arg(part) for part in text.split(",")]
+def _list_of(parse):
+    """An argparse type reading a comma-separated list with ``parse``."""
+    def parse_list(text: str) -> list:
+        return [parse(part) for part in text.split(",")]
+    return parse_list
 
 
 # ----------------------------------------------------------------------
@@ -139,64 +140,55 @@ def _z_list_arg(text: str) -> list[complex]:
 # ----------------------------------------------------------------------
 
 def _run_bernoulli(args):
-    from .bernoulli import bernoulli
-    from .rationals import format_rational
-    value = format_rational(bernoulli(args.n))
+    value = rationals.format_rational(bernoulli.bernoulli(args.n))
     return value, {"n": args.n}, {"value": value}
 
 
 def _run_faulhaber(args):
-    from .bernoulli import faulhaber
-    from .polynomials import format_polynomial
-    rendered = format_polynomial(faulhaber(args.n))
+    rendered = polynomials.format_polynomial(bernoulli.faulhaber(args.n))
     return rendered, {"n": args.n}, {"polynomial": rendered}
 
 
 def _run_antidiff(args):
-    from .bernoulli import antidifference_polynomial
-    from .polynomials import format_polynomial
-    rendered = format_polynomial(antidifference_polynomial(args.g))
-    return rendered, {"g": format_polynomial(args.g)}, {"polynomial": rendered}
+    rendered = polynomials.format_polynomial(
+        bernoulli.antidifference_polynomial(args.g))
+    inputs = {"g": polynomials.format_polynomial(args.g)}
+    return rendered, inputs, {"polynomial": rendered}
 
 
 def _run_spectral(args):
-    from .polynomials import format_polynomial, format_real_polynomial
-    from .spectral import SpectralConfig, spectral_solve
-    config = SpectralConfig(args.K, include_correction=not args.uncorrected)
-    solution = spectral_solve(args.g, config)
-    rendered = format_real_polynomial(solution.polynomial_part.real_coefficients())
-    inputs = {"g": format_polynomial(args.g), "K": args.K,
+    config = spectral.SpectralConfig(args.K, not args.uncorrected)
+    solution = spectral.spectral_solve(args.g, config)
+    rendered = polynomials.format_real_polynomial(
+        solution.polynomial_part.real_coefficients())
+    inputs = {"g": polynomials.format_polynomial(args.g), "K": args.K,
               "include_correction": config.include_correction}
     return rendered, inputs, {"polynomial": rendered}
 
 
 def _run_euler_gap(args):
-    from .polynomials import format_polynomial
-    from .spectral import euler_gap
-    value = euler_gap(args.g, args.x, args.K)
-    inputs = {"g": format_polynomial(args.g), "x": args.x, "K": args.K}
+    value = spectral.euler_gap(args.g, args.x, args.K)
+    inputs = {"g": polynomials.format_polynomial(args.g), "x": args.x,
+              "K": args.K}
     return repr(value), inputs, {"value": value}
 
 
 def _run_pfd(args):
-    from .partial_fractions import pfd_eval
-    from .polynomials import format_complex
-    rendered = format_complex(pfd_eval(args.z, args.K))
-    inputs = {"z": format_complex(args.z), "K": args.K}
+    rendered = polynomials.format_complex(
+        partial_fractions.pfd_eval(args.z, args.K))
+    inputs = {"z": polynomials.format_complex(args.z), "K": args.K}
     return rendered, inputs, {"value": rendered}
 
 
 def _run_zeta(args):
-    from .rationals import format_rational
-    from .zeta import zeta_even_closed_form, zeta_partial_sum
-    closed = zeta_even_closed_form(args.j)
+    closed = zeta.zeta_even_closed_form(args.j)
     value = closed.value()
-    coefficient = format_rational(closed.coefficient)
+    coefficient = rationals.format_rational(closed.coefficient)
     plain = f"{coefficient}*pi^{closed.pi_power} = {value!r}"
     result = {"coefficient": coefficient, "pi_power": closed.pi_power,
               "value": value}
     if args.oracle_N is not None:
-        lower, upper = zeta_partial_sum(args.j, args.oracle_N)
+        lower, upper = zeta.zeta_partial_sum(args.j, args.oracle_N)
         contains = lower <= value <= upper
         plain += (f"\nbracket N={args.oracle_N}: [{lower!r}, {upper!r}] "
                   f"contains={str(contains).lower()}")
@@ -207,42 +199,34 @@ def _run_zeta(args):
 
 
 def _run_ode(args):
-    from .ode import solve_linear_ode
-    from .polynomials import (ComplexPolynomial, format_complex,
-                              format_complex_polynomial, format_polynomial)
-    solution = solve_linear_ode(args.coeffs, args.g)
-    poly = solution.terms[0].polynomial if solution.terms else ComplexPolynomial.zero()
-    rendered = format_complex_polynomial(poly)
-    inputs = {"coeffs": [format_complex(c) for c in args.coeffs.coefficients],
-              "g": format_polynomial(args.g)}
+    terms = ode.solve_linear_ode(args.coeffs, args.g).terms
+    poly = terms[0].polynomial if terms else polynomials.ComplexPolynomial.zero()
+    rendered = polynomials.format_complex_polynomial(poly)
+    coeffs = [polynomials.format_complex(c) for c in args.coeffs.coefficients]
+    inputs = {"coeffs": coeffs, "g": polynomials.format_polynomial(args.g)}
     return rendered, inputs, {"solution": rendered}
 
 
 def _run_report(args):
     import csv
 
-    from .polynomials import format_complex, format_polynomial
-    from .reports import (AB_COMPARISON_HEADER, PFD_CONVERGENCE_HEADER,
-                          RESIDUAL_DECAY_HEADER, ab_comparison_rows,
-                          pfd_convergence_rows, residual_decay_rows)
+    inputs = {"study": args.study}
     if args.study == "residual-decay":
-        header = RESIDUAL_DECAY_HEADER
-        rows = residual_decay_rows(args.g, args.K_list, threads=args.threads)
-        inputs = {"study": args.study, "g": format_polynomial(args.g),
-                  "K_list": list(args.K_list), "out": args.out}
+        header = reports.RESIDUAL_DECAY_HEADER
+        rows = reports.residual_decay_rows(args.g, args.K_list,
+                                           threads=args.threads)
+        inputs["g"] = polynomials.format_polynomial(args.g)
     elif args.study == "pfd-convergence":
-        header = PFD_CONVERGENCE_HEADER
-        rows = pfd_convergence_rows(args.z_list, args.K_list,
-                                    threads=args.threads)
-        inputs = {"study": args.study,
-                  "z_list": [format_complex(z) for z in args.z_list],
-                  "K_list": list(args.K_list), "out": args.out}
+        header = reports.PFD_CONVERGENCE_HEADER
+        rows = reports.pfd_convergence_rows(args.z_list, args.K_list,
+                                            threads=args.threads)
+        inputs["z_list"] = [polynomials.format_complex(z) for z in args.z_list]
     else:
-        n_values = list(range(1, args.n_max + 1))
-        header = AB_COMPARISON_HEADER
-        rows = ab_comparison_rows(n_values, args.K_list, threads=args.threads)
-        inputs = {"study": args.study, "n_max": args.n_max,
-                  "K_list": list(args.K_list), "out": args.out}
+        header = reports.AB_COMPARISON_HEADER
+        rows = reports.ab_comparison_rows(list(range(1, args.n_max + 1)),
+                                          args.K_list, threads=args.threads)
+        inputs["n_max"] = args.n_max
+    inputs.update(K_list=list(args.K_list), out=args.out)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -251,12 +235,11 @@ def _run_report(args):
 
 
 def _size_report(parser: argparse.ArgumentParser, args) -> None:
-    """Fill in a report's default lists, and refuse (exit 2) a report that
+    """Fill in the study's default K list, and refuse (exit 2) a report that
     sums more than MAX_REPORT_TERMS terms, before any row runs."""
     residual = args.study == "residual-decay"
     args.K_list = args.K_list or (_DEFAULT_RESIDUAL_KS if residual
                                   else _DEFAULT_SWEEP_KS)
-    args.z_list = args.z_list or _DEFAULT_PFD_ZS
     rows_per_k = {"residual-decay": 1, "pfd-convergence": len(args.z_list),
                   "ab-comparison": args.n_max}[args.study]
     terms = rows_per_k * sum(args.K_list)
@@ -278,52 +261,51 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact and spectral solvers for f(x+1) - f(x) = g(x).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bernoulli", parents=[common],
-                       help="Bernoulli number B_n (B_1 = -1/2 convention)")
+    def command(name, run, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("bernoulli", _run_bernoulli,
+                "Bernoulli number B_n (B_1 = -1/2 convention)")
     p.add_argument("n", type=_bernoulli_index,
                    help=f"index, at most {MAX_BERNOULLI_INDEX}")
-    p.set_defaults(run=_run_bernoulli)
 
-    p = sub.add_parser("faulhaber", parents=[common],
-                       help="power-sum polynomial for sum_{k=1}^{x} k^n")
+    p = command("faulhaber", _run_faulhaber,
+                "power-sum polynomial for sum_{k=1}^{x} k^n")
     p.add_argument("n", type=_bernoulli_index,
                    help=f"power, at most {MAX_BERNOULLI_INDEX}")
-    p.set_defaults(run=_run_faulhaber)
 
-    p = sub.add_parser("antidiff", parents=[common],
-                       help="exact antidifference: f with f(x+1)-f(x)=g, f(0)=0")
+    p = command("antidiff", _run_antidiff,
+                "exact antidifference: f with f(x+1)-f(x)=g, f(0)=0")
     p.add_argument("--g", type=_poly_arg, required=True,
                    help="polynomial with rational coefficients, e.g. '1/2*x^2 - x'")
-    p.set_defaults(run=_run_antidiff)
 
-    p = sub.add_parser("spectral", parents=[common],
-                       help="truncated spectral solution of f(x+1)-f(x)=g")
+    p = command("spectral", _run_spectral,
+                "truncated spectral solution of f(x+1)-f(x)=g")
     p.add_argument("--g", type=_poly_arg, required=True)
     p.add_argument("--K", type=_truncation_order, required=True,
                    help="mode truncation order (pairs 1 <= |k| <= K), at "
                         f"most {MAX_TERMS}")
     p.add_argument("--uncorrected", action="store_true",
                    help="omit the -g/2 correction term")
-    p.set_defaults(run=_run_spectral)
 
-    p = sub.add_parser("euler-gap", parents=[common],
-                       help="uncorrected minus corrected solution at x (= g(x)/2)")
+    p = command("euler-gap", _run_euler_gap,
+                "uncorrected minus corrected solution at x (= g(x)/2)")
     p.add_argument("--g", type=_poly_arg, required=True)
     p.add_argument("--x", type=_float_arg, required=True)
     p.add_argument("--K", type=_truncation_order, required=True,
                    help=f"mode truncation order, at most {MAX_TERMS}")
-    p.set_defaults(run=_run_euler_gap)
 
-    p = sub.add_parser("pfd", parents=[common],
-                       help="truncated partial-fraction value of 1/(e^z - 1)")
+    p = command("pfd", _run_pfd,
+                "truncated partial-fraction value of 1/(e^z - 1)")
     p.add_argument("--z", type=_complex_arg, required=True,
                    help="complex literal a+bi, e.g. '0.5+0.5i'")
     p.add_argument("--K", type=_truncation_order, required=True,
                    help=f"pole pairs kept, at most {MAX_TERMS}")
-    p.set_defaults(run=_run_pfd)
 
-    p = sub.add_parser("zeta", parents=[common],
-                       help="exact zeta(2j) as a rational multiple of pi^(2j)")
+    p = command("zeta", _run_zeta,
+                "exact zeta(2j) as a rational multiple of pi^(2j)")
     p.add_argument("--j", type=_int_in(1, MAX_ZETA_INDEX), required=True,
                    help=f"the even argument 2j, 1 <= j <= {MAX_ZETA_INDEX}")
     p.add_argument("--oracle-N", dest="oracle_N", type=_int_in(2, MAX_TERMS),
@@ -332,36 +314,34 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"2 <= N <= {MAX_TERMS}; keep N modest for large j, "
                         "the width ~N^(1-2j) must stay above double rounding "
                         "for containment to be certifiable")
-    p.set_defaults(run=_run_zeta)
 
-    p = sub.add_parser("ode", parents=[common],
-                       help="particular solution of a_0 f + a_1 f' + ... = g")
+    p = command("ode", _run_ode,
+                "particular solution of a_0 f + a_1 f' + ... = g")
     p.add_argument("--coeffs", type=_operator_arg, required=True,
                    help="comma-separated complex literals a_0,...,a_n, "
                         f"n <= {MAX_OPERATOR_DEGREE} (the root finder's "
                         "worst case there takes about 0.46 s); use "
                         "--coeffs=-1,0,1 when the first one is negative")
     p.add_argument("--g", type=_poly_arg, required=True)
-    p.set_defaults(run=_run_ode)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="write a convergence-study CSV")
+    p = command("report", _run_report, "write a convergence-study CSV")
     p.add_argument("study", choices=("residual-decay", "pfd-convergence",
                                      "ab-comparison"))
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--g", type=_poly_arg, default="x^2",
                    help="forcing for residual-decay (default: x^2)")
-    p.add_argument("--K-list", dest="K_list", type=_k_list_arg, default=None,
+    p.add_argument("--K-list", dest="K_list", type=_list_of(_truncation_order),
+                   default=None,
                    help=f"comma-separated truncation orders, each at most "
                         f"{MAX_TERMS}; a report sums at most "
                         f"{MAX_REPORT_TERMS} terms over all its rows")
-    p.add_argument("--z-list", dest="z_list", type=_z_list_arg, default=None,
+    p.add_argument("--z-list", dest="z_list", type=_list_of(_complex_arg),
+                   default=_DEFAULT_PFD_ZS,
                    help="comma-separated complex points for pfd-convergence")
     p.add_argument("--n-max", dest="n_max", type=_int_in(1, MAX_TABLE_ORDER),
                    default=6,
                    help="largest forcing degree for ab-comparison, at most "
                         f"{MAX_TABLE_ORDER} (default: 6)")
-    p.set_defaults(run=_run_report)
 
     return parser
 

@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 MIN_ROOT_SEPARATION = 1e-6
+# A root is refused where |P'| is below this floor times |a_n| (a floor on
+# the monic P'), so that scaling P, which keeps its roots, refuses the same.
 DERIVATIVE_MAGNITUDE_FLOOR = 1e-8
 RESIDUAL_SCALE = 1e-9
 NEWTON_POLISH_STEPS = 3
@@ -102,9 +104,9 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
     """All roots, sorted by (real, imaginary); simple roots only.
 
     Raises ``MultipleRootUnsupported`` when two estimates land closer than
-    MIN_ROOT_SEPARATION or |P'| at a root is below the derivative floor,
-    and ``RootFindingError`` on non-convergence, naming the closest pair of
-    final estimates, or on a failed residual check.
+    MIN_ROOT_SEPARATION or |P'| at a root is below DERIVATIVE_MAGNITUDE_FLOOR
+    times |a_n|, and ``RootFindingError`` on non-convergence, naming the
+    closest pair of final estimates, or on a failed residual check.
     """
     n = polynomial.degree
     leading = polynomial.coefficients[-1]
@@ -157,9 +159,7 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
             raise MultipleRootUnsupported(
                 f"roots {a} and {b} are closer than {MIN_ROOT_SEPARATION:g}")
     for root in roots:
-        if abs(dp(root)) < DERIVATIVE_MAGNITUDE_FLOOR:
-            raise MultipleRootUnsupported(
-                f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g}")
+        _check_slope(root, dp(root), leading)
     if not converged:
         # A linear P converges on the second sweep, so a pair exists.
         a, b = min(combinations(roots, 2), key=lambda ab: abs(ab[0] - ab[1]))
@@ -173,6 +173,13 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
                 f"root {root} fails the residual check: "
                 f"|P(root)| = {abs(p(root)):.3e}")
     return roots
+
+
+def _check_slope(root: complex, slope: complex, leading: complex) -> None:
+    """Refuses a root where |P'| is below the floor times |a_n|."""
+    if abs(slope) < DERIVATIVE_MAGNITUDE_FLOOR * abs(leading):
+        raise MultipleRootUnsupported(
+            f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g} |a_n|")
 
 
 class ExpPolyTerm(namedtuple("ExpPolyTerm", "exponent polynomial")):
@@ -230,9 +237,7 @@ def solve_linear_ode(polynomial: CharacteristicPolynomial,
             forcing.antiderivative()) * (1.0 / coeffs[1])
     for root in nonzero_roots:
         slope = dp(root)
-        if abs(slope) < DERIVATIVE_MAGNITUDE_FLOOR:
-            raise MultipleRootUnsupported(
-                f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g}")
+        _check_slope(root, slope, coeffs[-1])
         total = total + mode_polynomial(root, float_forcing) * (1.0 / slope)
     if not all(map(cmath.isfinite, total.coefficients)):
         raise CoefficientOverflowError(

@@ -301,14 +301,18 @@ def _collect_terms(text: str, parse_coeff: Callable, scalar: type) -> list:
     """Ascending coefficients of ``text``: the signed terms summed by power.
 
     ``parse_coeff`` reads a written coefficient; an omitted one is
-    ``scalar(1)``, and powers with no term hold ``scalar(0)``.
+    ``scalar(1)``, and powers with no term hold ``scalar(0)``.  A power's
+    first term is stored as it is and a sign negates, so that signed zeros
+    survive: ``0j + z`` and ``-1 * z`` would turn a -0.0 into 0.0.
     """
     one, zero = scalar(1), scalar(0)
     powers: dict = {}
     for sign, chunk in _split_signed_terms(text):
         power, coeff_text = _parse_term(chunk)
         coeff = one if coeff_text is None else parse_coeff(coeff_text)
-        powers[power] = powers.get(power, zero) + sign * coeff
+        if sign < 0:
+            coeff = -coeff
+        powers[power] = powers[power] + coeff if power in powers else coeff
     coeffs = [zero] * (max(powers) + 1)
     for power, coeff in powers.items():
         coeffs[power] = coeff
@@ -372,7 +376,7 @@ def parse_real_polynomial(text: str) -> tuple[float, ...]:
 def format_complex(value: complex) -> str:
     """Canonical ``a+bi`` literal with repr components."""
     value = complex(value)
-    sign = "-" if value.imag < 0 else "+"
+    sign = "-" if math.copysign(1.0, value.imag) < 0 else "+"
     return f"{value.real!r}{sign}{abs(value.imag)!r}i"
 
 

@@ -158,6 +158,36 @@ def test_repeated_zero_root_is_refused():
         solve_linear_ode(CharacteristicPolynomial((0, 0, 1)), X)
 
 
+def test_root_next_to_the_zero_root_is_refused():
+    # z (z + 1e-7): the deflated root -1e-7 is closer to 0 than the separation
+    with pytest.raises(MultipleRootUnsupported, match="collides with the zero root"):
+        solve_linear_ode(CharacteristicPolynomial((0, 1e-7, 1)), X)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 3, 1), (0, 1, 1)],
+                         ids=["D+1", "D^2+3D+2", "D^2+D"])
+def test_scaling_the_operator_scales_the_solution(coeffs, scale):
+    """s P(D) has the roots of P(D), and its solution is 1/s times P's; the
+    derivative floor is relative to |a_n|, so it refuses neither."""
+    forcing = Polynomial((3, -2, 1))
+    base = _as_single_polynomial(
+        solve_linear_ode(CharacteristicPolynomial(coeffs), forcing))
+    scaled = _as_single_polynomial(solve_linear_ode(
+        CharacteristicPolynomial([scale * c for c in coeffs]), forcing))
+    assert scaled.degree == base.degree
+    for got, expected in zip(scaled.coefficients, base.coefficients):
+        assert abs(got * scale - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_derivative_floor_refuses_the_same_roots_at_any_scale(scale):
+    # Three roots 3e-6 apart pass the separation test, but |P'| is ~1e-11.
+    coeffs = _poly_from_roots([0.5, 0.5 + 3e-6, 0.5 + 6e-6]).coefficients
+    with pytest.raises(MultipleRootUnsupported, match="is below 1e-08"):
+        solve_linear_ode(CharacteristicPolynomial([scale * c for c in coeffs]), X)
+
+
 def test_solutions_verify_through_the_operator():
     # independent check: apply P(D) back and compare with the forcing
     rng = random.Random(20240805)
@@ -189,10 +219,17 @@ def _per_power_solution(operator: CharacteristicPolynomial,
                         forcing: Polynomial) -> list[complex]:
     """sum over roots r of (1/P'(r)) sum_p g_p exp_poly_integral(r, p): the
     particular solution built power by power, by linearity; the test's own
-    oracle (a_0 != 0, so every root is nonzero)."""
+    oracle.  A zero root (a_0 = 0) adds antiderivative(g) / P'(0), with
+    P'(0) = a_1, and the other roots are those of P(z) / z."""
     g = ComplexPolynomial.from_exact(forcing).coefficients
+    coeffs = operator.coefficients
     total = [0j] * len(g)
-    for root in find_roots(operator):
+    nonzero = operator
+    if coeffs[0] == 0:
+        total = [float(c) / coeffs[1]
+                 for c in forcing.antiderivative().coefficients]
+        nonzero = CharacteristicPolynomial(coeffs[1:])
+    for root in find_roots(nonzero):
         slope = _slope(operator, root)
         for power, coeff in enumerate(g):
             for i, c in enumerate(exp_poly_integral(root, power).coefficients):
@@ -202,7 +239,7 @@ def _per_power_solution(operator: CharacteristicPolynomial,
 
 def test_solution_agrees_with_the_per_power_sum():
     rng = random.Random(20240809)
-    for _ in range(60):
+    for case in range(60):
         degree, roots = rng.randint(1, 6), []
         while len(roots) < degree:
             candidate = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
@@ -210,6 +247,8 @@ def test_solution_agrees_with_the_per_power_sum():
                                              for r in roots):
                 roots.append(candidate)
         operator = _poly_from_roots(roots)
+        if case % 3 == 0:  # z P(z): a zero root, and a_1 = P(0)
+            operator = CharacteristicPolynomial((0,) + operator.coefficients)
         forcing = Polynomial([Fraction(rng.randint(-20, 20), rng.randint(1, 12))
                               for _ in range(rng.randint(0, 8))] + [1])
         expected = _per_power_solution(operator, forcing)

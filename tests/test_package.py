@@ -69,6 +69,26 @@ def _package_imports(path: Path) -> set:
     return found
 
 
+def test_the_cli_defers_imports_only_through_the_package():
+    """The package's lazy registration is the only way the CLI delays an
+    import of its own modules: no function in ``cli.py`` imports one."""
+    path = Path(deltasolve.__file__).parent / "cli.py"
+    late = []
+    for function in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else ["deltasolve"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            late += [(function.name, name) for name in names
+                     if name.split(".")[0] == "deltasolve"]
+    assert late == []
+
+
 def test_the_two_routes_stay_independent():
     """The comparison is not circular: the Bernoulli numbers never come from
     the mode sums or from zeta, and the mode sums never from Bernoulli
@@ -136,29 +156,33 @@ _EXACT = ["bernoulli", "cli", "polynomials", "rationals"]
 _MODES = ["cli", "polynomials", "rationals", "spectral"]
 
 
-@pytest.mark.parametrize("argv, ran, stdlib", [
-    (["bernoulli", "5"], _EXACT, []),
-    (["faulhaber", "3"], _EXACT, []),
-    (["antidiff", "--g", "x^2"], _EXACT, []),
-    (["bernoulli", "5", "--format", "json"], _EXACT, ["json"]),
-    (["spectral", "--g", "x", "--K", "10"], _MODES, []),
-    (["euler-gap", "--g", "x", "--x", "1", "--K", "10"], _MODES, []),
-    (["pfd", "--z", "1", "--K", "10"], sorted(_MODES + ["partial_fractions"]), []),
-    (["zeta", "--j", "2", "--oracle-N", "10"],
+@pytest.mark.parametrize("argv, exit_code, ran, stdlib", [
+    (["bernoulli", "5"], 0, _EXACT, []),
+    (["faulhaber", "3"], 0, _EXACT, []),
+    (["antidiff", "--g", "x^2"], 0, _EXACT, []),
+    (["bernoulli", "5", "--format", "json"], 0, _EXACT, ["json"]),
+    (["spectral", "--g", "x", "--K", "10"], 0, _MODES, []),
+    (["euler-gap", "--g", "x", "--x", "1", "--K", "10"], 0, _MODES, []),
+    (["pfd", "--z", "1", "--K", "10"], 0,
+     sorted(_MODES + ["partial_fractions"]), []),
+    (["zeta", "--j", "2", "--oracle-N", "10"], 0,
      sorted(_MODES + ["bernoulli", "zeta"]), []),
-    (["ode", "--coeffs=-1,0,1", "--g", "1"], sorted(_MODES + ["ode"]), []),
-    (["report", "ab-comparison", "--n-max", "2", "--K-list", "10"],
+    (["ode", "--coeffs=-1,0,1", "--g", "1"], 0, sorted(_MODES + ["ode"]), []),
+    (["report", "ab-comparison", "--n-max", "2", "--K-list", "10"], 0,
      sorted(_MODES + ["bernoulli", "partial_fractions", "reports", "zeta"]),
      ["csv"]),
+    (["bernoulli", "1001"], 2, ["cli", "rationals"], []),
 ], ids=["bernoulli", "faulhaber", "antidiff", "json", "spectral", "euler-gap",
-        "pfd", "zeta", "ode", "report"])
-def test_subcommand_runs_only_its_modules(argv, ran, stdlib, tmp_path):
+        "pfd", "zeta", "ode", "report", "refused"])
+def test_subcommand_runs_only_its_modules(argv, exit_code, ran, stdlib,
+                                          tmp_path):
     """The package registers its modules without running them; a
-    subcommand runs only those it calls, and json/csv only when used."""
+    subcommand runs only those it calls, and json/csv only when used.  An
+    argument refused while parsing runs none of the library."""
     if argv[0] == "report":
         argv = argv + ["--out", str(tmp_path / "ab.csv")]
     code, got, loaded = _fresh(_RUN_AND_LIST.format(argv=argv)).partition("|")
-    assert code.split() == ["0"] + ran
+    assert code.split() == [str(exit_code)] + ran
     assert loaded.split() == stdlib
 
 

@@ -1,5 +1,6 @@
 """Polynomial calculus and the shared text grammar."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -47,6 +48,18 @@ def _finite_floats(st):
 
 def _finite_complexes(st):
     return st.builds(complex, _finite_floats(st), _finite_floats(st))
+
+
+def _signs(z: complex) -> tuple[float, float]:
+    """The sign bits of both components, which ``==`` ignores for zeros."""
+    return math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+def _same_nonzero_signs(got: ComplexPolynomial, expected: ComplexPolynomial):
+    """Every nonzero coefficient keeps the signs of both its components; a
+    zero one is not rendered, so its signs cannot survive."""
+    return all(_signs(a) == _signs(b) for a, b in
+               zip(got.coefficients, expected.coefficients) if b != 0)
 
 
 def test_canonical_form_and_degree():
@@ -199,11 +212,15 @@ def test_non_finite_float_literals_are_refused():
 
 def test_complex_literal_round_trip():
     def check(z):
-        assert parse_complex(format_complex(z)) == z
+        back = parse_complex(format_complex(z))
+        assert back == z
+        assert _signs(back) == _signs(z)
 
     values = [complex(1.5, -2.25), complex(0, 1), complex(-3, 0),
-              complex(5e-7, -5e-7), complex(0, 0)]
+              complex(5e-7, -5e-7), complex(0, 0), complex(-1.0, -0.0),
+              complex(-0.0, -0.0)]
     _check_property(check, _finite_complexes, values)
+    assert format_complex(complex(-1.0, -0.0)) == "-1.0-0.0i"
 
 
 def test_complex_literal_forms():
@@ -223,7 +240,9 @@ def test_complex_literal_rejects_garbage():
 def test_complex_polynomial_round_trip():
     def check(coeffs):
         p = ComplexPolynomial(coeffs)
-        assert parse_complex_polynomial(format_complex_polynomial(p)) == p
+        back = parse_complex_polynomial(format_complex_polynomial(p))
+        assert back == p
+        assert _same_nonzero_signs(back, p)
 
     _check_property(check, lambda st: st.lists(_finite_complexes(st), max_size=8)
                     .map(tuple), [(complex(-1, 0.5), 0j, complex(0, -2))])
@@ -241,6 +260,7 @@ def test_complex_polynomial_round_trip():
         p = ComplexPolynomial(coeffs)
         assert format_complex_polynomial(p) == text
         assert parse_complex_polynomial(text) == p
+        assert _same_nonzero_signs(parse_complex_polynomial(text), p)
 
 
 def test_scalar_multiplication_accepts_only_its_scalars():
