@@ -6,25 +6,27 @@ characteristic roots, a particular solution for polynomial forcing g is
     f = sum over roots r of (1/P'(r)) e^{r x} integral(e^{-r x} g dx),
 
 where each nonzero-root term is the polynomial ``spectral.mode_polynomial``
-builds and a zero root (a_0 = 0) contributes the plain
-antiderivative divided by P'(0).  With all integration constants zero every
-term is a polynomial, so the returned ``ExpPoly`` is a single exponent-zero
-term.  Repeated or numerically near-multiple roots are outside this method
-and abort with ``MultipleRootUnsupported`` rather than return something
-half-right.  Roots that pass the separation tests can still be
-close enough for the 1/P'(r) weights to cancel away most digits, so the
-solution is also checked against the equation itself: no coefficient of
-P(D) f - g may exceed SOLUTION_RESIDUAL_TOLERANCE times the largest
-coefficient of sum_i |a_i f^(i)| + |g|, and a solution coefficient outside
-double range raises ``CoefficientOverflowError``.
+builds and the zero root (a_0 = 0, returned by ``find_roots`` as 0j exactly)
+contributes the exact antiderivative, rounded once, divided by P'(0).  The
+terms are added in root order, sorted by real, then imaginary part.  With
+all integration constants zero every term is a polynomial, so the returned
+``ExpPoly`` is a single exponent-zero term.  Repeated or numerically
+near-multiple roots are outside this method and abort with
+``MultipleRootUnsupported`` rather than return something half-right.  Roots
+that pass the separation tests can still be close enough for the 1/P'(r)
+weights to cancel away most digits, so the solution is also checked against
+the equation itself: no coefficient of P(D) f - g may exceed
+SOLUTION_RESIDUAL_TOLERANCE times the largest coefficient of
+sum_i |a_i f^(i)| + |g|, and a solution coefficient outside double range
+raises ``CoefficientOverflowError``.
 
 Roots come from a Weierstrass (Durand-Kerner) simultaneous iteration started
 on a perturbed circle whose radius is the Cauchy bound, then polished with a
-few Newton steps.  It stops once no step exceeds _TOLERANCE times (1 + the
-largest estimate's magnitude), or gives up after _MAX_ITERATIONS sweeps.
-The iteration is sequential and the starting points are fixed, so the
-returned ordering (sorted by real part, then imaginary part) and everything
-accumulated from it is deterministic.
+few Newton steps; when a_0 = 0 both run on P(z)/z.  It stops once no step
+exceeds _TOLERANCE times (1 + the largest estimate's magnitude), or gives up
+after _MAX_ITERATIONS sweeps.  The iteration is sequential and the starting
+points are fixed, so the returned ordering (sorted by real part, then
+imaginary part) and everything accumulated from it is deterministic.
 """
 
 from __future__ import annotations
@@ -103,22 +105,27 @@ class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
 def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
     """All roots, sorted by (real, imaginary); simple roots only.
 
-    Raises ``MultipleRootUnsupported`` when two estimates land closer than
-    MIN_ROOT_SEPARATION or |P'| at a root is below DERIVATIVE_MAGNITUDE_FLOOR
-    times |a_n|, and ``RootFindingError`` on non-convergence, naming the
-    closest pair of final estimates, or on a failed residual check.
+    When a_0 = 0 the root 0 is returned as ``0j`` exactly, and the iteration
+    and polish run on P(z)/z for the others; every check below is made on
+    the full P.  Raises ``MultipleRootUnsupported`` when two roots lie closer
+    than MIN_ROOT_SEPARATION (a repeated zero root, or one next to 0,
+    included) or |P'| at a root is below DERIVATIVE_MAGNITUDE_FLOOR times
+    |a_n|, and ``RootFindingError`` on non-convergence, naming the closest
+    pair of final roots, or on a failed residual check.
     """
-    n = polynomial.degree
-    leading = polynomial.coefficients[-1]
+    coeffs = polynomial.coefficients
+    zero_root = coeffs[0] == 0
+    search = coeffs[1:] if zero_root else coeffs
+    n = len(search) - 1
+    leading = coeffs[-1]
     # The monic form has leading coefficient exactly 1, not leading / leading.
-    monic = ComplexPolynomial([c / leading for c in polynomial.coefficients[:-1]]
-                              + [1])
-    p = ComplexPolynomial(polynomial.coefficients)
-    dp = p.derivative()
+    monic = ComplexPolynomial([c / leading for c in search[:-1]] + [1])
+    q = ComplexPolynomial(search)
+    dq = q.derivative()
 
     # Perturbed circle: Cauchy bound radius, angles offset off the axes so
     # real-coefficient symmetry cannot trap the iteration.
-    radius = 1.0 + max(abs(b) for b in monic.coefficients[:-1])
+    radius = 1.0 + max((abs(b) for b in monic.coefficients[:-1]), default=0.0)
     estimates = [radius * cmath.exp(1j * (2.0 * math.pi * j / n + math.pi / (2 * n)))
                  for j in range(n)]
 
@@ -139,7 +146,7 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
             step = monic(z) / denom
             estimates[idx] = z - step
             largest_step = max(largest_step, abs(step))
-        scale = 1.0 + max(abs(z) for z in estimates)
+        scale = 1.0 + max(map(abs, estimates), default=0.0)
         if largest_step <= _TOLERANCE * scale:
             converged = True
             break
@@ -147,39 +154,38 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
     for idx in range(n):
         z = estimates[idx]
         for _ in range(NEWTON_POLISH_STEPS):
-            slope = dp(z)
+            slope = dq(z)
             if slope == 0:
                 break
-            z = z - p(z) / slope
+            z = z - q(z) / slope
         estimates[idx] = z
 
+    if zero_root:
+        estimates.append(0j)
     roots = sorted(estimates, key=lambda r: (r.real, r.imag))
+    p = ComplexPolynomial(coeffs)
+    dp = p.derivative()
     for a, b in combinations(roots, 2):
         if abs(a - b) < MIN_ROOT_SEPARATION:
             raise MultipleRootUnsupported(
                 f"roots {a} and {b} are closer than {MIN_ROOT_SEPARATION:g}")
     for root in roots:
-        _check_slope(root, dp(root), leading)
+        if abs(dp(root)) < DERIVATIVE_MAGNITUDE_FLOOR * abs(leading):
+            raise MultipleRootUnsupported(
+                f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g} |a_n|")
     if not converged:
-        # A linear P converges on the second sweep, so a pair exists.
+        # A linear P or P(z)/z converges on the second sweep: a pair exists.
         a, b = min(combinations(roots, 2), key=lambda ab: abs(ab[0] - ab[1]))
         raise RootFindingError(
             f"no convergence after {_MAX_ITERATIONS} iterations; the closest "
             f"estimates, {a} and {b}, are {abs(a - b):.1e} apart")
-    residual_scale = max(abs(c) for c in polynomial.coefficients)
+    residual_scale = max(abs(c) for c in coeffs)
     for root in roots:
         if abs(p(root)) > RESIDUAL_SCALE * residual_scale:
             raise RootFindingError(
                 f"root {root} fails the residual check: "
                 f"|P(root)| = {abs(p(root)):.3e}")
     return roots
-
-
-def _check_slope(root: complex, slope: complex, leading: complex) -> None:
-    """Refuses a root where |P'| is below the floor times |a_n|."""
-    if abs(slope) < DERIVATIVE_MAGNITUDE_FLOOR * abs(leading):
-        raise MultipleRootUnsupported(
-            f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g} |a_n|")
 
 
 class ExpPolyTerm(namedtuple("ExpPolyTerm", "exponent polynomial")):
@@ -208,37 +214,19 @@ def solve_linear_ode(polynomial: CharacteristicPolynomial,
                      forcing: Polynomial) -> ExpPoly:
     """A particular solution of P(D) f = forcing for simple roots.
 
-    Accumulation order is fixed: the zero root (if a_0 = 0) first, then the
-    nonzero roots in the order ``find_roots`` returns them.
+    One term per root of ``find_roots``, added in the order it returns them
+    (by real, then imaginary part): the zero root's term is the exact
+    antiderivative of the forcing, rounded once, and any other root's is
+    ``mode_polynomial(root, forcing)``; each is weighted by 1/P'(root).
     """
     coeffs = polynomial.coefficients
-    has_zero_root = coeffs[0] == 0
-    if has_zero_root:
-        if coeffs[1] == 0:
-            raise MultipleRootUnsupported("zero is a repeated characteristic root")
-        if len(coeffs) > 2:
-            deflated = CharacteristicPolynomial(coeffs[1:])
-            nonzero_roots = find_roots(deflated)
-        else:
-            nonzero_roots = []
-        for root in nonzero_roots:
-            if abs(root) < MIN_ROOT_SEPARATION:
-                raise MultipleRootUnsupported(
-                    f"root {root} collides with the zero root")
-    else:
-        nonzero_roots = find_roots(polynomial)
-
     float_forcing = ComplexPolynomial.from_exact(forcing)
     dp = ComplexPolynomial(coeffs).derivative()
     total = ComplexPolynomial.zero()
-    if has_zero_root:
-        # e^{0 x} integral(e^{0 x} g) is the plain antiderivative; P'(0) = a_1.
-        total = total + ComplexPolynomial.from_exact(
-            forcing.antiderivative()) * (1.0 / coeffs[1])
-    for root in nonzero_roots:
-        slope = dp(root)
-        _check_slope(root, slope, coeffs[-1])
-        total = total + mode_polynomial(root, float_forcing) * (1.0 / slope)
+    for root in find_roots(polynomial):
+        term = (ComplexPolynomial.from_exact(forcing.antiderivative())
+                if root == 0 else mode_polynomial(root, float_forcing))
+        total = total + term * (1.0 / dp(root))
     if not all(map(cmath.isfinite, total.coefficients)):
         raise CoefficientOverflowError(
             "a solution coefficient is outside double range")

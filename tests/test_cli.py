@@ -238,6 +238,18 @@ def test_bad_flag_values_exit_2(argv, tmp_path, capsys):
     assert not (tmp_path / "ab.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectral", "--g", "x", "--K", "abc"], "argument --K: not an integer: 'abc'"),
+    (["euler-gap", "--g", "x", "--x", "abc", "--K", "3"],
+     "argument --x: not a number: 'abc'"),
+], ids=["K-not-an-integer", "x-not-a-number"])
+def test_unparsable_flag_values_exit_2(argv, message, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"error: {message}\n")
+
+
 # Each capped input: argv with "{}" where the value goes, and its cap.
 _CAPPED = [
     (["bernoulli", "{}"], MAX_BERNOULLI_INDEX),

@@ -31,6 +31,18 @@ def _poly_from_roots(roots: list[complex]) -> CharacteristicPolynomial:
     return CharacteristicPolynomial(tuple(coeffs))
 
 
+def _separated_roots(rng: random.Random) -> list[complex]:
+    """1 to 6 roots with |r| >= 0.3 in the square |Re|, |Im| <= 2.5, pairwise
+    at least 0.5 apart."""
+    degree, roots = rng.randint(1, 6), []
+    while len(roots) < degree:
+        candidate = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+        if abs(candidate) >= 0.3 and all(abs(candidate - r) >= 0.5
+                                         for r in roots):
+            roots.append(candidate)
+    return roots
+
+
 def _slope(operator: CharacteristicPolynomial, root: complex) -> complex:
     """P'(root)."""
     return ComplexPolynomial(operator.coefficients).derivative()(root)
@@ -111,6 +123,14 @@ def test_exhausted_iterations_name_the_closest_estimates():
     assert message.endswith("are 1.0e-05 apart")
 
 
+def test_root_residual_is_checked(monkeypatch):
+    monkeypatch.setattr(ode, "RESIDUAL_SCALE", 0.0)
+    with pytest.raises(RootFindingError,
+                       match=r"^root \(-1\.414\d*\+0j\) fails the residual "
+                             r"check: \|P\(root\)\| = "):
+        find_roots(CharacteristicPolynomial((-2, 0, 1)))
+
+
 def test_determinism():
     poly = CharacteristicPolynomial((-6, 11, -6, 1))
     assert find_roots(poly) == find_roots(poly)
@@ -154,14 +174,31 @@ def test_zero_root_with_deflation():
 
 
 def test_repeated_zero_root_is_refused():
-    with pytest.raises(MultipleRootUnsupported):
+    # z^2: the root of P(z)/z = z is 0 as well, and the separation refuses
+    with pytest.raises(MultipleRootUnsupported,
+                       match=r"^roots 0j and 0j are closer than 1e-06$"):
         solve_linear_ode(CharacteristicPolynomial((0, 0, 1)), X)
 
 
 def test_root_next_to_the_zero_root_is_refused():
-    # z (z + 1e-7): the deflated root -1e-7 is closer to 0 than the separation
-    with pytest.raises(MultipleRootUnsupported, match="collides with the zero root"):
+    # z (z + 1e-7): the root -1e-7 is closer to 0 than the separation
+    with pytest.raises(MultipleRootUnsupported,
+                       match=r"^roots \(-1e-07\+0j\) and 0j are closer"):
         solve_linear_ode(CharacteristicPolynomial((0, 1e-7, 1)), X)
+
+
+def test_zero_root_is_exact_and_leaves_the_other_roots_alone():
+    """For a_0 = 0 the root 0 comes back as 0j, and the others are those of
+    P(z)/z, bit for bit."""
+    rng = random.Random(20261019)
+    for _ in range(200):
+        roots = _separated_roots(rng)
+        lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+        q = [lead * c for c in _poly_from_roots(roots).coefficients]
+        expected = sorted([0j] + find_roots(CharacteristicPolynomial(q)),
+                          key=lambda r: (r.real, r.imag))
+        assert find_roots(CharacteristicPolynomial([0] + q)) == expected, roots
+    assert find_roots(CharacteristicPolynomial((0, 3))) == [0j]
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e9])
@@ -240,12 +277,7 @@ def _per_power_solution(operator: CharacteristicPolynomial,
 def test_solution_agrees_with_the_per_power_sum():
     rng = random.Random(20240809)
     for case in range(60):
-        degree, roots = rng.randint(1, 6), []
-        while len(roots) < degree:
-            candidate = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-            if abs(candidate) >= 0.3 and all(abs(candidate - r) >= 0.5
-                                             for r in roots):
-                roots.append(candidate)
+        roots = _separated_roots(rng)
         operator = _poly_from_roots(roots)
         if case % 3 == 0:  # z P(z): a zero root, and a_1 = P(0)
             operator = CharacteristicPolynomial((0,) + operator.coefficients)
@@ -310,12 +342,7 @@ def test_residual_check_leaves_solutions_untouched():
     """The check only reads: the solution is the root sum, bit for bit."""
     rng = random.Random(20241018)
     for _ in range(40):
-        degree, roots = rng.randint(1, 6), []
-        while len(roots) < degree:
-            candidate = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-            if abs(candidate) >= 0.3 and all(abs(candidate - r) >= 0.5
-                                             for r in roots):
-                roots.append(candidate)
+        roots = _separated_roots(rng)
         operator = _poly_from_roots(roots)
         forcing = Polynomial([Fraction(rng.randint(-20, 20), rng.randint(1, 12))
                               for _ in range(rng.randint(0, 8))] + [1])

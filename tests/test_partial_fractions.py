@@ -102,6 +102,15 @@ def test_laurent_even_powers_cancel_exactly():
         assert laurent_from_modes(j, 100) == 0j
 
 
+def test_laurent_values_are_finite():
+    """(2 pi)^-m underflows to 0 for large m instead of overflowing, and the
+    power sum stays at most zeta(2), so no j gives a non-finite value."""
+    for j in (1, 3, 53, 55, 10 ** 6 - 1, 10 ** 6 + 1):
+        for order in (1, 1000):
+            value = laurent_from_modes(j, order)
+            assert math.isfinite(value.real) and value.imag == 0.0, (j, order)
+
+
 def test_laurent_odd_powers_recover_bernoulli_ratios():
     # coefficient of z^j converges to B_{j+1}/(j+1)!; the j = 1 truncation
     # error is the zeta(2) tail 1/(2 pi^2 K), higher j converge much faster

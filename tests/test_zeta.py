@@ -61,6 +61,15 @@ def test_bracket_contains_closed_form():
             assert lower < value < upper, (j, n_terms)
 
 
+def test_bracket_is_finite():
+    """Both tail integrals underflow towards 0 as j grows; none overflows."""
+    for j in (1, 28, 300, 10 ** 6):
+        for n_terms in (2, 1000):
+            lower, upper = zeta_partial_sum(j, n_terms)
+            assert math.isfinite(lower) and math.isfinite(upper), (j, n_terms)
+            assert 1.0 <= lower <= upper
+
+
 def test_bracket_width_shrinks():
     lower_a, upper_a = zeta_partial_sum(1, 100)
     lower_b, upper_b = zeta_partial_sum(1, 10000)
