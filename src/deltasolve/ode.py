@@ -6,27 +6,27 @@ characteristic roots, a particular solution for polynomial forcing g is
     f = sum over roots r of (1/P'(r)) e^{r x} integral(e^{-r x} g dx),
 
 where each nonzero-root term is the polynomial ``spectral.mode_polynomial``
-builds and the zero root (a_0 = 0, returned by ``find_roots`` as 0j exactly)
-contributes the exact antiderivative, rounded once, divided by P'(0).  The
-terms are added in root order, sorted by real, then imaginary part.  With
-all integration constants zero every term is a polynomial, so the returned
-``ExpPoly`` is a single exponent-zero term.  Repeated or numerically
-near-multiple roots are outside this method and abort with
-``MultipleRootUnsupported`` rather than return something half-right.  Roots
-that pass the separation tests can still be close enough for the 1/P'(r)
-weights to cancel away most digits, so the solution is also checked against
-the equation itself: no coefficient of P(D) f - g may exceed
+builds and a zero root contributes the exact antiderivative, rounded once,
+divided by P'(0).  The terms are added in root order, sorted by real, then
+imaginary part.  With all integration constants zero every term is a
+polynomial, so the returned ``ExpPoly`` is a single exponent-zero term.
+Repeated or numerically near-multiple roots are outside this method and
+abort with ``MultipleRootUnsupported`` rather than return something
+half-right.  Roots that pass the separation tests can still be close enough
+for the 1/P'(r) weights to cancel away most digits, so the solution is also
+checked against the equation itself: no coefficient of P(D) f - g may exceed
 SOLUTION_RESIDUAL_TOLERANCE times the largest coefficient of
 sum_i |a_i f^(i)| + |g|, and a solution coefficient outside double range
 raises ``CoefficientOverflowError``.
 
 Roots come from a Weierstrass (Durand-Kerner) simultaneous iteration started
 on a perturbed circle whose radius is the Cauchy bound, then polished with a
-few Newton steps; when a_0 = 0 both run on P(z)/z.  It stops once no step
-exceeds _TOLERANCE times (1 + the largest estimate's magnitude), or gives up
-after _MAX_ITERATIONS sweeps.  The iteration is sequential and the starting
-points are fixed, so the returned ordering (sorted by real part, then
-imaginary part) and everything accumulated from it is deterministic.
+few Newton steps.  Writing P = z^s Q with Q(0) != 0, ``find_roots`` returns
+the s zero roots as 0j exactly and runs both on Q alone.  The iteration stops
+once no step exceeds _TOLERANCE times (1 + the largest estimate's magnitude),
+or gives up after _MAX_ITERATIONS sweeps.  The iteration is sequential and
+the starting points are fixed, so the returned ordering (sorted by real part,
+then imaginary part) and everything accumulated from it is deterministic.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
             raise ValueError("characteristic polynomial needs degree >= 1")
         if coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
+        if not all(math.isfinite(math.hypot(c.real, c.imag)) for c in coeffs):
+            raise ValueError("coefficient magnitudes must be finite doubles")
         return super().__new__(cls, coeffs)
 
     @classmethod
@@ -105,17 +107,18 @@ class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
 def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
     """All roots, sorted by (real, imaginary); simple roots only.
 
-    When a_0 = 0 the root 0 is returned as ``0j`` exactly, and the iteration
-    and polish run on P(z)/z for the others; every check below is made on
-    the full P.  Raises ``MultipleRootUnsupported`` when two roots lie closer
-    than MIN_ROOT_SEPARATION (a repeated zero root, or one next to 0,
-    included) or |P'| at a root is below DERIVATIVE_MAGNITUDE_FLOOR times
-    |a_n|, and ``RootFindingError`` on non-convergence, naming the closest
+    For P = z^s Q with Q(0) != 0 the s zero roots are returned as ``0j``
+    exactly, and the iteration and polish run on Q for the others; every
+    check below is made on the full P.  Raises ``MultipleRootUnsupported``
+    when two roots lie closer than MIN_ROOT_SEPARATION (so for s >= 2 the
+    pair 0j, 0j, and a root next to 0) or |P'| at a root is below
+    DERIVATIVE_MAGNITUDE_FLOOR times |a_n|, and ``RootFindingError`` when
+    an estimate leaves double range, on non-convergence, naming the closest
     pair of final roots, or on a failed residual check.
     """
     coeffs = polynomial.coefficients
-    zero_root = coeffs[0] == 0
-    search = coeffs[1:] if zero_root else coeffs
+    zeros = next(i for i, c in enumerate(coeffs) if c != 0)
+    search = coeffs[zeros:]
     n = len(search) - 1
     leading = coeffs[-1]
     # The monic form has leading coefficient exactly 1, not leading / leading.
@@ -125,31 +128,35 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
 
     # Perturbed circle: Cauchy bound radius, angles offset off the axes so
     # real-coefficient symmetry cannot trap the iteration.
-    radius = 1.0 + max((abs(b) for b in monic.coefficients[:-1]), default=0.0)
-    estimates = [radius * cmath.exp(1j * (2.0 * math.pi * j / n + math.pi / (2 * n)))
-                 for j in range(n)]
-
     converged = False
-    for _ in range(_MAX_ITERATIONS):
-        largest_step = 0.0
-        for idx in range(n):
-            z = estimates[idx]
-            denom = 1 + 0j
-            for other in range(n):
-                if other != idx:
-                    denom *= z - estimates[other]
-            if denom == 0:
-                # Two estimates collided mid-flight; nudge deterministically.
-                estimates[idx] = z + 1e-6
-                largest_step = math.inf
-                continue
-            step = monic(z) / denom
-            estimates[idx] = z - step
-            largest_step = max(largest_step, abs(step))
-        scale = 1.0 + max(map(abs, estimates), default=0.0)
-        if largest_step <= _TOLERANCE * scale:
-            converged = True
-            break
+    try:
+        radius = 1.0 + max((abs(b) for b in monic.coefficients[:-1]),
+                           default=0.0)
+        estimates = [radius * cmath.exp(1j * (2.0 * math.pi * j / n
+                                              + math.pi / (2 * n)))
+                     for j in range(n)]
+        for _ in range(_MAX_ITERATIONS):
+            largest_step = 0.0
+            for idx in range(n):
+                z = estimates[idx]
+                denom = 1 + 0j
+                for other in range(n):
+                    if other != idx:
+                        denom *= z - estimates[other]
+                if denom == 0:
+                    # Two estimates collided; nudge deterministically.
+                    estimates[idx] = z + 1e-6
+                    largest_step = math.inf
+                    continue
+                step = monic(z) / denom
+                estimates[idx] = z - step
+                largest_step = max(largest_step, abs(step))
+            scale = 1.0 + max(map(abs, estimates), default=0.0)
+            if largest_step <= _TOLERANCE * scale:
+                converged = True
+                break
+    except OverflowError:  # abs() of a finite complex past double range
+        estimates = [cmath.nan] * n
 
     for idx in range(n):
         z = estimates[idx]
@@ -159,9 +166,10 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
                 break
             z = z - q(z) / slope
         estimates[idx] = z
+    if not all(map(cmath.isfinite, estimates)):
+        raise RootFindingError("a root estimate is outside double range")
 
-    if zero_root:
-        estimates.append(0j)
+    estimates += [0j] * zeros
     roots = sorted(estimates, key=lambda r: (r.real, r.imag))
     p = ComplexPolynomial(coeffs)
     dp = p.derivative()
@@ -174,7 +182,7 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
             raise MultipleRootUnsupported(
                 f"|P'({root})| is below {DERIVATIVE_MAGNITUDE_FLOOR:g} |a_n|")
     if not converged:
-        # A linear P or P(z)/z converges on the second sweep: a pair exists.
+        # Finite estimates of a linear or constant Q converge: a pair exists.
         a, b = min(combinations(roots, 2), key=lambda ab: abs(ab[0] - ab[1]))
         raise RootFindingError(
             f"no convergence after {_MAX_ITERATIONS} iterations; the closest "

@@ -292,8 +292,6 @@ def _parse_term(chunk: str) -> tuple[int, str | None]:
         if head.endswith("*"):
             head = head[:-1]
         return power, (head if head else None)
-    if not chunk:
-        raise ValueError("empty term")
     return 0, chunk
 
 

@@ -163,12 +163,16 @@ _HUGE_X30 = "1" + "0" * 300 + "*x^30"
     ["euler-gap", "--g", "x^30", "--x", "1e300", "--K", "3"],
     ["pfd", "--z", "1e200+1e200i", "--K", "3"],
     ["ode", "--coeffs=1,1,1", "--g", "x^400"],
+    ["ode", "--coeffs=1,5e-324", "--g", "x"],
+    ["ode", "--coeffs=1.7e308,1", "--g", "x"],
+    ["ode", "--coeffs=1,0,1e-300", "--g", "x"],
     ["spectral", "--g", _HUGE_X30, "--K", "5"],
     ["report", "residual-decay", "--g", _HUGE_X30, "--K-list", "10"],
-], ids=["euler-gap", "pfd", "ode", "spectral", "residual-decay"])
+], ids=["euler-gap", "pfd", "ode", "ode-root-nan", "ode-root-step",
+        "ode-root-square", "spectral", "residual-decay"])
 def test_overflow_from_finite_input_exits_1(argv, fmt, tmp_path, capsys):
     """Finite inputs whose result overflows; each once printed NaN or inf,
-    exit 0."""
+    exit 0, or, in the root search, exited 3 or named NaN estimates."""
     if argv[0] == "report":
         argv = argv + ["--out", str(tmp_path / "decay.csv")]
     code, out, err = _run(argv + ["--format", fmt], capsys)
@@ -195,6 +199,8 @@ def test_usage_errors_exit_2(capsys):
     assert _run(["pfd", "--z", "2j", "--K", "5"], capsys)[0] == 2
     assert _run(["ode", "--coeffs=5", "--g", "x"], capsys)[0] == 2
     assert _run(["ode", "--coeffs=1,0", "--g", "x"], capsys)[0] == 2
+    assert _run(["ode", "--coeffs=0.5,1.7e308+1.7e308i", "--g", "x"],
+                capsys)[0] == 2
     assert _run(["bernoulli", "-3"], capsys)[0] == 2
 
 

@@ -15,11 +15,15 @@ must agree within 1e-12 of the largest float magnitude in the same output.
 The stdout of ``bernoulli``, ``faulhaber`` and ``antidiff`` and the zeta
 coefficient must match byte for byte.
 
-A change that moves outputs on purpose regenerates the entries it moves:
+A change that moves outputs on purpose regenerates the entries it moves,
+and a new argv goes at the end of ``corpus_argvs()`` and is appended:
 
     PYTHONPATH=src python tests/test_cli_corpus.py --entries 17,18
+    PYTHONPATH=src python tests/test_cli_corpus.py --append
 
-and without ``--entries`` the whole file is written again.
+Either way the argvs past the end of the committed list are written and
+every other entry is left as it is; with neither flag the whole file is
+written again.
 """
 
 import argparse
@@ -253,6 +257,15 @@ def edge_argvs() -> list:
         # default report lists
         ["report", "residual-decay"] + out,
         ["report", "pfd-convergence", "--K-list", "10,20"] + out,
+        # appended after the first 260 entries: every zero root exact, root
+        # estimates outside double range, the last default report lists, a
+        # coefficient whose magnitude is outside double range
+        _ode(_degree_90("0")),
+        _ode("1,5e-324"),
+        _ode("1.7e308,1"),
+        _ode("1,0,1e-300"),
+        ["report", "ab-comparison"] + out,
+        _ode("0.5,1.7e308+1.7e308i"),
     ]
 
 
@@ -387,6 +400,25 @@ def test_comparison_allows_rounding_and_nothing_else():
          "csv": None})
 
 
+def test_partial_regeneration_appends_and_keeps_the_rest(tmp_path,
+                                                        monkeypatch):
+    golden = tmp_path / "corpus.json"
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    monkeypatch.setattr(sys.modules[__name__], "run_corpus",
+                        lambda argvs: [{"argv": a, "new": True} for a in argvs])
+    monkeypatch.setattr(sys.modules[__name__], "corpus_argvs",
+                        lambda: [["a"], ["b"], ["c"], ["d"]])
+    old = [{"argv": [word], "new": False} for word in "ab"]
+    golden.write_text(json.dumps({"python": "3", "entries": old}))
+    main(["--append"])
+    assert [(e["argv"], e["new"]) for e in load_golden()["entries"]] == [
+        (["a"], False), (["b"], False), (["c"], True), (["d"], True)]
+    golden.write_text(json.dumps({"python": "3", "entries": old}))
+    main(["--entries", "1"])
+    assert [(e["argv"], e["new"]) for e in load_golden()["entries"]] == [
+        (["a"], False), (["b"], True), (["c"], True), (["d"], True)]
+
+
 # ----------------------------------------------------------------------
 # regeneration
 # ----------------------------------------------------------------------
@@ -400,14 +432,17 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Write cli_corpus.json.")
     parser.add_argument("--entries", type=lambda s: [int(i) for i in s.split(",")],
                         help="regenerate only these entry indices")
+    parser.add_argument("--append", action="store_true",
+                        help="write only the argvs past the committed ones")
     args = parser.parse_args(argv)
     argvs = corpus_argvs()
-    if args.entries is None:
+    if args.entries is None and not args.append:
         _write(run_corpus(argvs))
         return
     entries = load_golden()["entries"]
-    fresh = run_corpus([argvs[i] for i in args.entries])
-    for i, entry in zip(args.entries, fresh):
+    indices = (args.entries or []) + list(range(len(entries), len(argvs)))
+    entries += [None] * (len(argvs) - len(entries))
+    for i, entry in zip(indices, run_corpus([argvs[i] for i in indices])):
         entries[i] = entry
     _write(entries)
 

@@ -55,6 +55,9 @@ def test_construction_validation():
         CharacteristicPolynomial((1.0, 2.0, 0.0))
     p = CharacteristicPolynomial((-1, 0, 1))
     assert p.degree == 2
+    # Each component is finite but |a_1| is not: abs() would overflow.
+    with pytest.raises(ValueError, match="magnitudes must be finite"):
+        CharacteristicPolynomial((0.5, complex(1.7e308, 1.7e308)))
 
 
 def test_find_roots_quadratic():
@@ -185,6 +188,37 @@ def test_root_next_to_the_zero_root_is_refused():
     with pytest.raises(MultipleRootUnsupported,
                        match=r"^roots \(-1e-07\+0j\) and 0j are closer"):
         solve_linear_ode(CharacteristicPolynomial((0, 1e-7, 1)), X)
+
+
+def test_every_zero_root_is_exact():
+    """P = z^s Q: the s roots 0 come back as 0j exactly, so for s >= 2 the
+    separation names the pair 0j, 0j; the iteration never sees them."""
+    rng = random.Random(20261020)
+    for _ in range(200):
+        roots = _separated_roots(rng)
+        lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+        q = [lead * c for c in _poly_from_roots(roots).coefficients]
+        zeros = [0] * rng.choice((2, 3))
+        with pytest.raises(MultipleRootUnsupported,
+                           match=r"^roots 0j and 0j are closer than 1e-06$"):
+            find_roots(CharacteristicPolynomial(zeros + q))
+    with pytest.raises(MultipleRootUnsupported, match=r"^roots 0j and 0j "):
+        find_roots(CharacteristicPolynomial([0] * 90 + [1]))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 5e-324), (1.7e308, 1), (1, 0, 1e-300)],
+                         ids=["a0-over-a1-overflows", "step-overflows",
+                              "square-overflows"])
+def test_estimate_outside_double_range_is_refused(coeffs):
+    """A NaN estimate, or an abs() past double range, once escaped as a
+    ValueError or OverflowError, or named NaN estimates as the closest."""
+    with pytest.raises(RootFindingError,
+                       match=r"^a root estimate is outside double range$"):
+        find_roots(CharacteristicPolynomial(coeffs))
+
+
+def test_root_near_the_top_of_double_range_is_found():
+    assert find_roots(CharacteristicPolynomial((9e307, 1))) == [-9e307 + 0j]
 
 
 def test_zero_root_is_exact_and_leaves_the_other_roots_alone():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,15 @@ def test_parse_rejects_garbage():
     for bad in ("", "x^", "1/2*", "y", "x^-1", "x^2^3", "1.5*x"):
         with pytest.raises(ValueError):
             parse_polynomial(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x)", "unbalanced parentheses in 'x)'"),
+    ("x2", "malformed term 'x2'"),
+])
+def test_parse_names_the_grammar_error(bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_polynomial(bad)
 
 
 def test_real_polynomial_round_trip():
