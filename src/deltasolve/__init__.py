@@ -7,14 +7,13 @@ Their agreement reproduces the partial fraction expansion of 1/(e^z - 1)
 and the closed forms for zeta at even integers; the same mode machinery also
 solves constant-coefficient linear ODEs with simple characteristic roots.
 
-The package re-exports every library module's ``__all__``; ``bernoulli``
-is the function, not the module.
-
-Importing the package executes none of its modules.  Each one is put in
-``sys.modules`` behind ``importlib.util.LazyLoader`` and runs on its first
-attribute access, so a CLI subcommand compiles only the modules it calls.
-The first lookup of a re-exported name, or of ``__all__``, loads the seven
-library modules (PEP 562 ``__getattr__``).
+Importing the package executes none of its modules.  Each but ``cli`` is
+put in ``sys.modules`` behind ``importlib.util.LazyLoader``, bound as
+``deltasolve.<name>``, and runs on its first attribute access, so a CLI
+subcommand compiles only the modules it calls.  Besides its modules the
+package holds only ``MAX_TABLE_ORDER`` and ``__version__``:
+``deltasolve.bernoulli`` is the module, and the function is
+``deltasolve.bernoulli.bernoulli``.
 
 Threads: the ``LazyLoader`` of Python 3.10 and 3.11 takes no lock (CPython
 added one later, gh-114763).  It marks a module loaded before running its
@@ -38,9 +37,6 @@ __version__ = "0.1.0"
 # defined here, so that the CLI parser can bound --n-max without loading zeta.
 MAX_TABLE_ORDER = 12
 
-_LIBRARY = ("bernoulli", "ode", "partial_fractions", "polynomials",
-            "rationals", "spectral", "zeta")
-
 
 def _register_lazily(name: str):
     """``deltasolve.<name>`` in ``sys.modules``, its code not yet run."""
@@ -52,27 +48,7 @@ def _register_lazily(name: str):
     return module
 
 
-for _name in _LIBRARY + ("reports",):
-    _module = _register_lazily(_name)
-    if _name != "bernoulli":  # the package's ``bernoulli`` is the function
-        globals()[_name] = _module
-del _name, _module
-
-
-def __getattr__(name: str):
-    """Binds the library modules' ``__all__`` names, and ``__all__`` as
-    their union, on the first lookup of a name not bound yet."""
-    namespace = globals()
-    if "__all__" not in namespace:
-        exported = []
-        for module_name in _LIBRARY:
-            module = _sys.modules[f"{__name__}.{module_name}"]
-            exported += module.__all__
-            namespace.update((attr, getattr(module, attr))
-                             for attr in module.__all__)
-        namespace["__all__"] = exported
-    try:
-        return namespace[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
+for _name in ("bernoulli", "ode", "partial_fractions", "polynomials",
+              "rationals", "reports", "spectral", "zeta"):
+    globals()[_name] = _register_lazily(_name)
+del _name

@@ -13,11 +13,12 @@ one envelope ``{"command", "inputs", "result", "meta"}`` whose numbers carry
 exactly the digits of the plain rendering.  Output is bit-for-bit
 reproducible for a fixed invocation, including across ``--threads`` values.
 
-The package registers its modules without running them.  This module binds
-those module objects and looks each function up on its module when a handler
-or argparse type runs, so a subcommand runs only the modules it calls, and a
-wrapper set on a module attribute takes effect.  ``json`` is imported only
-for ``--format json`` and ``csv`` only by ``report``.
+The package registers its modules without running them and binds each one
+as ``deltasolve.<name>``.  This module imports those module objects and looks
+each function up on its module when a handler or argparse type runs, so a
+subcommand runs only the modules it calls, and a wrapper set on a module
+attribute takes effect.  ``json`` is imported only for ``--format json`` and
+``csv`` only by ``report``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,8 @@ import argparse
 import math
 import sys
 
-from . import (MAX_TABLE_ORDER, ode, partial_fractions, polynomials,
-               rationals, reports, spectral, zeta)
-
-# The package attribute ``bernoulli`` is the function, and looking it up
-# runs every module (PEP 562), so the module comes from ``sys.modules``.
-bernoulli = sys.modules[f"{__package__}.bernoulli"]
+from . import (MAX_TABLE_ORDER, bernoulli, ode, partial_fractions,
+               polynomials, rationals, reports, spectral, zeta)
 
 __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
            "MAX_OPERATOR_DEGREE", "MAX_REPORT_TERMS"]

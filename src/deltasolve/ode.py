@@ -21,12 +21,13 @@ raises ``CoefficientOverflowError``.
 
 Roots come from a Weierstrass (Durand-Kerner) simultaneous iteration started
 on a perturbed circle whose radius is the Cauchy bound, then polished with a
-few Newton steps.  Writing P = z^s Q with Q(0) != 0, ``find_roots`` returns
-the s zero roots as 0j exactly and runs both on Q alone.  The iteration stops
-once no step exceeds _TOLERANCE times (1 + the largest estimate's magnitude),
-or gives up after _MAX_ITERATIONS sweeps.  The iteration is sequential and
-the starting points are fixed, so the returned ordering (sorted by real part,
-then imaginary part) and everything accumulated from it is deterministic.
+few Newton steps.  Writing P = z^s Q with Q(0) != 0, ``find_roots`` refuses
+s >= 2 at once, returns a zero root as 0j exactly and runs both on Q alone.
+The iteration stops once no step exceeds _TOLERANCE times (1 + the largest
+estimate's magnitude), or gives up after _MAX_ITERATIONS sweeps.  The
+iteration is sequential and the starting points are fixed, so the returned
+ordering (sorted by real part, then imaginary part) and everything
+accumulated from it is deterministic.
 """
 
 from __future__ import annotations
@@ -107,17 +108,21 @@ class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
 def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
     """All roots, sorted by (real, imaginary); simple roots only.
 
-    For P = z^s Q with Q(0) != 0 the s zero roots are returned as ``0j``
-    exactly, and the iteration and polish run on Q for the others; every
-    check below is made on the full P.  Raises ``MultipleRootUnsupported``
-    when two roots lie closer than MIN_ROOT_SEPARATION (so for s >= 2 the
-    pair 0j, 0j, and a root next to 0) or |P'| at a root is below
+    For P = z^s Q with Q(0) != 0 a zero root is returned as ``0j`` exactly,
+    and the iteration and polish run on Q for the others; every check below
+    is made on the full P.  Raises ``MultipleRootUnsupported`` when two
+    roots lie closer than MIN_ROOT_SEPARATION (for s >= 2 the pair 0j, 0j,
+    before any iteration; or a root next to 0) or |P'| at a root is below
     DERIVATIVE_MAGNITUDE_FLOOR times |a_n|, and ``RootFindingError`` when
-    an estimate leaves double range, on non-convergence, naming the closest
-    pair of final roots, or on a failed residual check.
+    an estimate leaves double range (or underflows to 0), on
+    non-convergence, naming the closest pair of final roots, or on a failed
+    residual check.
     """
     coeffs = polynomial.coefficients
     zeros = next(i for i, c in enumerate(coeffs) if c != 0)
+    if zeros >= 2:
+        raise MultipleRootUnsupported(
+            f"roots 0j and 0j are closer than {MIN_ROOT_SEPARATION:g}")
     search = coeffs[zeros:]
     n = len(search) - 1
     leading = coeffs[-1]
@@ -166,7 +171,8 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
                 break
             z = z - q(z) / slope
         estimates[idx] = z
-    if not all(map(cmath.isfinite, estimates)):
+    # Q(0) != 0, so an estimate of exactly 0 is one that underflowed.
+    if 0 in estimates or not all(map(cmath.isfinite, estimates)):
         raise RootFindingError("a root estimate is outside double range")
 
     estimates += [0j] * zeros

@@ -1,6 +1,5 @@
 """Bernoulli numbers, Faulhaber polynomials, exact antidifference."""
 
-import importlib
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,13 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from deltasolve import bernoulli as bernoulli_module
 from deltasolve.bernoulli import (BernoulliTable, antidifference_polynomial,
                                   bernoulli, faulhaber)
 from deltasolve.polynomials import Polynomial
 from deltasolve.rationals import binomial
-
-# The package re-exports the function ``bernoulli`` over the module's name.
-bernoulli_module = importlib.import_module("deltasolve.bernoulli")
 
 X = Polynomial((0, 1))
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import deltasolve
 from deltasolve.cli import (MAX_BERNOULLI_INDEX, MAX_OPERATOR_DEGREE,
                             MAX_REPORT_TERMS, MAX_TERMS, MAX_ZETA_INDEX,
                             _build_parser, main)
@@ -166,13 +167,15 @@ _HUGE_X30 = "1" + "0" * 300 + "*x^30"
     ["ode", "--coeffs=1,5e-324", "--g", "x"],
     ["ode", "--coeffs=1.7e308,1", "--g", "x"],
     ["ode", "--coeffs=1,0,1e-300", "--g", "x"],
+    ["ode", "--coeffs=1,1e308+1e308i", "--g", "x"],
     ["spectral", "--g", _HUGE_X30, "--K", "5"],
     ["report", "residual-decay", "--g", _HUGE_X30, "--K-list", "10"],
 ], ids=["euler-gap", "pfd", "ode", "ode-root-nan", "ode-root-step",
-        "ode-root-square", "spectral", "residual-decay"])
+        "ode-root-square", "ode-root-underflow", "spectral", "residual-decay"])
 def test_overflow_from_finite_input_exits_1(argv, fmt, tmp_path, capsys):
     """Finite inputs whose result overflows; each once printed NaN or inf,
-    exit 0, or, in the root search, exited 3 or named NaN estimates."""
+    exit 0, or, in the root search, exited 3, named NaN estimates or, for a
+    root that underflowed to 0, blamed close roots."""
     if argv[0] == "report":
         argv = argv + ["--out", str(tmp_path / "decay.csv")]
     code, out, err = _run(argv + ["--format", fmt], capsys)
@@ -427,7 +430,7 @@ def test_internal_errors_exit_3(error, monkeypatch, capsys):
     def broken(n):
         raise error
 
-    monkeypatch.setattr(sys.modules["deltasolve.bernoulli"], "bernoulli", broken)
+    monkeypatch.setattr(deltasolve.bernoulli, "bernoulli", broken)
     code, out, err = _run(["bernoulli", "3"], capsys)
     assert code == 3
     assert out == ""

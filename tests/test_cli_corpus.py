@@ -266,6 +266,8 @@ def edge_argvs() -> list:
         _ode("1,0,1e-300"),
         ["report", "ab-comparison"] + out,
         _ode("0.5,1.7e308+1.7e308i"),
+        # appended after the first 266 entries: a root that underflows to 0
+        _ode("1,1e308+1e308i"),
     ]
 
 

@@ -206,12 +206,28 @@ def test_every_zero_root_is_exact():
         find_roots(CharacteristicPolynomial([0] * 90 + [1]))
 
 
-@pytest.mark.parametrize("coeffs", [(1, 5e-324), (1.7e308, 1), (1, 0, 1e-300)],
+@pytest.mark.parametrize("coeffs", [
+    (0, 0, 1, 5e-324),
+    (0, 0, 1 + 1e-7, 2 + 1e-7, 1),
+], ids=["cofactor-outside-double-range", "cofactor-with-a-close-pair"])
+def test_repeated_zero_root_is_refused_before_any_sweep(coeffs):
+    """For s >= 2 the pair 0j, 0j is refused before Q is searched: Q's own
+    failure, a root outside double range or the close pair -1, -1 - 1e-7,
+    which sorts first, was named instead."""
+    with pytest.raises(MultipleRootUnsupported,
+                       match=r"^roots 0j and 0j are closer than 1e-06$"):
+        find_roots(CharacteristicPolynomial(coeffs))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 5e-324), (1.7e308, 1), (1, 0, 1e-300),
+                                    (1, 1e308 + 1e308j)],
                          ids=["a0-over-a1-overflows", "step-overflows",
-                              "square-overflows"])
+                              "square-overflows", "root-underflows"])
 def test_estimate_outside_double_range_is_refused(coeffs):
     """A NaN estimate, or an abs() past double range, once escaped as a
-    ValueError or OverflowError, or named NaN estimates as the closest."""
+    ValueError or OverflowError, or named NaN estimates as the closest.  The
+    root -1/c of 1 + c z, about 5e-309 for c = 1e308 + 1e308j, rounds to 0,
+    which Q(0) != 0 rules out; it was taken for a zero root."""
     with pytest.raises(RootFindingError,
                        match=r"^a root estimate is outside double range$"):
         find_roots(CharacteristicPolynomial(coeffs))

@@ -17,21 +17,23 @@ SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(deltasolve.__path
                     if info.name != "__main__")
 
 
-def test_package_all_resolves():
-    missing = [name for name in deltasolve.__all__ if not hasattr(deltasolve, name)]
-    assert missing == []
+MODULES = ("bernoulli", "ode", "partial_fractions", "polynomials",
+           "rationals", "reports", "spectral", "zeta")
 
 
-LIBRARY_MODULES = ("bernoulli", "ode", "partial_fractions", "polynomials",
-                   "rationals", "spectral", "zeta")
-
-
-def test_package_all_is_the_union_of_the_library_modules():
-    names = [name for module in LIBRARY_MODULES
-             for name in importlib.import_module(f"deltasolve.{module}").__all__]
-    assert sorted(deltasolve.__all__) == sorted(names)
-    assert deltasolve.bernoulli \
-        is importlib.import_module("deltasolve.bernoulli").bernoulli
+def test_package_binds_its_registered_modules_and_nothing_else():
+    """After ``import deltasolve`` each name is the registered module, none
+    of them has run, and no ``__getattr__`` maps a name to anything else."""
+    code = """
+import sys, types, deltasolve
+names = %r
+print(all(getattr(deltasolve, name) is sys.modules["deltasolve." + name]
+          for name in names),
+      [name for name in names
+       if type(sys.modules["deltasolve." + name]) is types.ModuleType],
+      hasattr(deltasolve, "__getattr__"), deltasolve.bernoulli.bernoulli(4))
+""" % (MODULES,)
+    assert _fresh(code).split() == ["True", "[]", "False", "-1/30"]
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -71,10 +73,16 @@ def _package_imports(path: Path) -> set:
 
 def test_the_cli_defers_imports_only_through_the_package():
     """The package's lazy registration is the only way the CLI delays an
-    import of its own modules: no function in ``cli.py`` imports one."""
+    import of its own modules: no function in ``cli.py`` imports one, and
+    no line reads ``sys.modules``."""
     path = Path(deltasolve.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "modules"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"] == []
     late = []
-    for function in ast.walk(ast.parse(path.read_text(), str(path))):
+    for function in ast.walk(tree):
         if not isinstance(function, ast.FunctionDef):
             continue
         for node in ast.walk(function):
@@ -202,24 +210,15 @@ owners = [sorted({obj.__module__ for obj in map(module.__getattribute__,
                   if callable(obj)}) for module in modules]
 loaded = [type(module) is types.ModuleType for module in modules]
 print(json.dumps([lazy, owners, loaded]))
-""" % (LIBRARY_MODULES + ("reports",),)
+""" % (MODULES,)
     lazy, owners, loaded = json.loads(_fresh(code))
-    names = LIBRARY_MODULES + ("reports",)
+    names = MODULES
     # deltasolve.bernoulli ran, and with it the two modules it imports
     assert [name for name, flag in zip(names, lazy) if not flag] \
         == ["bernoulli", "polynomials", "rationals"]
     for name, defined_in in zip(names, owners):
         assert f"deltasolve.{name}" in defined_in
     assert all(loaded)
-
-
-def test_package_names_resolve_on_first_access():
-    code = ("import sys, types, deltasolve\n"
-            "lazy = type(sys.modules['deltasolve.ode']) is not types.ModuleType\n"
-            "solve = deltasolve.solve_linear_ode\n"
-            "print(lazy, solve is sys.modules['deltasolve.ode'].solve_linear_ode,"
-            " deltasolve.bernoulli(4), len(deltasolve.__all__) > 40)")
-    assert _fresh(code).split() == ["True", "True", "-1/30", "True"]
 
 
 def test_domain_errors_share_one_base():
@@ -229,7 +228,6 @@ def test_domain_errors_share_one_base():
     from deltasolve.rationals import DeltasolveError
     from deltasolve.spectral import DegreeOverflowError
 
-    assert deltasolve.DeltasolveError is DeltasolveError
     for error in (PoleProximityError, MultipleRootUnsupported,
                   DegreeOverflowError, CoefficientOverflowError):
         assert issubclass(error, DeltasolveError)
