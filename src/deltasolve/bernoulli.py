@@ -16,17 +16,23 @@ coefficient of f (j >= 1) is
 read straight off the Bernoulli table; the Faulhaber polynomial is
 S_n(x) = antidifference(x^n) + x^n.
 
-Bernoulli numbers use the B_1 = -1/2 convention and come from the defining
-recurrence
+Bernoulli numbers use the B_1 = -1/2 convention.  B_0 = 1 and B_1 = -1/2
+are base cases, odd B_n, n >= 3, are 0 and appended without a sum, and
+each even B_m, m >= 2, comes from Ramanujan's lacunary recurrence
+(Ramanujan 1911, "Some properties of Bernoulli's numbers"):
 
-    sum_{k=0}^{n} C(n+1, k) B_k = 0,   B_0 = 1,
+    C(m+3, 3) B_m = A_m - sum_{1 <= j <= m/6} C(m+3, m-6j) B_{m-6j},
 
-solved for B_n.  The table keeps every B_k as an integer over one common
-denominator (the running lcm of the denominators stored so far), so each
-step sums plain integers; odd B_n, n >= 3, are 0 and appended without a
-sum.  They are deliberately *not* obtained by back-substituting zeta
-values: the zeta closed forms downstream are validated against these
-numbers, and that check would be circular if the numbers came from zeta.
+    A_m = (m+3)/3 for m = 0 or 2 (mod 6),   A_m = -(m+3)/6 for m = 4 (mod 6).
+
+It reads every sixth earlier entry, about m/6 products per step where the
+defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 reads every even one,
+about m/2; the defining recurrence is the tests' oracle for the table.  The
+table keeps every B_k as an integer over one common denominator (the
+running lcm of the denominators stored so far), so each step sums plain
+integers.  The numbers are deliberately *not* obtained by back-substituting
+zeta values: the zeta closed forms downstream are validated against them,
+and that check would be circular if the numbers came from zeta.
 """
 
 from __future__ import annotations
@@ -79,12 +85,18 @@ class BernoulliTable:
             self._values.append(Fraction(0))
             self._scaled.append(0)
             return
-        # C(m+1, m) B_m = -sum_{k<m} C(m+1, k) B_k, and C(m+1, m) = m + 1.
-        acc = 0
-        for k, b_k in enumerate(self._scaled):
-            if b_k:
-                acc += math.comb(m + 1, k) * b_k
-        b_m = Fraction(-acc, self._denominator * (m + 1))
+        if m == 1:
+            b_m = Fraction(-1, 2)
+        else:
+            # Ramanujan's recurrence (module docstring) with A_m = r/s and
+            # acc = d sum_j C(m+3, m-6j) B_{m-6j} over the common
+            # denominator d, so B_m = (r d - s acc) / (s d C(m+3, 3)).
+            r, s = (-(m + 3), 6) if m % 6 == 4 else (m + 3, 3)
+            acc = 0
+            for k in range(m - 6, -1, -6):
+                acc += math.comb(m + 3, k) * self._scaled[k]
+            d = self._denominator
+            b_m = Fraction(r * d - s * acc, s * d * math.comb(m + 3, 3))
         self._values.append(b_m)
         grow = b_m.denominator // math.gcd(b_m.denominator, self._denominator)
         if grow != 1:

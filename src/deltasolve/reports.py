@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from .partial_fractions import pfd_eval
 from .polynomials import Polynomial, format_complex
 from .spectral import SpectralConfig, difference_residual, spectral_solve
-from .zeta import verify_comparison
+from .zeta import _worst_mismatches
 
 __all__ = [
     "RESIDUAL_DECAY_HEADER",
@@ -77,5 +77,10 @@ def pfd_convergence_rows(z_values: Iterable[complex], k_values: Iterable[int],
 
 def ab_comparison_rows(n_values: Iterable[int], k_values: Iterable[int],
                        threads: int = 1) -> list[list]:
-    """Worst numeric-vs-exact coefficient mismatch, per (n, K)."""
-    return [[n, k, verify_comparison(n, k)] for n in n_values for k in k_values]
+    """Worst numeric-vs-exact coefficient mismatch, per (n, K): each row is
+    ``verify_comparison(n, K)``, with each K's power sums computed once for
+    every n."""
+    n_values, k_values = list(n_values), list(k_values)
+    worst = [_worst_mismatches(n_values, k) for k in k_values]
+    return [[n, k, by_n[i]] for i, n in enumerate(n_values)
+            for k, by_n in zip(k_values, worst)]

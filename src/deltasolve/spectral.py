@@ -175,9 +175,11 @@ def power_sums(exponents: Iterable[int],
 
 
 def _mode_part(forcing: Sequence[float],
-               truncation_order: int) -> list[float]:
+               sums: dict[int, float]) -> list[float]:
     """x^j coefficients of the paired modes 1 <= |k| <= K for the forcing
-    sum_p g_p x^p, g = forcing: the terms 2 g_p Re(c_j) S_m(K), m = p+1-j even.
+    sum_p g_p x^p, g = forcing: the terms 2 g_p Re(c_j) S_m(K), m = p+1-j
+    even, with S_m(K) = sums[m] from ``power_sums`` (every even
+    m <= len(forcing)).
 
     Against exact arithmetic on a = TWO_PI i (2 pi i within 2^-54 relative)
     and the float S_m, a term is within (2m + 1) 2^-53 relative to first
@@ -187,7 +189,6 @@ def _mode_part(forcing: Sequence[float],
     one term per coefficient.  A power whose coefficient is 0 adds nothing,
     so its unit mode is not built.
     """
-    sums = power_sums(range(2, len(forcing) + 1, 2), truncation_order)
     modes = [0.0] * len(forcing)
     for p, coeff in enumerate(forcing):
         if coeff == 0:
@@ -219,8 +220,10 @@ def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolut
     if config.include_correction:
         acc = acc + float_forcing * (-0.5)
     acc = acc + ComplexPolynomial.from_exact(forcing.antiderivative())
-    acc = acc + ComplexPolynomial(_mode_part(
-        [c.real for c in float_forcing.coefficients], config.truncation_order))
+    real_forcing = [c.real for c in float_forcing.coefficients]
+    sums = power_sums(range(2, len(real_forcing) + 1, 2),
+                      config.truncation_order)
+    acc = acc + ComplexPolynomial(_mode_part(real_forcing, sums))
     if not all(map(cmath.isfinite, acc.coefficients)):
         raise CoefficientOverflowError(
             "a solution coefficient is outside double range")

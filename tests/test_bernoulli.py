@@ -1,5 +1,6 @@
 """Bernoulli numbers, Faulhaber polynomials, exact antidifference."""
 
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -78,6 +79,44 @@ def test_table_matches_tangent_numbers():
     for n in range(3, 201, 2):
         value = table.value(n)
         assert type(value) is Fraction and value == 0, n
+
+
+def _defining_recurrence_table(n):
+    """(values, scaled, denominator) of a table grown to B_n by the defining
+    recurrence sum_{k<=m} C(m+1, k) B_k = 0, solved for B_m, in the same
+    representation: every B_k is scaled[k] / denominator, and the
+    denominator is the running lcm of the stored denominators."""
+    values, scaled, denominator = [Fraction(1)], [1], 1
+    for m in range(1, n + 1):
+        if m >= 3 and m % 2:
+            values.append(Fraction(0))
+            scaled.append(0)
+            continue
+        acc = sum(math.comb(m + 1, k) * b_k for k, b_k in enumerate(scaled))
+        b_m = Fraction(-acc, denominator * (m + 1))
+        values.append(b_m)
+        grow = b_m.denominator // math.gcd(b_m.denominator, denominator)
+        denominator *= grow
+        scaled = [b_k * grow for b_k in scaled]
+        scaled.append(b_m.numerator * (denominator // b_m.denominator))
+    return values, scaled, denominator
+
+
+def test_table_is_bit_identical_to_the_defining_recurrence():
+    # Ramanujan's recurrence reads B_{m-6j} from stored entries, so a table
+    # grown in steps must match a fresh one; B_401 = 0 leaves the
+    # denominator of B_0..B_400 as it is.
+    values, scaled, denominator = _defining_recurrence_table(401)
+    fresh = BernoulliTable()
+    fresh.value(400)
+    stepped = BernoulliTable()
+    for n in (7, 60, 401):
+        stepped.value(n)
+    for table, top in ((fresh, 400), (stepped, 401)):
+        assert table._values == values[:top + 1]
+        assert all(type(v) is Fraction for v in table._values)
+        assert table._scaled == scaled[:top + 1]
+        assert table._denominator == denominator
 
 
 def test_table_extension_is_thread_safe(monkeypatch):

@@ -49,8 +49,11 @@ FLOAT_TOLERANCE = 1e-12
 # Subcommands whose stdout is exact rational text.
 EXACT_COMMANDS = ("bernoulli", "faulhaber", "antidiff")
 # A float token, with the sign written next to it; integers and rationals
-# contain no "." or exponent and so stay part of the text.
-_FLOAT = re.compile(r"[-+]?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")
+# contain no "." or exponent and so stay part of the text.  A token starts
+# only where a run of digits starts: a match can start nowhere else, and
+# trying each digit of a long integer (B_1000 has 1,779) costs time
+# quadratic in its length.
+_FLOAT = re.compile(r"[-+]?(?<!\d)(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +176,8 @@ def edge_argvs() -> list:
         _ode("1,1"),
         _ode("-1-0.0i,1", "x^2"),
         _ode("-0.0,1", "x"),
-        # each cap, and one past it (bernoulli and faulhaber only past it:
-        # a cold table up to B_1000 takes about 2 s)
+        # each cap, and one past it (bernoulli and faulhaber at the cap are
+        # appended below)
         ["bernoulli", str(cli.MAX_BERNOULLI_INDEX + 1)],
         ["faulhaber", str(cli.MAX_BERNOULLI_INDEX + 1)],
         ["zeta", "--j", str(cli.MAX_ZETA_INDEX)],
@@ -268,6 +271,10 @@ def edge_argvs() -> list:
         _ode("0.5,1.7e308+1.7e308i"),
         # appended after the first 266 entries: a root that underflows to 0
         _ode("1,1e308+1e308i"),
+        # appended after the first 267 entries: bernoulli and faulhaber at
+        # their cap (a cold table up to B_1000 takes about 0.9 s)
+        ["bernoulli", str(cli.MAX_BERNOULLI_INDEX)],
+        ["faulhaber", str(cli.MAX_BERNOULLI_INDEX)],
     ]
 
 

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from deltasolve import zeta
 from deltasolve.polynomials import Polynomial
 from deltasolve.reports import (AB_COMPARISON_HEADER, PFD_CONVERGENCE_HEADER,
                                 RESIDUAL_DECAY_HEADER, ab_comparison_rows,
                                 pfd_convergence_rows, residual_decay_rows)
 from deltasolve.reports import _reciprocal_expm1
+from deltasolve.zeta import MAX_TABLE_ORDER, verify_comparison
 
 X_SQUARED = Polynomial((0, 0, 1))
 
@@ -42,6 +44,28 @@ def test_ab_comparison_rows():
     assert rows[0][2] == 0.0  # n = 1 has no comparable columns
     assert rows[1][:2] == [2, 100]
     assert rows[1][2] > 0.0
+
+
+def test_ab_comparison_sums_each_k_once_and_keeps_every_bit(monkeypatch):
+    # Out-of-order n and a repeated K: each row is verify_comparison's value
+    # bit for bit, though each K's power sums are computed once for all n.
+    n_values, k_values = [5, 1, 12, 2], [300, 7, 300]
+    expected = [[n, k, verify_comparison(n, k)]
+                for n in n_values for k in k_values]
+    calls = []
+    original = zeta.power_sums
+
+    def counted(exponents, order):
+        calls.append((list(exponents), order))
+        return original(exponents, order)
+
+    monkeypatch.setattr(zeta, "power_sums", counted)
+    assert ab_comparison_rows(n_values, k_values) == expected
+    assert calls == [(list(range(2, 14, 2)), k) for k in k_values]
+    with pytest.raises(ValueError):
+        ab_comparison_rows([1, MAX_TABLE_ORDER + 1], [10])
+    with pytest.raises(ValueError):
+        ab_comparison_rows([1, 2], [0])
 
 
 def test_rows_are_thread_invariant():
