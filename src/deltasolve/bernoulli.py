@@ -17,8 +17,11 @@ read straight off the Bernoulli table; the Faulhaber polynomial is
 S_n(x) = antidifference(x^n) + x^n.
 
 Bernoulli numbers use the B_1 = -1/2 convention.  B_0 = 1 and B_1 = -1/2
-are base cases, odd B_n, n >= 3, are 0 and appended without a sum, and
-each even B_m, m >= 2, comes from Ramanujan's lacunary recurrence
+are base cases.  Odd B_n, n >= 3, are 0: t/(e^t - 1) = sum B_n t^n/n!,
+and t/(e^t - 1) + t/2 = (t/2) coth(t/2) is even, so B_1 t is its only odd
+term.  ``value`` answers such an n at once, without growing the table;
+growth appends them as 0 without a sum.  Each even B_m, m >= 2, comes from Ramanujan's lacunary
+recurrence
 (Ramanujan 1911, "Some properties of Bernoulli's numbers"):
 
     C(m+3, 3) B_m = A_m - sum_{1 <= j <= m/6} C(m+3, m-6j) B_{m-6j},
@@ -33,6 +36,11 @@ running lcm of the denominators stored so far), so each step sums plain
 integers.  The numbers are deliberately *not* obtained by back-substituting
 zeta values: the zeta closed forms downstream are validated against them,
 and that check would be circular if the numbers came from zeta.
+
+Indices are capped at MAX_BERNOULLI_INDEX = 1000 (a cold table up to B_1000
+takes 0.7 to 0.9 s): ``bernoulli``, ``BernoulliTable.value``, ``faulhaber``
+and the antidifference of a forcing above degree 1000 raise
+``BernoulliIndexError`` before the table grows.
 """
 
 from __future__ import annotations
@@ -41,14 +49,29 @@ import math
 import threading
 from fractions import Fraction
 
+from . import MAX_BERNOULLI_INDEX
 from .polynomials import Polynomial
+from .rationals import DeltasolveError
 
 __all__ = [
+    "BernoulliIndexError",
     "BernoulliTable",
     "bernoulli",
     "faulhaber",
     "antidifference_polynomial",
 ]
+
+
+class BernoulliIndexError(DeltasolveError, ValueError):
+    """A Bernoulli index, or a Faulhaber power, above MAX_BERNOULLI_INDEX."""
+
+
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    if n > MAX_BERNOULLI_INDEX:
+        raise BernoulliIndexError(
+            f"Bernoulli index {n} must be <= {MAX_BERNOULLI_INDEX}")
 
 
 class BernoulliTable:
@@ -66,17 +89,28 @@ class BernoulliTable:
         return len(self._values) - 1
 
     def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("Bernoulli index must be >= 0")
+        """B_n for 0 <= n <= MAX_BERNOULLI_INDEX.  An odd n >= 3 returns 0
+        at once, without the lock or any growth (B_n = 0 by parity, module
+        docstring); any other n grows the table to n."""
+        _check_index(n)
+        if n >= 3 and n % 2:
+            return Fraction(0)
         with self._lock:
             while len(self._values) <= n:
                 self._append_next()
             return self._values[n]
 
     def _scaled_prefix(self, n: int) -> tuple[list[int], int]:
-        """(numerators, d) with B_k = numerators[k] / d for k = 0..n."""
-        self.value(n)
+        """(numerators, d) with B_k = numerators[k] / d for k = 0..n.
+
+        The table grows through ``value``; for an odd n >= 3, which
+        ``value`` does not grow to, the zero B_n is appended here.
+        """
+        _check_index(n)
+        self.value(n - 1 if n >= 3 and n % 2 else n)
         with self._lock:
+            while len(self._values) <= n:
+                self._append_next()
             return self._scaled[:n + 1], self._denominator
 
     def _append_next(self) -> None:
@@ -110,7 +144,8 @@ _TABLE = BernoulliTable()
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n in the B_1 = -1/2 convention (B_n = 0 for odd n >= 3)."""
+    """B_n in the B_1 = -1/2 convention, 0 <= n <= MAX_BERNOULLI_INDEX
+    (B_n = 0 for odd n >= 3, answered without growing the table)."""
     return _TABLE.value(n)
 
 
@@ -119,10 +154,11 @@ def _antidifference_coefficients(
     """Ascending coefficients of the antidifference of sum coeffs[n] x^n,
     constant term 0, from the Bernoulli-polynomial formula in the module
     docstring.  Each coefficient is one integer sum over the common
-    denominator q d of the forcing (q) and the table (d)."""
+    denominator q d of the forcing (q) and the table (d); the highest
+    index it reads is B_deg."""
     top = len(coeffs)
+    b, d = _TABLE._scaled_prefix(max(top - 1, 0))
     out = [Fraction(0)] * (top + 1)
-    b, d = _TABLE._scaled_prefix(top)
     q = math.lcm(*(c.denominator for c in coeffs))
     g = [c.numerator * (q // c.denominator) for c in coeffs]
     for j in range(1, top + 1):
@@ -148,6 +184,9 @@ def faulhaber(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("faulhaber requires n >= 0")
+    if n > MAX_BERNOULLI_INDEX:
+        raise BernoulliIndexError(
+            f"faulhaber power {n} must be <= {MAX_BERNOULLI_INDEX}")
     if n == 0:
         return Polynomial.monomial(1)
     coeffs = _antidifference_coefficients((Fraction(0),) * n + (Fraction(1),))
@@ -159,6 +198,8 @@ def antidifference_polynomial(forcing: Polynomial) -> Polynomial:
     """The unique f with f(x+1) - f(x) = forcing(x) and f(0) = 0.
 
     By linearity, the sum over n of forcing_n (B_{n+1}(x) - B_{n+1}) / (n+1);
-    the coefficients come straight from the Bernoulli table.
+    the coefficients come straight from the Bernoulli table, up to
+    B_deg, so a forcing above degree MAX_BERNOULLI_INDEX raises
+    ``BernoulliIndexError``.
     """
     return Polynomial(_antidifference_coefficients(forcing.coefficients))

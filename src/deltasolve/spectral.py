@@ -166,12 +166,18 @@ def power_sums(exponents: Iterable[int],
     totals = {}
     for m in exponents:
         power, total = -m, 0.0
-        start = truncation_order if m < 3 \
-            else min(truncation_order, _tail_cutoff(m))
-        for k in range(start, 0, -1):
+        for k in range(_pass_length(m, truncation_order), 0, -1):
             total += k ** power
         totals[m] = total
     return totals
+
+
+def _pass_length(m: int, truncation_order: int) -> int:
+    """The number of terms ``power_sums`` adds for S_m(K): K for m < 3,
+    else min(K, k1(m))."""
+    if m < 3:
+        return truncation_order
+    return min(truncation_order, _tail_cutoff(m))
 
 
 def _mode_part(forcing: Sequence[float],

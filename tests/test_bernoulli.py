@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from deltasolve import MAX_BERNOULLI_INDEX
 from deltasolve import bernoulli as bernoulli_module
-from deltasolve.bernoulli import (BernoulliTable, antidifference_polynomial,
-                                  bernoulli, faulhaber)
+from deltasolve.bernoulli import (BernoulliIndexError, BernoulliTable,
+                                  antidifference_polynomial, bernoulli,
+                                  faulhaber)
 from deltasolve.polynomials import Polynomial
 from deltasolve.rationals import binomial
 
@@ -51,6 +53,49 @@ def test_odd_indices_vanish():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_odd_index_answers_without_growing_the_table():
+    table = BernoulliTable()
+    for n in (3, 5, 201, MAX_BERNOULLI_INDEX - 1):
+        value = table.value(n)
+        assert type(value) is Fraction and value == 0, n
+    assert table.computed_up_to == 0
+    assert table.value(1) == Fraction(-1, 2)
+    assert table.computed_up_to == 1
+    # The antidifference's snapshot still holds every entry up to an odd n.
+    for n in (1, 3, 9, 61):
+        numerators, denominator = table._scaled_prefix(n)
+        assert len(numerators) == n + 1
+        assert [Fraction(b, denominator) for b in numerators] \
+            == _tangent_bernoulli(max(n, 2))[:n + 1]
+        assert table.computed_up_to == n
+
+
+def test_index_cap_is_checked_before_any_growth(monkeypatch):
+    fresh = BernoulliTable()
+    monkeypatch.setattr(bernoulli_module, "_TABLE", fresh)
+    over = [MAX_BERNOULLI_INDEX + 1, MAX_BERNOULLI_INDEX + 2]  # odd, even
+    for n in over:
+        for call in (fresh.value, fresh._scaled_prefix, bernoulli, faulhaber):
+            with pytest.raises(BernoulliIndexError,
+                               match=f"{n} must be <= {MAX_BERNOULLI_INDEX}"):
+                call(n)
+        with pytest.raises(BernoulliIndexError):
+            antidifference_polynomial(Polynomial.monomial(n))
+    assert fresh.computed_up_to == 0
+
+
+def test_antidifference_reads_the_table_up_to_its_degree(monkeypatch):
+    fresh = BernoulliTable()
+    monkeypatch.setattr(bernoulli_module, "_TABLE", fresh)
+    antidifference_polynomial(Polynomial.monomial(9))
+    assert fresh.computed_up_to == 9
+    # at the cap, the antidifference and faulhaber both still answer
+    top = Polynomial.monomial(MAX_BERNOULLI_INDEX)
+    assert antidifference_polynomial(top) \
+        == faulhaber(MAX_BERNOULLI_INDEX) - top
+    assert fresh.computed_up_to == MAX_BERNOULLI_INDEX
 
 
 def _tangent_bernoulli(n):
@@ -105,13 +150,16 @@ def _defining_recurrence_table(n):
 def test_table_is_bit_identical_to_the_defining_recurrence():
     # Ramanujan's recurrence reads B_{m-6j} from stored entries, so a table
     # grown in steps must match a fresh one; B_401 = 0 leaves the
-    # denominator of B_0..B_400 as it is.
+    # denominator of B_0..B_400 as it is.  ``value`` does not grow the
+    # table for an odd index, so the stepped table grows through the
+    # antidifference's snapshot, which appends the zero B_7 and B_401.
     values, scaled, denominator = _defining_recurrence_table(401)
     fresh = BernoulliTable()
     fresh.value(400)
     stepped = BernoulliTable()
     for n in (7, 60, 401):
-        stepped.value(n)
+        stepped._scaled_prefix(n)
+        assert stepped.computed_up_to == n
     for table, top in ((fresh, 400), (stepped, 401)):
         assert table._values == values[:top + 1]
         assert all(type(v) is Fraction for v in table._values)

@@ -317,13 +317,22 @@ def test_operator_degree_cap_is_checked_while_parsing(monkeypatch, capsys):
             f"{MAX_OPERATOR_DEGREE}" in err
 
 
-@pytest.mark.parametrize("study, points, terms_per_k", [
-    ("residual-decay", [], 1),
-    ("pfd-convergence", ["--z-list", "1,-1,0.5+0.5i"], 3),
-    ("ab-comparison", ["--n-max", "3"], 3),
-])
-def test_report_budget_is_checked_before_any_row(study, points, terms_per_k,
-                                                 monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("study, points, within, over, terms", [
+    ("residual-decay", [], "1000000,500000", "1000000,500001", 1_500_001),
+    ("pfd-convergence", ["--z-list", "1,-1,0.5+0.5i"], "500000",
+     "500000,1", 1_500_003),
+    # per K: K terms for S_2, min(K, 181761) for S_4, and 1000 for each of
+    # its three rows
+    ("ab-comparison", ["--n-max", "3"], "1000000,156119", "1000000,156120",
+     1_500_001),
+    # per K: K terms for S_2, and 1000 for its one row
+    ("ab-comparison", ["--n-max", "1"], "1000000,498000", "1000000,498001",
+     1_500_001),
+], ids=["residual-decay-points0-1", "pfd-convergence-points1-3",
+        "ab-comparison-points2-3", "ab-comparison-n-max-1"])
+def test_report_budget_is_checked_before_any_row(study, points, within, over,
+                                                 terms, monkeypatch, tmp_path,
+                                                 capsys):
     ran = []
     for name in ("residual_decay_rows", "pfd_convergence_rows",
                  "ab_comparison_rows"):
@@ -331,24 +340,21 @@ def test_report_budget_is_checked_before_any_row(study, points, terms_per_k,
                             lambda *args, **kwargs: ran.append(args) or [])
     out_path = tmp_path / "report.csv"
 
-    def argv(k_sum):
-        ks = [MAX_TERMS] * (k_sum // MAX_TERMS) + [k_sum % MAX_TERMS]
-        k_list = ",".join(str(k) for k in ks if k)
+    def argv(k_list):
         return ["report", study, *points, "--K-list", k_list,
                 "--out", str(out_path)]
 
-    assert MAX_REPORT_TERMS % terms_per_k == 0
-    # a report at the budget runs ...
-    code, _, err = _run(argv(MAX_REPORT_TERMS // terms_per_k), capsys)
+    # a report within the budget runs ...
+    code, _, err = _run(argv(within), capsys)
     assert (code, err, len(ran)) == (0, "", 1)
     assert out_path.exists()
     out_path.unlink()
-    # ... and one more K (terms_per_k more terms) is a usage error before
-    # any row runs or the CSV is opened
-    code, out, err = _run(argv(MAX_REPORT_TERMS // terms_per_k + 1), capsys)
+    # ... and a slightly larger K is a usage error before any row runs or
+    # the CSV is opened
+    code, out, err = _run(argv(over), capsys)
     assert (code, out, len(ran)) == (2, "", 1)
-    assert f"sums {MAX_REPORT_TERMS + terms_per_k} terms, more than the " \
-        f"budget of {MAX_REPORT_TERMS}" in err
+    assert f"sums {terms} terms, more than the budget of " \
+        f"{MAX_REPORT_TERMS}" in err
     assert not out_path.exists()
 
 

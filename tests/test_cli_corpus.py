@@ -275,6 +275,20 @@ def edge_argvs() -> list:
         # their cap (a cold table up to B_1000 takes about 0.9 s)
         ["bernoulli", str(cli.MAX_BERNOULLI_INDEX)],
         ["faulhaber", str(cli.MAX_BERNOULLI_INDEX)],
+        # appended after the first 269 entries: odd indices, which answer
+        # without growing the table, the cap in JSON (the plain one is
+        # above), and ab-comparison within its budget and just past it
+        ["bernoulli", "1"],
+        ["bernoulli", "1", "--format", "json"],
+        ["bernoulli", "3"],
+        ["bernoulli", "3", "--format", "json"],
+        ["bernoulli", str(cli.MAX_BERNOULLI_INDEX - 1)],
+        ["bernoulli", str(cli.MAX_BERNOULLI_INDEX - 1), "--format", "json"],
+        ["bernoulli", str(cli.MAX_BERNOULLI_INDEX + 1), "--format", "json"],
+        ["report", "ab-comparison", "--n-max", "12", "--K-list",
+         str(T)] + out,
+        ["report", "ab-comparison", "--n-max", "12", "--K-list",
+         f"{T},145591"] + out,
     ]
 
 
