@@ -11,9 +11,9 @@ Importing the package executes none of its modules.  Each but ``cli`` is
 put in ``sys.modules`` behind ``importlib.util.LazyLoader``, bound as
 ``deltasolve.<name>``, and runs on its first attribute access, so a CLI
 subcommand compiles only the modules it calls.  Besides its modules the
-package holds only ``MAX_TABLE_ORDER``, ``MAX_BERNOULLI_INDEX`` and
-``__version__``: ``deltasolve.bernoulli`` is the module, and the function
-is ``deltasolve.bernoulli.bernoulli``.
+package holds only ``MAX_TABLE_ORDER``, ``MAX_BERNOULLI_INDEX``,
+``MAX_TERMS`` and ``__version__``: ``deltasolve.bernoulli`` is the module,
+and the function is ``deltasolve.bernoulli.bernoulli``.
 
 Threads: the ``LazyLoader`` of Python 3.10 and 3.11 takes no lock (CPython
 added one later, gh-114763).  It marks a module loaded before running its
@@ -33,12 +33,16 @@ from importlib.util import module_from_spec as _module_from_spec
 
 __version__ = "0.1.0"
 
-# Largest forcing degree of the A/B coefficient tables in ``zeta``, and the
-# largest Bernoulli index that ``bernoulli`` grows its table to.  They are
-# defined here, so that the CLI parser can bound --n-max and n without
-# loading zeta or bernoulli.
+# Largest forcing degree of the A/B coefficient tables in ``zeta``, the
+# largest Bernoulli index that ``bernoulli`` grows its table to, and the
+# largest truncation order K (or term count N) that ``spectral.power_sums``,
+# ``spectral.SpectralConfig`` and ``partial_fractions.pfd_eval`` accept;
+# ``pfd_eval``, the slowest sum, takes about 0.3 s at 10^6 terms.  They are
+# defined here, so that the CLI parser can bound --n-max, n and K without
+# loading zeta, bernoulli or spectral.
 MAX_TABLE_ORDER = 12
 MAX_BERNOULLI_INDEX = 1000
+MAX_TERMS = 10 ** 6
 
 
 def _register_lazily(name: str):

@@ -14,7 +14,12 @@ coefficient of f (j >= 1) is
     (1/j) sum_{n >= j-1} g_n C(n, j-1) B_{n+1-j},
 
 read straight off the Bernoulli table; the Faulhaber polynomial is
-S_n(x) = antidifference(x^n) + x^n.
+S_n(x) = antidifference(x^n) + x^n.  A term is nonzero only where both
+g_n and B_{n+1-j} are, so the kernel visits just those pairs: each nonzero
+g_n meets B_0, B_1 and the even B_i up to B_n, about n/2 terms, and the
+monomial x^n behind S_n is one such n.  Every coefficient is still one
+exact integer sum over a common denominator and one ``Fraction``, so
+skipping the zero terms cannot change a bit of the result.
 
 Bernoulli numbers use the B_1 = -1/2 convention.  B_0 = 1 and B_1 = -1/2
 are base cases.  Odd B_n, n >= 3, are 0: t/(e^t - 1) = sum B_n t^n/n!,
@@ -153,21 +158,30 @@ def _antidifference_coefficients(
         coeffs: tuple[Fraction, ...]) -> list[Fraction]:
     """Ascending coefficients of the antidifference of sum coeffs[n] x^n,
     constant term 0, from the Bernoulli-polynomial formula in the module
-    docstring.  Each coefficient is one integer sum over the common
-    denominator q d of the forcing (q) and the table (d); the highest
-    index it reads is B_deg."""
+    docstring; the highest index it reads is B_deg.
+
+    It visits only the pairs (n, i = n+1-j) with g_n != 0 and B_i != 0
+    (i = 0, 1 or even): for each nonzero g_n, the nonzero B_i with i <= n,
+    added into the x^(n+1-i) coefficient.  Each coefficient is the exact
+    integer sum of its terms over the common denominator q d of the forcing
+    (q) and the table (d), turned into one ``Fraction(acc, j q d)``; the
+    terms it skips are exactly 0, and an integer sum does not depend on its
+    order, so the result is bit-identical to the sum over every pair."""
     top = len(coeffs)
     b, d = _TABLE._scaled_prefix(max(top - 1, 0))
-    out = [Fraction(0)] * (top + 1)
     q = math.lcm(*(c.denominator for c in coeffs))
-    g = [c.numerator * (q // c.denominator) for c in coeffs]
-    for j in range(1, top + 1):
-        acc = 0
-        for n in range(j - 1, top):
-            if g[n] and b[n + 1 - j]:
-                acc += g[n] * math.comb(n, j - 1) * b[n + 1 - j]
-        out[j] = Fraction(acc, j * q * d)
-    return out
+    # (i, B_i d) for the nonzero B_i below top: i = 0, 1 and the even i.
+    # The term of (n, i) is g_n C(n, j-1) B_i with j = n+1-i, and
+    # C(n, j-1) = C(n, i).
+    table = [(i, b[i]) for i in (0, 1, *range(2, top, 2)) if i < top]
+    acc = [0] * (top + 1)
+    for n, c in enumerate(coeffs):
+        if c:
+            g_n = c.numerator * (q // c.denominator)
+            for i, b_i in table[:min(n + 1, n // 2 + 2)]:
+                acc[n + 1 - i] += g_n * math.comb(n, i) * b_i
+    return [Fraction(0)] + [Fraction(acc[j], j * q * d)
+                            for j in range(1, top + 1)]
 
 
 def faulhaber(n: int) -> Polynomial:

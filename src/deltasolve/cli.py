@@ -27,44 +27,53 @@ import argparse
 import math
 import sys
 
-from . import (MAX_BERNOULLI_INDEX, MAX_TABLE_ORDER, bernoulli, ode,
-               partial_fractions, polynomials, rationals, reports, spectral,
-               zeta)
+from . import (MAX_BERNOULLI_INDEX, MAX_TABLE_ORDER, MAX_TERMS, bernoulli,
+               ode, partial_fractions, polynomials, rationals, reports,
+               spectral, zeta)
 
 __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
            "MAX_OPERATOR_DEGREE", "MAX_REPORT_TERMS"]
 
 # Caps on the inputs whose cost grows with their value, checked while the
 # arguments are parsed, so that one over the cap exits 2 before any loop.
-# MAX_TERMS bounds every truncation order K (--K, each --K-list entry) and
+# MAX_TERMS, which the package defines and the library checks as well,
+# bounds every truncation order K (--K, each --K-list entry) and
 # --oracle-N; pfd, the slowest sum, takes about 0.3 s at 10^6 terms.
-# MAX_BERNOULLI_INDEX, which the package defines and the library checks as
-# well, bounds n for bernoulli and faulhaber; a cold table up to B_1000
-# takes 0.7 to 0.9 s, an odd n >= 3 answers 0 at once without growing the
-# table, and antidiff never needs more, as parsed powers stop at
-# MAX_PARSED_DEGREE = 1000 and a degree-d forcing reads B_0..B_d.
+# MAX_BERNOULLI_INDEX, defined and checked the same way, bounds n for
+# bernoulli and faulhaber; a cold table up to B_1000 takes 0.7 to 0.9 s,
+# an odd n >= 3 answers 0 at once without growing the table, and antidiff
+# never needs more, as parsed powers stop at MAX_PARSED_DEGREE = 1000 and a
+# degree-d forcing reads B_0..B_d.
 # MAX_ZETA_INDEX bounds --j by cost: j = 300 needs B_600 from a cold table,
 # about 0.1 s (both in-process, 2-core Intel Xeon, Python 3.11).
 # MAX_OPERATOR_DEGREE bounds the degree n of ode --coeffs (n + 1 numbers):
 # each root-finder sweep costs O(n^2), and its worst case, all 200 sweeps
 # without convergence, takes 0.46 s for (z-1)^90 against 0.55 s for
 # (z-1)^100 (in-process, best of 5, 2-core Intel Xeon, Python 3.11).
-# MAX_REPORT_TERMS bounds the terms a report sums over all its rows:
-# |z-list| * sum(K-list) for pfd-convergence, sum(K-list) for
-# residual-decay, and for ab-comparison, per K, the terms of its power sums
-# S_m(K), each even m <= n-max + 1 once (K for m = 2, min(K, 181761) for
-# m = 4, at most 1293 for each m >= 6), plus _AB_ROW_TERMS for each of its
-# n-max rows: a row's fixed work, up to 0.1 ms at n = 12, costs about as
-# much as 1000 terms.  It is checked once the arguments are parsed.  At the
-# budget, pfd-convergence, the slowest per term, takes 0.41 s (one z,
-# --K-list 1000000,500000); residual-decay takes about 0.15 s, and
-# ab-comparison at most 0.22 s (--n-max 12 --K-list 1000000,145590; the
-# 1,488 rows of 124 K = 1 take 0.15 s), same machine and method as above.
-MAX_TERMS = 10 ** 6
+# MAX_REPORT_TERMS bounds the terms a report sums over all its rows, each
+# row charged its terms plus _ROW_TERMS[study] for its fixed work:
+# |z-list| * sum(K + 50) over the K-list for pfd-convergence (a row's
+# evaluation, exact reference and formatting take about 9 us, as long as
+# 37 terms), sum(K + 20000) for residual-decay (a solve and a 21-point
+# residual take up to 2.0 ms for a dense degree-30 forcing, as long as
+# 15,600 terms), and for ab-comparison, per K, the terms of its
+# power sums S_m(K), each even m <= n-max + 1 once (K for m = 2,
+# min(K, 181761) for m = 4, at most 1293 for each m >= 6), plus 1000 for
+# each of its n-max rows (a row's fixed work, up to 0.1 ms at n = 12).  It
+# is checked once the arguments are parsed.  At the budget, pfd-convergence,
+# the slowest per term, takes 0.34 to 0.48 s (one z, --K-list
+# 1000000,499900) and 0.22 to 0.36 s as 29,411 rows of K = 1;
+# residual-decay takes 0.16 to 0.17 s for a dense degree-30 forcing
+# (--K-list 1000000,460000) and 0.12 to 0.13 s as its 74 rows of K = 1,
+# where 2,000 such rows took 4.1 s before rows were charged; ab-comparison
+# takes at most 0.22 s (--n-max 12 --K-list 1000000,145590; the 1,488 rows
+# of 124 K = 1 take 0.15 s), same machine and method as above (the ranges
+# span three runs, as the machine's speed drifts).
 MAX_ZETA_INDEX = 300
 MAX_OPERATOR_DEGREE = 90
 MAX_REPORT_TERMS = 1_500_000
-_AB_ROW_TERMS = 1000
+_ROW_TERMS = {"pfd-convergence": 50, "residual-decay": 20_000,
+              "ab-comparison": 1000}
 
 _DOMAIN_ERRORS = (rationals.DeltasolveError, ZeroDivisionError, OSError)
 
@@ -241,15 +250,15 @@ def _run_report(args):
 
 
 def _report_terms(args) -> int:
-    """The terms a report sums over all its rows (the comment at
-    MAX_REPORT_TERMS)."""
+    """The terms a report sums over all its rows, plus each row's charge
+    (the comment at MAX_REPORT_TERMS)."""
+    charge = _ROW_TERMS[args.study] * len(args.K_list)
     if args.study == "ab-comparison":
         exponents = range(2, args.n_max + 2, 2)
         return sum(spectral._pass_length(m, k) for k in args.K_list
-                   for m in exponents) \
-            + _AB_ROW_TERMS * args.n_max * len(args.K_list)
+                   for m in exponents) + charge * args.n_max
     points = len(args.z_list) if args.study == "pfd-convergence" else 1
-    return points * sum(args.K_list)
+    return points * (sum(args.K_list) + charge)
 
 
 def _size_report(parser: argparse.ArgumentParser, args) -> None:

@@ -30,7 +30,7 @@ import math
 
 from .polynomials import CoefficientOverflowError, format_complex
 from .rationals import DeltasolveError
-from .spectral import TWO_PI, power_sums
+from .spectral import TWO_PI, _check_truncation_order, power_sums
 
 __all__ = [
     "POLE_EXCLUSION_RADIUS",
@@ -71,10 +71,10 @@ def pfd_eval(z: complex, truncation_order: int) -> complex:
       part of each term is the conditioning of d_k near a pole, the first
       the descending summation.
 
-    A finite z whose value is not finite raises ``CoefficientOverflowError``.
+    A finite z whose value is not finite raises ``CoefficientOverflowError``,
+    and a K above MAX_TERMS ``spectral.TruncationOrderError`` before the sum.
     """
-    if truncation_order < 1:
-        raise ValueError("truncation order must be >= 1")
+    _check_truncation_order(truncation_order)
     z = complex(z)
     k = round(z.imag / TWO_PI) if math.isfinite(z.imag) else 0
     if abs(k) <= truncation_order + 1 \
@@ -102,8 +102,7 @@ def laurent_from_modes(j: int, truncation_order: int) -> complex:
     """
     if j < 0:
         raise ValueError("power index must be >= 0")
-    if truncation_order < 1:
-        raise ValueError("truncation order must be >= 1")
+    _check_truncation_order(truncation_order)
     m = j + 1
     if m % 2 != 0:
         return 0j

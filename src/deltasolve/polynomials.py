@@ -83,7 +83,8 @@ class _DensePolynomial:
 
     def __init__(self, coefficients: Iterable = ()):
         scalar = self._scalar
-        self._coeffs: tuple = _trimmed([scalar(c) for c in coefficients])
+        self._coeffs: tuple = _trimmed(
+            [c if type(c) is scalar else scalar(c) for c in coefficients])
 
     @classmethod
     def zero(cls):

@@ -39,12 +39,14 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
+from . import MAX_TERMS
 from .polynomials import CoefficientOverflowError, ComplexPolynomial, Polynomial
 from .rationals import DeltasolveError
 
 __all__ = [
     "MAX_FORCING_DEGREE",
     "DegreeOverflowError",
+    "TruncationOrderError",
     "SpectralConfig",
     "SpectralSolution",
     "power_sums",
@@ -69,17 +71,30 @@ class DegreeOverflowError(DeltasolveError, ValueError):
     """Forcing degree exceeds what the double-precision mode sum supports."""
 
 
+class TruncationOrderError(DeltasolveError, ValueError):
+    """A truncation order K, or a term count N, above MAX_TERMS."""
+
+
+def _check_truncation_order(truncation_order: int) -> None:
+    """Refuse a K outside 1..MAX_TERMS, before any sum over K terms starts."""
+    if truncation_order < 1:
+        raise ValueError("truncation order must be >= 1")
+    if truncation_order > MAX_TERMS:
+        raise TruncationOrderError(
+            f"truncation order {truncation_order} must be <= {MAX_TERMS}")
+
+
 # Records are namedtuple subclasses: importing ``dataclasses`` would cost
 # every CLI start milliseconds.
 class SpectralConfig(namedtuple("SpectralConfig",
                                 "truncation_order include_correction")):
-    """Truncation order K (modes 1 <= |k| <= K) and the -g/2 correction flag."""
+    """Truncation order K (modes 1 <= |k| <= K, 1 <= K <= MAX_TERMS) and
+    the -g/2 correction flag."""
 
     __slots__ = ()
 
     def __new__(cls, truncation_order: int, include_correction: bool = True):
-        if truncation_order < 1:
-            raise ValueError("truncation order must be >= 1")
+        _check_truncation_order(truncation_order)
         return super().__new__(cls, truncation_order, include_correction)
 
     @classmethod
@@ -162,7 +177,10 @@ def power_sums(exponents: Iterable[int],
     CPython than one shared pass, and the fixed order makes results
     reproducible bit for bit.  ``k ** -m`` is a float power: it underflows
     to 0.0 for large m where ``1.0 / k ** m`` would raise OverflowError.
+    A K below 1 raises ``ValueError``, and one above MAX_TERMS
+    ``TruncationOrderError``, before any sum.
     """
+    _check_truncation_order(truncation_order)
     totals = {}
     for m in exponents:
         power, total = -m, 0.0

@@ -112,11 +112,10 @@ def coefficient_tables(n: int, truncation_order: int
 def _table_power_sums(orders: list[int],
                       truncation_order: int) -> dict[int, float]:
     """The power sums S_m(K) that the tables of every order in ``orders``
-    read, once both arguments are checked."""
+    read, once both arguments are checked (``power_sums`` checks the
+    truncation order)."""
     if not all(1 <= n <= MAX_TABLE_ORDER for n in orders):
         raise ValueError(f"table order must be in 1..{MAX_TABLE_ORDER}")
-    if truncation_order < 1:
-        raise ValueError("truncation order must be >= 1")
     return power_sums(range(2, max(orders, default=0) + 2, 2),
                       truncation_order)
 

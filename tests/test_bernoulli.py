@@ -293,6 +293,69 @@ def test_antidifference_round_trip_property():
     round_trip()
 
 
+def _dense_antidifference_coefficients(coeffs):
+    """The antidifference's coefficients as the package once summed them:
+    for each j, every n >= j-1 of the Bernoulli-polynomial formula, zero
+    terms tested and skipped one by one.  The oracle for the kernel, which
+    visits only the nonzero pairs."""
+    top = len(coeffs)
+    b, d = bernoulli_module._TABLE._scaled_prefix(max(top - 1, 0))
+    out = [Fraction(0)] * (top + 1)
+    q = math.lcm(*(c.denominator for c in coeffs))
+    g = [c.numerator * (q // c.denominator) for c in coeffs]
+    for j in range(1, top + 1):
+        acc = 0
+        for n in range(j - 1, top):
+            if g[n] and b[n + 1 - j]:
+                acc += g[n] * math.comb(n, j - 1) * b[n + 1 - j]
+        out[j] = Fraction(acc, j * q * d)
+    return out
+
+
+def _same_fractions(got, want):
+    return len(got) == len(want) and all(
+        type(a) is Fraction and (a.numerator, a.denominator)
+        == (b.numerator, b.denominator) for a, b in zip(got, want))
+
+
+def test_sparse_kernel_matches_the_dense_sum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                             max_denominator=10 ** 6)
+    # dense lists up to degree 60 with about half their coefficients 0,
+    # sparse ones with at most 6 nonzero terms, and monomials up to x^200
+    mostly_zero = st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                           max_size=61)
+    sparse = st.dictionaries(st.integers(0, 60), rationals, max_size=6).map(
+        lambda terms: [terms.get(n, Fraction(0))
+                       for n in range(max(terms, default=-1) + 1)])
+    monomials = st.tuples(st.integers(0, 200), rationals).map(
+        lambda term: [Fraction(0)] * term[0] + [term[1]])
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.one_of(mostly_zero, sparse, monomials))
+    @hypothesis.example([])
+    @hypothesis.example([Fraction(-7, 3)])
+    @hypothesis.example([Fraction(0)] * 200 + [Fraction(1)])
+    @hypothesis.example([Fraction(0)] * 60 + [Fraction(5, 7)])
+    def same_as_dense(coeffs):
+        g = Polynomial(coeffs)
+        want = _dense_antidifference_coefficients(g.coefficients)
+        assert _same_fractions(
+            bernoulli_module._antidifference_coefficients(g.coefficients),
+            want)
+        f = antidifference_polynomial(g)
+        assert _same_fractions(f.coefficients, Polynomial(want).coefficients)
+        if g.degree >= 1 and g == Polynomial.monomial(g.degree):
+            want[g.degree] += 1
+            assert _same_fractions(faulhaber(g.degree).coefficients,
+                                   Polynomial(want).coefficients)
+
+    same_as_dense()
+
+
 def test_bernoulli_against_sympy():
     sympy = pytest.importorskip("sympy")
     for n in range(301):

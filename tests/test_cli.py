@@ -318,9 +318,11 @@ def test_operator_degree_cap_is_checked_while_parsing(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("study, points, within, over, terms", [
-    ("residual-decay", [], "1000000,500000", "1000000,500001", 1_500_001),
-    ("pfd-convergence", ["--z-list", "1,-1,0.5+0.5i"], "500000",
-     "500000,1", 1_500_003),
+    # per K: K terms and 20000 for its row
+    ("residual-decay", [], "1000000,460000", "1000000,460001", 1_500_001),
+    # per z and K: K terms and 50 for its row
+    ("pfd-convergence", ["--z-list", "1,-1,0.5+0.5i"], "499950",
+     "499950,1", 1_500_153),
     # per K: K terms for S_2, min(K, 181761) for S_4, and 1000 for each of
     # its three rows
     ("ab-comparison", ["--n-max", "3"], "1000000,156119", "1000000,156120",
@@ -328,8 +330,14 @@ def test_operator_degree_cap_is_checked_while_parsing(monkeypatch, capsys):
     # per K: K terms for S_2, and 1000 for its one row
     ("ab-comparison", ["--n-max", "1"], "1000000,498000", "1000000,498001",
      1_500_001),
+    # many small K: the row charges fill the budget, not the terms
+    ("residual-decay", [], ",".join(["1"] * 74), ",".join(["1"] * 75),
+     1_500_075),
+    ("pfd-convergence", ["--z-list", "0.5+0.5i"], ",".join(["1"] * 29411),
+     ",".join(["1"] * 29412), 1_500_012),
 ], ids=["residual-decay-points0-1", "pfd-convergence-points1-3",
-        "ab-comparison-points2-3", "ab-comparison-n-max-1"])
+        "ab-comparison-points2-3", "ab-comparison-n-max-1",
+        "residual-decay-many-small-K", "pfd-convergence-many-small-K"])
 def test_report_budget_is_checked_before_any_row(study, points, within, over,
                                                  terms, monkeypatch, tmp_path,
                                                  capsys):

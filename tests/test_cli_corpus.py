@@ -191,9 +191,11 @@ def edge_argvs() -> list:
         ["pfd", "--z=1", "--K", str(T + 1)],
         _ode(_degree_90("0,1"), "1"),
         _ode(_degree_90("0,1") + ",1", "1"),
-        ["report", "residual-decay", "--g=1", "--K-list", f"{T},{R - T}"] + out,
+        # residual-decay charges each row K + 20000 terms
         ["report", "residual-decay", "--g=1", "--K-list",
-         f"{T},{R - T + 1}"] + out,
+         f"{T},{R - T - 40000}"] + out,
+        ["report", "residual-decay", "--g=1", "--K-list",
+         f"{T},{R - T - 40000 + 1}"] + out,
         ["report", "pfd-convergence", "--K-list", str(T + 1)] + out,
         ["report", "ab-comparison", "--n-max", "12", "--K-list", "10"] + out,
         ["report", "ab-comparison", "--n-max", "13", "--K-list", "10"] + out,

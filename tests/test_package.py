@@ -226,10 +226,11 @@ def test_domain_errors_share_one_base():
     from deltasolve.partial_fractions import PoleProximityError
     from deltasolve.polynomials import CoefficientOverflowError
     from deltasolve.rationals import DeltasolveError
-    from deltasolve.spectral import DegreeOverflowError
+    from deltasolve.spectral import DegreeOverflowError, TruncationOrderError
 
     for error in (PoleProximityError, MultipleRootUnsupported,
-                  DegreeOverflowError, CoefficientOverflowError):
+                  DegreeOverflowError, CoefficientOverflowError,
+                  TruncationOrderError):
         assert issubclass(error, DeltasolveError)
         assert issubclass(error, ValueError)
     assert issubclass(RootFindingError, DeltasolveError)

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from deltasolve import MAX_TERMS
 from deltasolve.bernoulli import bernoulli
 from deltasolve.partial_fractions import (POLE_EXCLUSION_RADIUS,
                                           PoleProximityError,
                                           laurent_from_modes, pfd_eval)
 from deltasolve.polynomials import CoefficientOverflowError
+from deltasolve.spectral import TruncationOrderError
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,6 +97,18 @@ def test_order_validation():
         laurent_from_modes(1, 0)
     with pytest.raises(ValueError):
         laurent_from_modes(-1, 10)
+
+
+def test_truncation_order_cap():
+    # z = 0 is a pole: at the cap the pole guard refuses it, above the cap
+    # the cap check comes first, so the K-term sum never starts
+    with pytest.raises(PoleProximityError):
+        pfd_eval(0.0, MAX_TERMS)
+    with pytest.raises(TruncationOrderError,
+                       match=f"{MAX_TERMS + 1} must be <= {MAX_TERMS}"):
+        pfd_eval(0.0, MAX_TERMS + 1)
+    with pytest.raises(TruncationOrderError):
+        laurent_from_modes(1, MAX_TERMS + 1)
 
 
 def test_laurent_even_powers_cancel_exactly():

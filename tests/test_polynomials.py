@@ -71,6 +71,72 @@ def test_canonical_form_and_degree():
     assert Polynomial((1, 2)) == Polynomial((Fraction(1), Fraction(2), Fraction(0)))
 
 
+class _Rational(Fraction):
+    """A Fraction subclass: the constructor converts it to a Fraction."""
+
+
+class _Complex(complex):
+    """A complex subclass: the constructor converts it to a complex."""
+
+
+def test_constructor_keeps_exact_scalars_and_converts_the_rest():
+    half, z = Fraction(1, 2), 1 - 2j
+    exact = Polynomial([3, True, half, _Rational(3, 4), False, Fraction(0),
+                        _Rational(0)])
+    assert exact.coefficients == (3, 1, half, Fraction(3, 4))
+    assert [type(c) for c in exact.coefficients] == [Fraction] * 4
+    assert exact.coefficients[2] is half  # stored as it is, not rebuilt
+    assert exact == Polynomial((3, 1, half, Fraction(3, 4)))
+    assert hash(exact) == hash(Polynomial((3, 1, half, Fraction(3, 4))))
+
+    floating = ComplexPolynomial([2, 1.5, z, _Complex(0, 3), 0.0, -0j,
+                                  _Complex(0)])
+    assert floating.coefficients == (2, 1.5, z, 3j)
+    assert [type(c) for c in floating.coefficients] == [complex] * 4
+    assert floating.coefficients[2] is z
+    assert floating == ComplexPolynomial((2, 1.5, z, 3j))
+    assert hash(floating) == hash(ComplexPolynomial((2, 1.5, z, 3j)))
+
+
+def test_constructor_matches_converting_every_coefficient():
+    """Against the constructor that converts every coefficient: the same
+    coefficients, each of the exact scalar type, the same equality and
+    hash."""
+    def exact_inputs(st):
+        return st.lists(st.one_of(
+            st.integers(-9, 9), st.booleans(), _rationals(st),
+            _rationals(st).map(lambda c: _Rational(c.numerator,
+                                                   c.denominator))),
+            max_size=12)
+
+    def check_exact(coeffs):
+        got = Polynomial(coeffs)
+        want = Polynomial([Fraction(c) for c in coeffs])
+        assert got.coefficients == want.coefficients
+        assert all(type(c) is Fraction for c in got.coefficients)
+        assert got == want and hash(got) == hash(want)
+
+    _check_property(check_exact, exact_inputs,
+                    [[], [0], [False, True], [_Rational(1, 3), 0, False]])
+
+    def complex_inputs(st):
+        return st.lists(st.one_of(
+            st.integers(-9, 9), _finite_floats(st), _finite_complexes(st),
+            _finite_complexes(st).map(_Complex)), max_size=12)
+
+    def check_complex(coeffs):
+        got = ComplexPolynomial(coeffs)
+        want = ComplexPolynomial([complex(c) for c in coeffs])
+        assert got.coefficients == want.coefficients
+        assert all(type(c) is complex for c in got.coefficients)
+        assert list(map(_signs, got.coefficients)) \
+            == list(map(_signs, want.coefficients))
+        assert got == want and hash(got) == hash(want)
+
+    _check_property(check_complex, complex_inputs,
+                    [[], [0.0], [-0.0, _Complex(1, -0.0)], [1j, 0, -0j]])
+
+
 def test_shift_examples():
     # Derived by expanding p(x+1); cross-checked by evaluation below.
     assert Polynomial((0, 0, 1)).translate(1) == Polynomial((1, 2, 1))

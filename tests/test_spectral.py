@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from deltasolve import MAX_TERMS
+from deltasolve import spectral as spectral_module
 from deltasolve.bernoulli import antidifference_polynomial
 from deltasolve.polynomials import (CoefficientOverflowError, ComplexPolynomial,
                                     Polynomial)
 from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
-                                 SpectralConfig, difference_residual,
-                                 euler_gap, exp_poly_integral,
-                                 mode_polynomial, power_sums, spectral_solve)
+                                 SpectralConfig, TruncationOrderError,
+                                 difference_residual, euler_gap,
+                                 exp_poly_integral, mode_polynomial,
+                                 power_sums, spectral_solve)
 from deltasolve.spectral import _tail_cutoff
 
 X = Polynomial((0, 1))
@@ -79,6 +82,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SpectralConfig(0)
     assert SpectralConfig(5).include_correction is True
+
+
+def test_truncation_order_cap(monkeypatch):
+    # the cap itself is accepted ...
+    assert SpectralConfig(MAX_TERMS).truncation_order == MAX_TERMS
+    assert power_sums((), MAX_TERMS) == {}
+    # ... and one more raises before any sum starts
+    def no_pass(*args):
+        raise AssertionError("a power sum started")
+    monkeypatch.setattr(spectral_module, "_pass_length", no_pass)
+    message = f"truncation order {MAX_TERMS + 1} must be <= {MAX_TERMS}"
+    with pytest.raises(TruncationOrderError, match=message):
+        power_sums((2, 4), MAX_TERMS + 1)
+    with pytest.raises(TruncationOrderError, match=message):
+        SpectralConfig(MAX_TERMS + 1)
+    with pytest.raises(TruncationOrderError, match=message):
+        SpectralConfig(5)._replace(truncation_order=MAX_TERMS + 1)
 
 
 def test_degree_cap():
@@ -229,9 +249,10 @@ def test_power_sums_stop_early_within_the_stated_bound():
     with mpmath.workdps(40):
         for m in range(3, 33):
             k1 = _tail_cutoff(m)
-            # k1(3) = 94906266: a pass near it takes seconds in pure Python
-            orders = [10 ** 5] if m == 3 \
-                else sorted({k1 - 1, k1, k1 + 1, 10 * k1, 10 ** 5})
+            # k1(3) = 94906266: a pass near it takes seconds in pure Python;
+            # 10 k1(4) is above MAX_TERMS, which power_sums refuses
+            orders = [10 ** 5] if m == 3 else sorted(
+                {k1 - 1, k1, k1 + 1, min(10 * k1, MAX_TERMS), 10 ** 5})
             for K in orders:
                 value = power_sums((m,), K)[m]
                 n = min(K, k1)
