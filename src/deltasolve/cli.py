@@ -59,8 +59,11 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # 15,600 terms), and for ab-comparison, per K, the terms of its
 # power sums S_m(K), each even m <= n-max + 1 once (K for m = 2,
 # min(K, 181761) for m = 4, at most 1293 for each m >= 6), plus 1000 for
-# each of its n-max rows (a row's fixed work, up to 0.1 ms at n = 12).  It
-# is checked once the arguments are parsed.  At the budget, pfd-convergence,
+# each of its n-max rows (a row's fixed work, up to 0.1 ms at n = 12).
+# That is the cost of a cold process; power_sums keeps its 256-term block
+# sums for the process, so a K whose blocks an earlier row or K computed
+# costs less, and the charge is then an upper bound.  It is checked once
+# the arguments are parsed.  At the budget, pfd-convergence,
 # the slowest per term, takes 0.34 to 0.48 s (one z, --K-list
 # 1000000,499900) and 0.22 to 0.36 s as 29,411 rows of K = 1;
 # residual-decay takes 0.16 to 0.17 s for a dense degree-30 forcing

@@ -12,9 +12,10 @@ integral-test bracket around the partial sum S_N = sum_{k<=N} k^(-2j):
     S_N + integral_{N+1}^inf t^(-2j) dt  <  zeta(2j)  <  S_N + integral_N^inf,
 
 which never touches Bernoulli numbers.  S_N comes from
-``spectral.power_sums``: exact for N <= k1(2j) up to the rounding of a
-descending sum, and within a further 2^-54 beyond it, where the bracket
-is already narrower than double rounding.
+``spectral.power_sums``, a plain sum of the terms k^(-2j) in a fixed
+two-level descending order: exact for N <= k1(2j) up to its rounding, a
+few ulps, and within a further 2^-54 beyond it, where the bracket is
+already narrower than double rounding.
 
 ``coefficient_tables`` compares the two solvers coefficient by coefficient
 for forcing x^n.  A(n, j) is the x^j coefficient of the truncated spectral
@@ -136,8 +137,8 @@ def verify_comparison(n: int, truncation_order: int) -> float:
 
 def _worst_mismatches(orders: list[int], truncation_order: int) -> list[float]:
     """verify_comparison(n, K) for each n in ``orders``, bit for bit, with
-    the power sums computed once for all of them: ``power_sums`` makes a
-    separate pass per m, so S_m(K) does not depend on which other m it
+    the power sums computed once for all of them: ``power_sums`` sums
+    each m on its own, so S_m(K) does not depend on which other m it
     computes."""
     sums = _table_power_sums(orders, truncation_order)
     return [_worst_mismatch(*_tables(n, sums)) for n in orders]

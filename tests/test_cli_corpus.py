@@ -291,6 +291,14 @@ def edge_argvs() -> list:
          str(T)] + out,
         ["report", "ab-comparison", "--n-max", "12", "--K-list",
          f"{T},145591"] + out,
+        # appended after the first 278 entries: power sums on both sides of
+        # the 256-term block boundaries
+        ["spectral", "--g=x^5 - 1/2*x^2 + x", "--K", "1023"],
+        ["spectral", "--g=x^5 - 1/2*x^2 + x", "--K", "1024"],
+        ["spectral", "--g=x^5 - 1/2*x^2 + x", "--K", "1025"],
+        ["zeta", "--j", "1", "--oracle-N", "1024"],
+        ["zeta", "--j", "1", "--oracle-N", "1025"],
+        ["report", "ab-comparison", "--K-list", "1024,2048,2049"] + out,
     ]
 
 

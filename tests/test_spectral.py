@@ -3,6 +3,8 @@ residuals, and the mode-by-mode pair sum as the reference oracle."""
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from deltasolve import MAX_TERMS
 from deltasolve import spectral as spectral_module
 from deltasolve.bernoulli import antidifference_polynomial
+from deltasolve.partial_fractions import laurent_from_modes, pfd_eval
 from deltasolve.polynomials import (CoefficientOverflowError, ComplexPolynomial,
                                     Polynomial)
 from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
@@ -17,7 +20,8 @@ from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  difference_residual, euler_gap,
                                  exp_poly_integral, mode_polynomial,
                                  power_sums, spectral_solve)
-from deltasolve.spectral import _tail_cutoff
+from deltasolve.spectral import _BLOCK, _tail_cutoff
+from deltasolve.zeta import coefficient_tables, zeta_partial_sum
 
 X = Polynomial((0, 1))
 TWO_PI = 2.0 * math.pi
@@ -208,29 +212,158 @@ def test_rounding_stays_within_the_stated_bound():
                 <= c * Fraction(1, 2 ** 53) * size, (forcing, config, j)
 
 
+def _descending(m, high, low):
+    total = 0.0
+    for k in range(high, low, -1):
+        total += k ** -m
+    return total
+
+
+def _oracle_blocks(m, count):
+    """The first ``count`` block sums of S_m, each in descending k."""
+    return [_descending(m, (b + 1) * _BLOCK, b * _BLOCK) for b in range(count)]
+
+
+def _two_level_sum(m, truncation_order):
+    """S_m(K) in the order ``power_sums`` documents: over n = K, or
+    min(K, k1(m)) for m >= 3, the partial block from n down, then the full
+    blocks' descending sums from high k to low k."""
+    n = truncation_order if m < 3 else min(truncation_order, _tail_cutoff(m))
+    full = n // _BLOCK
+    total = _descending(m, n, full * _BLOCK)
+    for block in reversed(_oracle_blocks(m, full)):
+        total += block
+    return total
+
+
 def test_power_sums_match_hurwitz_zeta():
     mpmath = pytest.importorskip("mpmath")
     exponents = range(2, 33)
+    orders = (1, 2, 10, 999, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10 ** 4,
+              10 ** 5, MAX_TERMS)
     with mpmath.workdps(40):
-        for K in (1, 2, 10, 999, 10 ** 4):
+        for K in orders:
             sums = power_sums(exponents, K)
             assert list(sums) == list(exponents)
             for m in exponents:
                 exact = mpmath.zeta(m) - mpmath.zeta(m, K + 1)
-                # Descending k: each addition rounds, by half an ulp, a
-                # partial sum that is a tail sum_{i=k..K} i^-m, and those
-                # tails add up to sum_{k<=K} k^(1-m); each term's power
-                # rounds once more.  Never above the K ulps of any order.
-                tails = math.fsum(k ** (1 - m) for k in range(1, K + 1))
+                # One descending pass: each addition rounds, by half an
+                # ulp, a partial sum that is a tail sum_{i=k..K} i^-m, and
+                # those tails add up to sum_{k<=K} k^(1-m); each term's
+                # power rounds once more.  Never above the K ulps of any
+                # order.  The bound stated for the two-level order has a
+                # second S_m; the results stay inside this tighter one.
+                tails = mpmath.harmonic(K) if m == 2 \
+                    else mpmath.zeta(m - 1) - mpmath.zeta(m - 1, K + 1)
                 bound = 2.0 ** -53 * (exact + tails)
                 assert abs(sums[m] - exact) <= bound, (m, K)
 
 
-def _full_descending_sum(m: int, truncation_order: int) -> float:
-    total = 0.0
-    for k in range(truncation_order, 0, -1):
-        total += k ** -m
-    return total
+def test_power_sums_do_not_depend_on_call_history(monkeypatch):
+    """Each S_m(K) equals the two-level oracle bit for bit, both after
+    any earlier sequence of calls and on a cleared block cache."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    near_boundary = st.builds(lambda b, d: max(1, b * _BLOCK + d),
+                              st.integers(0, 40), st.integers(-2, 2))
+    orders = st.one_of(near_boundary, st.integers(1, 40 * _BLOCK))
+    exponents = st.lists(st.integers(2, 9), min_size=1, max_size=4,
+                         unique=True)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.lists(st.tuples(exponents, orders), min_size=1,
+                               max_size=5))
+    @hypothesis.example([([2, 3], 5 * _BLOCK + 1), ([2, 7], _BLOCK - 1),
+                         ([3, 2], 2 * _BLOCK), ([2], 9 * _BLOCK - 1)])
+    def same_bits(calls):
+        monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+        in_sequence = [power_sums(ms, K) for ms, K in calls]
+        for (ms, K), sums in zip(calls, in_sequence):
+            assert sums == {m: _two_level_sum(m, K) for m in ms}, (ms, K)
+            monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+            assert power_sums(ms, K) == sums, (ms, K)
+
+    same_bits()
+
+
+def test_block_cache_is_thread_safe(monkeypatch):
+    exponents = (2, 3, 4, 5, 6, 7)
+    orders = [40 * _BLOCK + 3, 7 * _BLOCK, 25 * _BLOCK - 1, 60 * _BLOCK + 200]
+    expected = []
+    for K in orders:
+        monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+        expected.append(power_sums(exponents, K))
+    blocks_of = {m: _oracle_blocks(m, 60) for m in exponents}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            # four first calls on one cleared cache, switching threads often
+            monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(lambda K: power_sums(exponents, K),
+                                        orders, timeout=120))
+            assert results == expected
+            cache = spectral_module._BLOCKS
+            assert set(cache) <= set(exponents) and 2 in cache
+            for m, blocks in cache.items():
+                assert blocks == blocks_of[m][:len(blocks)], m
+    finally:
+        sys.setswitchinterval(interval)
+
+
+_CAPPED_ENTRIES = {
+    "power_sums": lambda K, i, z: power_sums((2, 3, 4, 6), K),
+    "SpectralConfig": lambda K, i, z: SpectralConfig(K, i % 2 == 0),
+    "pfd_eval": lambda K, i, z: pfd_eval(z, K),
+    "laurent_from_modes": lambda K, i, z: laurent_from_modes(i, K),
+    "zeta_partial_sum": lambda K, i, z: zeta_partial_sum(i + 1, K),
+    "coefficient_tables": lambda K, i, z: coefficient_tables(i + 1, K),
+}
+
+
+class _Untouchable:
+    """An evaluation point that fails the test once anything reads it."""
+
+    def __complex__(self):
+        raise AssertionError("the point was read before the cap check")
+
+
+def test_every_cap_rejects_before_any_sum(monkeypatch):
+    """K = 0 and K = MAX_TERMS + 1 raise at every entry that takes a K or
+    N, before any term is summed, and leave the block cache as it was."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+    power_sums(range(2, 8), 3000)
+    cache = spectral_module._BLOCKS
+    before = {m: (blocks, list(blocks)) for m, blocks in cache.items()}
+
+    def no_sum(*args):
+        raise AssertionError("a power sum started")
+    monkeypatch.setattr(spectral_module, "_descending_sum", no_sum)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(_CAPPED_ENTRIES)),
+                      st.sampled_from([0, MAX_TERMS + 1]),
+                      st.integers(0, 11))
+    def refused(entry, K, i):
+        error = ValueError if K < 1 else TruncationOrderError
+        with pytest.raises(error):
+            _CAPPED_ENTRIES[entry](K, i, _Untouchable())
+        assert spectral_module._BLOCKS is cache
+        assert cache.keys() == before.keys()
+        for m, (blocks, values) in before.items():
+            assert cache[m] is blocks and blocks == values, (entry, K, m)
+
+    refused()
+    # exponents below 2 are refused the same way
+    for exponents in ((2, 1), (0,), (4, -2)):
+        with pytest.raises(ValueError, match="exponents must be >= 2"):
+            power_sums(exponents, 10)
+    assert cache.keys() == before.keys()
 
 
 def test_tail_cutoff_is_the_smallest_order_with_a_small_tail():
@@ -256,9 +389,9 @@ def test_power_sums_stop_early_within_the_stated_bound():
             for K in orders:
                 value = power_sums((m,), K)[m]
                 n = min(K, k1)
-                if K <= k1:
-                    assert value == _full_descending_sum(m, K), (m, K)
+                assert value == _two_level_sum(m, K), (m, K)
                 exact = mpmath.zeta(m) - mpmath.zeta(m, K + 1)
+                # the single-pass bound, one S_m below the stated one
                 tails = math.fsum(k ** (1 - m) for k in range(1, n + 1))
                 bound = (2.0 ** -54 if n < K else 0.0) \
                     + 2.0 ** -53 * (float(exact) + tails)
