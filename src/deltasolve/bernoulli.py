@@ -87,6 +87,9 @@ class BernoulliTable:
         # B_k * _denominator for every stored k, all integers.
         self._scaled: list[int] = [1]
         self._denominator = 1
+        # _lcms[k]: the lcm of the denominators of B_0..B_k, which is
+        # _denominator right after B_k was appended.
+        self._lcms: list[int] = [1]
         self._lock = threading.Lock()
 
     @property
@@ -106,7 +109,10 @@ class BernoulliTable:
             return self._values[n]
 
     def _scaled_prefix(self, n: int) -> tuple[list[int], int]:
-        """(numerators, d) with B_k = numerators[k] / d for k = 0..n.
+        """(numerators, d) with B_k = numerators[k] / d for k = 0..n, and d
+        the lcm of the denominators of B_0..B_n, not of the whole table:
+        where they differ, each stored numerator is divided exactly by the
+        whole table's denominator over d.
 
         The table grows through ``value``; for an odd n >= 3, which
         ``value`` does not grow to, the zero B_n is appended here.
@@ -116,13 +122,18 @@ class BernoulliTable:
         with self._lock:
             while len(self._values) <= n:
                 self._append_next()
-            return self._scaled[:n + 1], self._denominator
+            scaled, d = self._scaled[:n + 1], self._lcms[n]
+            shrink = self._denominator // d
+        if shrink != 1:
+            scaled = [b_k // shrink for b_k in scaled]
+        return scaled, d
 
     def _append_next(self) -> None:
         m = len(self._values)
         if m >= 3 and m % 2:
             self._values.append(Fraction(0))
             self._scaled.append(0)
+            self._lcms.append(self._denominator)
             return
         if m == 1:
             b_m = Fraction(-1, 2)
@@ -143,6 +154,7 @@ class BernoulliTable:
             self._scaled = [b_k * grow for b_k in self._scaled]
         self._scaled.append(
             b_m.numerator * (self._denominator // b_m.denominator))
+        self._lcms.append(self._denominator)
 
 
 _TABLE = BernoulliTable()
@@ -164,7 +176,7 @@ def _antidifference_coefficients(
     (i = 0, 1 or even): for each nonzero g_n, the nonzero B_i with i <= n,
     added into the x^(n+1-i) coefficient.  Each coefficient is the exact
     integer sum of its terms over the common denominator q d of the forcing
-    (q) and the table (d), turned into one ``Fraction(acc, j q d)``; the
+    (q) and of B_0..B_deg (d), turned into one ``Fraction(acc, j q d)``; the
     terms it skips are exactly 0, and an integer sum does not depend on its
     order, so the result is bit-identical to the sum over every pair."""
     top = len(coeffs)

@@ -6,10 +6,11 @@ characteristic roots, a particular solution for polynomial forcing g is
     f = sum over roots r of (1/P'(r)) e^{r x} integral(e^{-r x} g dx),
 
 where each nonzero-root term is the polynomial ``spectral.mode_polynomial``
-builds and a zero root contributes the exact antiderivative, rounded once,
-divided by P'(0).  The terms are added in root order, sorted by real, then
-imaginary part.  With all integration constants zero every term is a
-polynomial, so the returned ``ExpPoly`` is a single exponent-zero term.
+builds and a zero root contributes the exact antiderivative, rounded once
+(``spectral._rounded``), divided by P'(0).  The terms are added in root
+order, sorted by real, then imaginary part.  With all integration constants
+zero every term is a polynomial, so the returned ``ExpPoly`` is a single
+exponent-zero term.
 Repeated or numerically near-multiple roots are outside this method and
 abort with ``MultipleRootUnsupported`` rather than return something
 half-right.  Roots that pass the separation tests can still be close enough
@@ -39,7 +40,7 @@ from itertools import combinations
 
 from .polynomials import CoefficientOverflowError, ComplexPolynomial, Polynomial
 from .rationals import DeltasolveError
-from .spectral import mode_polynomial
+from .spectral import _rounded, mode_polynomial
 
 __all__ = [
     "MIN_ROOT_SEPARATION",
@@ -234,11 +235,12 @@ def solve_linear_ode(polynomial: CharacteristicPolynomial,
     ``mode_polynomial(root, forcing)``; each is weighted by 1/P'(root).
     """
     coeffs = polynomial.coefficients
-    float_forcing = ComplexPolynomial.from_exact(forcing)
+    g, integral = _rounded(forcing)
+    float_forcing = ComplexPolynomial(g)
     dp = ComplexPolynomial(coeffs).derivative()
     total = ComplexPolynomial.zero()
     for root in find_roots(polynomial):
-        term = (ComplexPolynomial.from_exact(forcing.antiderivative())
+        term = (ComplexPolynomial(integral)
                 if root == 0 else mode_polynomial(root, float_forcing))
         total = total + term * (1.0 / dp(root))
     if not all(map(cmath.isfinite, total.coefficients)):

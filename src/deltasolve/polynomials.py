@@ -11,10 +11,14 @@ polynomials.  ``Polynomial`` (exact ``Fraction`` coefficients) adds the
 exact side's operator calculus: translation p(x) -> p(x+c) by a Taylor
 shift, forward difference p(x+1) - p(x) and antiderivative, all without
 rounding.  ``ComplexPolynomial`` is the double-precision sibling that
-truncated mode sums accumulate into.  The exact/float boundary is crossed
-only through ``ComplexPolynomial.from_exact`` or an explicit
-float()/complex() call, never implicitly; ``from_exact`` refuses a
-coefficient outside double range with ``CoefficientOverflowError``.
+truncated mode sums are returned in.  The exact/float boundary is crossed
+only through ``ComplexPolynomial.from_exact`` or an explicit rounding of
+each rational, never implicitly: ``Polynomial.__call__`` at a float would
+round each coefficient as it adds it, and nothing in the package calls it
+so.  The spectral side crosses once per call, in ``spectral._rounded``,
+which rounds a forcing and its antiderivative coefficient by coefficient
+to the same doubles as ``from_exact``; both refuse a coefficient outside
+double range with ``CoefficientOverflowError``.
 
 This module also owns the textual polynomial grammar shared by the CLI and
 the tests::
@@ -58,6 +62,10 @@ NEG_INFINITY = float("-inf")
 # Largest power the polynomial grammars accept.  A term's power sizes the
 # dense coefficient list, so it is checked before that list is built.
 MAX_PARSED_DEGREE = 1000
+
+# The message of a rational coefficient too large to round to a double.
+_OUT_OF_RANGE = ("a coefficient is outside double range "
+                 "(magnitude above about 1.8e308)")
 
 
 class CoefficientOverflowError(DeltasolveError, ValueError):
@@ -211,9 +219,7 @@ class ComplexPolynomial(_DensePolynomial):
         try:
             return cls(tuple(complex(float(c)) for c in polynomial.coefficients))
         except OverflowError:
-            raise CoefficientOverflowError(
-                "a coefficient is outside double range "
-                "(magnitude above about 1.8e308)") from None
+            raise CoefficientOverflowError(_OUT_OF_RANGE) from None
 
     def real_coefficients(self) -> tuple[float, ...]:
         return tuple(c.real for c in self._coeffs)

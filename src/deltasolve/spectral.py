@@ -32,17 +32,23 @@ k and kept per m once computed, then the blocks from high k to low k.  The
 result depends on m and n alone, never on earlier calls, and its error is
 the dropped tail plus 2^-53 (2 S_m + sum_{k<=n} k^(1-m)) of rounding.
 Pairing is structural: one-sided sums diverge for any linear forcing term.
+
+The solve and the residual cross from exact to double once per call
+(``_rounded``): each forcing coefficient g_n and each antiderivative
+coefficient g_n/(n+1) is rounded once from its exact rational, and all
+that follows is double arithmetic on lists, with one ``ComplexPolynomial``
+built at the end.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from . import MAX_TERMS
-from .polynomials import CoefficientOverflowError, ComplexPolynomial, Polynomial
+from .polynomials import (_OUT_OF_RANGE, CoefficientOverflowError,
+                          ComplexPolynomial, Polynomial)
 from .rationals import DeltasolveError
 
 __all__ = [
@@ -266,13 +272,34 @@ def _mode_part(forcing: Sequence[float],
     return modes
 
 
+def _rounded(forcing: Polynomial) -> tuple[list[float], list[float]]:
+    """The forcing's coefficients and its antiderivative's, each rounded
+    once from the exact rational: [g_0, ..., g_d] and [0.0, g_0/1, ...,
+    g_d/(d+1)], untrimmed.  Each is one correctly rounded integer division,
+    numerator / (denominator (n+1)) for g_n/(n+1), so these are the doubles
+    ``ComplexPolynomial.from_exact`` gives for the forcing and for
+    ``forcing.antiderivative()``, without building a ``Fraction``.  A
+    coefficient outside double range raises ``from_exact``'s
+    ``CoefficientOverflowError``."""
+    coeffs = forcing.coefficients
+    try:
+        return ([c.numerator / c.denominator for c in coeffs],
+                [0.0] + [c.numerator / (c.denominator * n)
+                         for n, c in enumerate(coeffs, 1)])
+    except OverflowError:
+        raise CoefficientOverflowError(_OUT_OF_RANGE) from None
+
+
 def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolution:
     """Truncated (optionally corrected) mode-sum solution of Df = forcing.
 
     polynomial_part = [-forcing/2 if corrected] + antiderivative(forcing)
         + sum over p, j with p+1-j even of 2 g_p Re(c_j) S_{p+1-j}(K) x^j,
     with c_j from ``exp_poly_integral(2 pi i, p)``; ``_mode_part`` bounds
-    their rounding.  All integration constants are zero, which picks one
+    their rounding.  The exact side is crossed once, by ``_rounded``: each
+    forcing and antiderivative coefficient is rounded once from its exact
+    rational, and the rest is double arithmetic, added per coefficient in
+    the order above.  All integration constants are zero, which picks one
     member of the solution family (solutions differ by 1-periodic
     functions).  A coefficient outside double range raises
     ``CoefficientOverflowError``.
@@ -281,19 +308,18 @@ def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolut
         raise DegreeOverflowError(
             f"forcing degree {forcing.degree} exceeds the supported maximum "
             f"of {MAX_FORCING_DEGREE}")
-    float_forcing = ComplexPolynomial.from_exact(forcing)
-    acc = ComplexPolynomial.zero()
+    g, coeffs = _rounded(forcing)
     if config.include_correction:
-        acc = acc + float_forcing * (-0.5)
-    acc = acc + ComplexPolynomial.from_exact(forcing.antiderivative())
-    real_forcing = [c.real for c in float_forcing.coefficients]
-    sums = power_sums(range(2, len(real_forcing) + 1, 2),
-                      config.truncation_order)
-    acc = acc + ComplexPolynomial(_mode_part(real_forcing, sums))
-    if not all(map(cmath.isfinite, acc.coefficients)):
+        for j, c in enumerate(g):
+            coeffs[j] += -0.5 * c
+    sums = power_sums(range(2, len(g) + 1, 2), config.truncation_order)
+    for j, c in enumerate(_mode_part(g, sums)):
+        coeffs[j] += c
+    if not all(map(math.isfinite, coeffs)):
         raise CoefficientOverflowError(
             "a solution coefficient is outside double range")
-    return SpectralSolution(polynomial_part=acc, config=config)
+    return SpectralSolution(polynomial_part=ComplexPolynomial(coeffs),
+                            config=config)
 
 
 def euler_gap(forcing: Polynomial, x: float, truncation_order: int) -> float:
@@ -315,18 +341,34 @@ def euler_gap(forcing: Polynomial, x: float, truncation_order: int) -> float:
     return gap
 
 
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    """sum_i coeffs[i] x^i in doubles.  It starts from x * 0.0, as
+    ``Polynomial.__call__`` does, so a point that is not finite gives a
+    value that is not finite, the zero polynomial included."""
+    acc = x * 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def difference_residual(solution: SpectralSolution, forcing: Polynomial,
                         sample_points: Sequence[float]) -> list[float]:
     """|s(x+1) - s(x) - forcing(x)| at each sample point.
 
+    Double Horner on the real parts of s (a solve's imaginary parts are
+    exactly 0) and on the forcing rounded once by ``_rounded``.  Evaluating
+    the exact forcing at a double adds float(g_n) at each step, as
+    ``Fraction`` falls back to float arithmetic, so the values are the same.
     A finite point whose residual is not finite raises
-    ``CoefficientOverflowError``.
+    ``CoefficientOverflowError``; a point that is not finite gives a
+    residual that is not finite.
     """
-    s = solution.polynomial_part
+    s = solution.polynomial_part.real_coefficients()
+    g, _ = _rounded(forcing)
     out = []
     for x in sample_points:
         x = float(x)
-        residual = abs(s(x + 1.0) - s(x) - forcing(x))
+        residual = abs(_horner(s, x + 1.0) - _horner(s, x) - _horner(g, x))
         if math.isfinite(x) and not math.isfinite(residual):
             raise CoefficientOverflowError(
                 f"the residual at x = {x!r} is outside double range")

@@ -356,6 +356,32 @@ def test_sparse_kernel_matches_the_dense_sum():
     same_as_dense()
 
 
+def test_antidifference_reads_the_denominator_of_its_prefix(monkeypatch):
+    """The kernel reads B_0..B_n over their own lcm, not the whole table's,
+    so a table grown to the cap gives the same antidifferences and
+    Faulhaber polynomials, Fraction for Fraction, as a fresh one."""
+    grown = BernoulliTable()
+    grown.value(MAX_BERNOULLI_INDEX)
+    numerators, d = grown._scaled_prefix(14)
+    assert d == math.lcm(*(grown.value(k).denominator for k in range(15)))
+    assert d == 30030 < grown._denominator
+    assert [Fraction(b, d) for b in numerators] \
+        == [grown.value(k) for k in range(15)]
+    rng = random.Random(20261019)
+    forcings = [Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                            if rng.random() < 0.7 else 0
+                            for _ in range(degree + 1)])
+                for degree in (0, 1, 5, 14, 14, 30, 40)]
+    results = []
+    for table in (grown, BernoulliTable()):
+        monkeypatch.setattr(bernoulli_module, "_TABLE", table)
+        results.append([antidifference_polynomial(g).coefficients
+                        for g in forcings]
+                       + [faulhaber(n).coefficients for n in (1, 14, 30, 40)])
+    for got, want in zip(*results):
+        assert _same_fractions(got, want)
+
+
 def test_bernoulli_against_sympy():
     sympy = pytest.importorskip("sympy")
     for n in range(301):

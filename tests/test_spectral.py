@@ -1,6 +1,7 @@
 """Corrected mode-sum solver: power sums, mode polynomials, truncation,
 residuals, and the mode-by-mode pair sum as the reference oracle."""
 
+import cmath
 import math
 import random
 import sys
@@ -481,3 +482,153 @@ def test_overflowing_residual_is_refused():
     # a point that is not finite is no finite input, and is not refused
     (residual,) = difference_residual(solution, forcing, [math.inf])
     assert not math.isfinite(residual)
+
+
+def _solve_oracle(forcing, config):
+    """``spectral_solve``'s coefficients as it once assembled them: sums of
+    ``ComplexPolynomial``s of -g/2, the ``Fraction`` antiderivative rounded
+    by ``from_exact``, and the mode part."""
+    float_forcing = ComplexPolynomial.from_exact(forcing)
+    acc = ComplexPolynomial.zero()
+    if config.include_correction:
+        acc = acc + float_forcing * (-0.5)
+    acc = acc + ComplexPolynomial.from_exact(forcing.antiderivative())
+    real_forcing = [c.real for c in float_forcing.coefficients]
+    sums = power_sums(range(2, len(real_forcing) + 1, 2),
+                      config.truncation_order)
+    acc = acc + ComplexPolynomial(spectral_module._mode_part(real_forcing,
+                                                             sums))
+    if not all(map(cmath.isfinite, acc.coefficients)):
+        raise CoefficientOverflowError(
+            "a solution coefficient is outside double range")
+    return acc.coefficients
+
+
+def _residual_oracle(solution, forcing, x):
+    """The residual at x with complex Horner on the solution and
+    ``Polynomial.__call__`` on the exact forcing at a float."""
+    s = solution.polynomial_part
+    residual = abs(s(x + 1.0) - s(x) - forcing(x))
+    if math.isfinite(x) and not math.isfinite(residual):
+        raise CoefficientOverflowError(
+            f"the residual at x = {x!r} is outside double range")
+    return [residual]
+
+
+def _gap_oracle(forcing, x, truncation_order):
+    uncorrected, corrected = (ComplexPolynomial(_solve_oracle(
+        forcing, SpectralConfig(truncation_order, flag)))
+        for flag in (False, True))
+    gap = (uncorrected(x) - corrected(x)).real
+    if math.isfinite(x) and not math.isfinite(gap):
+        raise CoefficientOverflowError(
+            f"the gap at x = {x!r} is outside double range")
+    return gap
+
+
+def _outcome(fn, *args):
+    """repr of what ``fn(*args)`` returns, or the class and message of the
+    ``CoefficientOverflowError`` it raises."""
+    try:
+        return repr(fn(*args))
+    except CoefficientOverflowError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def test_rounded_once_matches_the_polynomial_sums():
+    """Coefficients, residuals and Euler gaps equal the oracle's bit for
+    bit, compared by repr, for forcings whose coefficients are 0, ordinary
+    rationals, or above 1e300 (some beyond double range)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficients = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                     max_denominator=10 ** 6),
+        st.builds(lambda m, e: Fraction(m * 10 ** e),
+                  st.integers(-999, 999).filter(bool), st.integers(300, 306)))
+    forcings = st.lists(coefficients, min_size=1,
+                        max_size=MAX_FORCING_DEGREE + 1).map(Polynomial)
+    orders = st.one_of(st.sampled_from([1, 255, 256, 257]),
+                       st.integers(1, 5 * 10 ** 4))
+    points = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e10, -1e10]),
+                                st.floats(-1e3, 1e3)), min_size=1, max_size=4)
+    beyond = Polynomial([1, 2, 10 ** 309])
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(forcings, orders, st.booleans(), points)
+    @hypothesis.example(beyond, 3, True, [0.5])
+    @hypothesis.example(Polynomial(()), 1, False, [-0.0])
+    @hypothesis.example(Polynomial([0] * 30 + [10 ** 300]), 5, True, [1.0])
+    def same_bits(forcing, truncation_order, corrected, xs):
+        config = SpectralConfig(truncation_order, corrected)
+        want = _outcome(_solve_oracle, forcing, config)
+        try:
+            solution = spectral_solve(forcing, config)
+        except CoefficientOverflowError as error:
+            assert f"CoefficientOverflowError: {error}" == want
+            return
+        assert repr(solution.polynomial_part.coefficients) == want
+        for x in xs:
+            assert _outcome(difference_residual, solution, forcing, [x]) \
+                == _outcome(_residual_oracle, solution, forcing, x), x
+        for x in xs[:2]:
+            assert _outcome(euler_gap, forcing, x, truncation_order) \
+                == _outcome(_gap_oracle, forcing, x, truncation_order), x
+
+    same_bits()
+    message = ("a coefficient is outside double range "
+               "(magnitude above about 1.8e308)")
+    with pytest.raises(CoefficientOverflowError) as error:
+        spectral_solve(beyond, SpectralConfig(3))
+    assert str(error.value) == message
+
+
+def test_subnormal_coefficients_may_flip_the_sign_of_a_zero():
+    """Where a coefficient rounds to a subnormal that underflows when
+    halved or divided, the oracle's sums skip a trailing zero that the
+    single list adds: x^2 of the oracle is -0.0 here, and 0.0 from
+    ``spectral_solve``.  The values still compare equal."""
+    forcing = Polynomial([0, Fraction(-1, 2 ** 1074), 1])
+    config = SpectralConfig(1, include_correction=False)
+    got = spectral_solve(forcing, config).polynomial_part.coefficients
+    want = _solve_oracle(forcing, config)
+    assert got == want
+    assert math.copysign(1.0, want[2].real) == -1.0
+    assert math.copysign(1.0, got[2].real) == 1.0
+
+
+def test_a_point_that_is_not_finite_gives_a_residual_that_is_not_finite():
+    for forcing in (Polynomial(()), X, Polynomial((1, 0, 3))):
+        solution = spectral_solve(forcing, SpectralConfig(3))
+        residuals = difference_residual(solution, forcing,
+                                        [math.inf, -math.inf, math.nan])
+        assert not any(map(math.isfinite, residuals)), forcing
+
+
+def test_each_solve_builds_every_unit_mode_it_uses(monkeypatch):
+    """One ``exp_poly_integral`` per nonzero forcing power on every call,
+    none cached, and two solves per Euler gap: the counts the benchmark's
+    tracer reads."""
+    built, solves = [], []
+    unit_mode, solve = spectral_module.exp_poly_integral, spectral_solve
+
+    def counted_mode(a, p):
+        built.append(p)
+        return unit_mode(a, p)
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+    monkeypatch.setattr(spectral_module, "exp_poly_integral", counted_mode)
+    monkeypatch.setattr(spectral_module, "spectral_solve", counted_solve)
+    forcing = Polynomial([3, 0, 0, Fraction(1, 2), 0, 0, 7])
+    for _ in range(2):
+        built.clear()
+        spectral_solve(forcing, SpectralConfig(40))
+        assert built == [0, 3, 6]
+    built.clear()
+    euler_gap(forcing, 0.25, 40)
+    assert len(solves) == 2
+    assert built == [0, 3, 6] * 2
