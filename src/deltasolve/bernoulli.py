@@ -24,9 +24,9 @@ skipping the zero terms cannot change a bit of the result.
 Bernoulli numbers use the B_1 = -1/2 convention.  B_0 = 1 and B_1 = -1/2
 are base cases.  Odd B_n, n >= 3, are 0: t/(e^t - 1) = sum B_n t^n/n!,
 and t/(e^t - 1) + t/2 = (t/2) coth(t/2) is even, so B_1 t is its only odd
-term.  ``value`` answers such an n at once, without growing the table;
-growth appends them as 0 without a sum.  Each even B_m, m >= 2, comes from Ramanujan's lacunary
-recurrence
+term.  The table stores only B_0 and the even B_m; ``value`` answers an odd
+n at once, without the lock or any growth, and odd numbers are never
+stored.  Each even B_m, m >= 2, comes from Ramanujan's lacunary recurrence
 (Ramanujan 1911, "Some properties of Bernoulli's numbers"):
 
     C(m+3, 3) B_m = A_m - sum_{1 <= j <= m/6} C(m+3, m-6j) B_{m-6j},
@@ -36,11 +36,12 @@ recurrence
 It reads every sixth earlier entry, about m/6 products per step where the
 defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 reads every even one,
 about m/2; the defining recurrence is the tests' oracle for the table.  The
-table keeps every B_k as an integer over one common denominator (the
-running lcm of the denominators stored so far), so each step sums plain
-integers.  The numbers are deliberately *not* obtained by back-substituting
-zeta values: the zeta closed forms downstream are validated against them,
-and that check would be circular if the numbers came from zeta.
+table keeps every stored B_m as an integer over one common denominator (the
+running lcm of the stored denominators and of B_1's 2), so each step sums
+plain integers.  The numbers are deliberately *not* obtained by
+back-substituting zeta values: the zeta closed forms downstream are
+validated against them, and that check would be circular if the numbers
+came from zeta.
 
 Indices are capped at MAX_BERNOULLI_INDEX = 1000 (a cold table up to B_1000
 takes 0.7 to 0.9 s): ``bernoulli``, ``BernoulliTable.value``, ``faulhaber``
@@ -80,75 +81,68 @@ def _check_index(n: int) -> None:
 
 
 class BernoulliTable:
-    """Memoised Bernoulli numbers with thread-safe on-demand extension."""
+    """Memoised Bernoulli numbers with thread-safe on-demand extension.
+
+    Only B_0 and the even B_2k are stored, one slot per even index: B_1 and
+    the odd zeros are constants that ``value`` answers without growth."""
 
     def __init__(self) -> None:
+        # _values[k] = B_2k and _scaled[k] = B_2k * _denominator, an integer.
         self._values: list[Fraction] = [Fraction(1)]
-        # B_k * _denominator for every stored k, all integers.
-        self._scaled: list[int] = [1]
-        self._denominator = 1
-        # _lcms[k]: the lcm of the denominators of B_0..B_k, which is
-        # _denominator right after B_k was appended.
-        self._lcms: list[int] = [1]
+        self._scaled: list[int] = [2]
+        # The running lcm of the stored denominators.  It starts at 2, the
+        # denominator of B_1, so B_1 is the integer -d // 2 over any prefix
+        # lcm d.
+        self._denominator = 2
+        # _lcms[k]: _denominator right after B_2k was stored.
+        self._lcms: list[int] = [2]
         self._lock = threading.Lock()
 
     @property
     def computed_up_to(self) -> int:
-        return len(self._values) - 1
+        return 2 * (len(self._values) - 1)
 
     def value(self, n: int) -> Fraction:
-        """B_n for 0 <= n <= MAX_BERNOULLI_INDEX.  An odd n >= 3 returns 0
-        at once, without the lock or any growth (B_n = 0 by parity, module
-        docstring); any other n grows the table to n."""
+        """B_n for 0 <= n <= MAX_BERNOULLI_INDEX.  An odd n returns B_1 or
+        0 at once, without the lock or any growth (module docstring); an
+        even n grows the table to n."""
         _check_index(n)
-        if n >= 3 and n % 2:
-            return Fraction(0)
+        if n % 2:
+            return Fraction(-1, 2) if n == 1 else Fraction(0)
         with self._lock:
-            while len(self._values) <= n:
+            while len(self._values) <= n // 2:
                 self._append_next()
-            return self._values[n]
+            return self._values[n // 2]
 
     def _scaled_prefix(self, n: int) -> tuple[list[int], int]:
-        """(numerators, d) with B_k = numerators[k] / d for k = 0..n, and d
-        the lcm of the denominators of B_0..B_n, not of the whole table:
-        where they differ, each stored numerator is divided exactly by the
-        whole table's denominator over d.
-
-        The table grows through ``value``; for an odd n >= 3, which
-        ``value`` does not grow to, the zero B_n is appended here.
-        """
+        """(numerators, d) with B_2k = numerators[k] / d for 2k <= n, and d
+        the lcm of the denominators of B_0..B_n and 2, not of the whole
+        table: where they differ, each stored numerator is divided exactly
+        by the whole table's denominator over d.  The table grows only
+        through ``value``."""
         _check_index(n)
-        self.value(n - 1 if n >= 3 and n % 2 else n)
+        self.value(n - n % 2)
         with self._lock:
-            while len(self._values) <= n:
-                self._append_next()
-            scaled, d = self._scaled[:n + 1], self._lcms[n]
+            scaled, d = self._scaled[:n // 2 + 1], self._lcms[n // 2]
             shrink = self._denominator // d
         if shrink != 1:
             scaled = [b_k // shrink for b_k in scaled]
         return scaled, d
 
     def _append_next(self) -> None:
-        m = len(self._values)
-        if m >= 3 and m % 2:
-            self._values.append(Fraction(0))
-            self._scaled.append(0)
-            self._lcms.append(self._denominator)
-            return
-        if m == 1:
-            b_m = Fraction(-1, 2)
-        else:
-            # Ramanujan's recurrence (module docstring) with A_m = r/s and
-            # acc = d sum_j C(m+3, m-6j) B_{m-6j} over the common
-            # denominator d, so B_m = (r d - s acc) / (s d C(m+3, 3)).
-            r, s = (-(m + 3), 6) if m % 6 == 4 else (m + 3, 3)
-            acc = 0
-            for k in range(m - 6, -1, -6):
-                acc += math.comb(m + 3, k) * self._scaled[k]
-            d = self._denominator
-            b_m = Fraction(r * d - s * acc, s * d * math.comb(m + 3, 3))
+        # Ramanujan's recurrence (module docstring) for m = 2 len(_values),
+        # with A_m = r/s and acc = d sum_j C(m+3, m-6j) B_{m-6j} over the
+        # common denominator d, B_{m-6j} at position m/2 - 3j; so
+        # B_m = (r d - s acc) / (s d C(m+3, 3)).
+        m = 2 * len(self._values)
+        r, s = (-(m + 3), 6) if m % 6 == 4 else (m + 3, 3)
+        acc = 0
+        for k in range(m // 2 - 3, -1, -3):
+            acc += math.comb(m + 3, 2 * k) * self._scaled[k]
+        d = self._denominator
+        b_m = Fraction(r * d - s * acc, s * d * math.comb(m + 3, 3))
         self._values.append(b_m)
-        grow = b_m.denominator // math.gcd(b_m.denominator, self._denominator)
+        grow = b_m.denominator // math.gcd(b_m.denominator, d)
         if grow != 1:
             self._denominator *= grow
             self._scaled = [b_k * grow for b_k in self._scaled]
@@ -162,7 +156,7 @@ _TABLE = BernoulliTable()
 
 def bernoulli(n: int) -> Fraction:
     """B_n in the B_1 = -1/2 convention, 0 <= n <= MAX_BERNOULLI_INDEX
-    (B_n = 0 for odd n >= 3, answered without growing the table)."""
+    (an odd n is answered without growing the table)."""
     return _TABLE.value(n)
 
 
@@ -182,10 +176,11 @@ def _antidifference_coefficients(
     top = len(coeffs)
     b, d = _TABLE._scaled_prefix(max(top - 1, 0))
     q = math.lcm(*(c.denominator for c in coeffs))
-    # (i, B_i d) for the nonzero B_i below top: i = 0, 1 and the even i.
-    # The term of (n, i) is g_n C(n, j-1) B_i with j = n+1-i, and
-    # C(n, j-1) = C(n, i).
-    table = [(i, b[i]) for i in (0, 1, *range(2, top, 2)) if i < top]
+    # (i, B_i d) for the nonzero B_i: i = 0, 1 and the even i below top,
+    # with B_1 d = -d // 2.  The term of (n, i) is g_n C(n, j-1) B_i with
+    # j = n+1-i, and C(n, j-1) = C(n, i).
+    table = [(0, b[0]), (1, -d // 2)]
+    table += [(2 * k, b[k]) for k in range(1, len(b))]
     acc = [0] * (top + 1)
     for n, c in enumerate(coeffs):
         if c:

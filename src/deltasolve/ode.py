@@ -222,7 +222,7 @@ class ExpPoly(namedtuple("ExpPoly", "terms", defaults=((),))):
     @classmethod
     def from_terms(cls, pairs) -> "ExpPoly":
         return cls(tuple(ExpPolyTerm(complex(exponent), poly)
-                         for exponent, poly in pairs if not poly.is_zero))
+                         for exponent, poly in pairs if poly))
 
 
 def solve_linear_ode(polynomial: CharacteristicPolynomial,

@@ -81,6 +81,16 @@ def _trimmed(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
+def _horner(coeffs: Sequence, x):
+    """sum_i coeffs[i] x^i by Horner's rule.  It starts from x * 0, so a
+    point that is not finite gives a value that is not finite, the zero
+    polynomial included."""
+    acc = x * 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class _DensePolynomial:
     """Immutable dense polynomial over the coefficient type ``_scalar``,
     multiplied by scalars of the types ``_multipliers``."""
@@ -105,10 +115,6 @@ class _DensePolynomial:
     @property
     def degree(self) -> int | float:
         return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def coefficient(self, power: int):
         if 0 <= power < len(self._coeffs):
@@ -164,10 +170,6 @@ class Polynomial(_DensePolynomial):
     _multipliers = (int, Fraction)
 
     @classmethod
-    def constant(cls, value: Fraction | int) -> "Polynomial":
-        return cls((value,))
-
-    @classmethod
     def monomial(cls, power: int, coefficient: Fraction | int = 1) -> "Polynomial":
         if power < 0:
             raise ValueError("monomial power must be >= 0")
@@ -181,10 +183,7 @@ class Polynomial(_DensePolynomial):
 
     def __call__(self, x):
         """Horner evaluation; the result type follows the argument type."""
-        acc = x * 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self._coeffs, x)
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative with zero constant of integration."""

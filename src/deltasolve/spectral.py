@@ -48,7 +48,7 @@ from collections.abc import Iterable, Sequence
 
 from . import MAX_TERMS
 from .polynomials import (_OUT_OF_RANGE, CoefficientOverflowError,
-                          ComplexPolynomial, Polynomial)
+                          ComplexPolynomial, Polynomial, _horner)
 from .rationals import DeltasolveError
 
 __all__ = [
@@ -339,16 +339,6 @@ def euler_gap(forcing: Polynomial, x: float, truncation_order: int) -> float:
         raise CoefficientOverflowError(
             f"the gap at x = {x!r} is outside double range")
     return gap
-
-
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    """sum_i coeffs[i] x^i in doubles.  It starts from x * 0.0, as
-    ``Polynomial.__call__`` does, so a point that is not finite gives a
-    value that is not finite, the zero polynomial included."""
-    acc = x * 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def difference_residual(solution: SpectralSolution, forcing: Polynomial,

@@ -57,19 +57,20 @@ def test_negative_index_rejected():
 
 def test_odd_index_answers_without_growing_the_table():
     table = BernoulliTable()
-    for n in (3, 5, 201, MAX_BERNOULLI_INDEX - 1):
+    for n in (1, 3, 5, 201, MAX_BERNOULLI_INDEX - 1):
         value = table.value(n)
-        assert type(value) is Fraction and value == 0, n
+        assert type(value) is Fraction, n
+        assert value == (Fraction(-1, 2) if n == 1 else 0), n
     assert table.computed_up_to == 0
-    assert table.value(1) == Fraction(-1, 2)
-    assert table.computed_up_to == 1
-    # The antidifference's snapshot still holds every entry up to an odd n.
+    # The antidifference's snapshot up to an odd n holds every stored
+    # entry, B_0 and the even B_k, and grows the table to n - 1.
     for n in (1, 3, 9, 61):
         numerators, denominator = table._scaled_prefix(n)
-        assert len(numerators) == n + 1
+        assert len(numerators) == n // 2 + 1
         assert [Fraction(b, denominator) for b in numerators] \
-            == _tangent_bernoulli(max(n, 2))[:n + 1]
-        assert table.computed_up_to == n
+            == _tangent_bernoulli(max(n, 2))[:n + 1:2]
+        assert table.computed_up_to == n - 1
+        assert len(table._values) == table.computed_up_to // 2 + 1
 
 
 def test_index_cap_is_checked_before_any_growth(monkeypatch):
@@ -90,7 +91,7 @@ def test_antidifference_reads_the_table_up_to_its_degree(monkeypatch):
     fresh = BernoulliTable()
     monkeypatch.setattr(bernoulli_module, "_TABLE", fresh)
     antidifference_polynomial(Polynomial.monomial(9))
-    assert fresh.computed_up_to == 9
+    assert fresh.computed_up_to == 8  # B_9 = 0 is not stored
     # at the cap, the antidifference and faulhaber both still answer
     top = Polynomial.monomial(MAX_BERNOULLI_INDEX)
     assert antidifference_polynomial(top) \
@@ -149,22 +150,75 @@ def _defining_recurrence_table(n):
 
 def test_table_is_bit_identical_to_the_defining_recurrence():
     # Ramanujan's recurrence reads B_{m-6j} from stored entries, so a table
-    # grown in steps must match a fresh one; B_401 = 0 leaves the
-    # denominator of B_0..B_400 as it is.  ``value`` does not grow the
-    # table for an odd index, so the stepped table grows through the
-    # antidifference's snapshot, which appends the zero B_7 and B_401.
+    # grown in steps must match a fresh one.  The table stores B_0 and the
+    # even B_k only, so it matches the dense oracle's even entries; its
+    # denominator holds B_1's 2 from the start, as the oracle's does from
+    # B_1 on, and B_401 = 0 leaves it as it is.  The stepped table grows
+    # through the antidifference's snapshot, to 6, 60 and 400.
     values, scaled, denominator = _defining_recurrence_table(401)
     fresh = BernoulliTable()
     fresh.value(400)
     stepped = BernoulliTable()
     for n in (7, 60, 401):
         stepped._scaled_prefix(n)
-        assert stepped.computed_up_to == n
-    for table, top in ((fresh, 400), (stepped, 401)):
-        assert table._values == values[:top + 1]
+        assert stepped.computed_up_to == n - n % 2
+    for table in (fresh, stepped):
+        assert table.computed_up_to == 400
+        assert len(table._values) == 201
+        assert table._values == values[0::2]
         assert all(type(v) is Fraction for v in table._values)
-        assert table._scaled == scaled[:top + 1]
+        assert table._scaled == scaled[0::2]
         assert table._denominator == denominator
+
+
+def _same_table(a, b):
+    return (a._values, a._scaled, a._denominator, a._lcms) \
+        == (b._values, b._scaled, b._denominator, b._lcms)
+
+
+def test_growth_order_does_not_change_the_table():
+    """Any sequence of ``value`` and ``_scaled_prefix`` calls leaves a fresh
+    table equal to one grown straight to the same top, and every prefix,
+    read over its d, is the even entries of the defining recurrence, with
+    d the lcm of B_0..B_n and 2."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values, _, _ = _defining_recurrence_table(300)
+    calls = st.lists(st.tuples(st.booleans(), st.integers(0, 300)),
+                     max_size=6)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(calls)
+    @hypothesis.example([(True, 0), (True, 1), (True, 2), (True, 3)])
+    @hypothesis.example([(False, 1), (True, 1), (False, 300), (True, 299)])
+    def same_as_straight(calls):
+        table = BernoulliTable()
+        for is_prefix, n in calls:
+            if is_prefix:
+                numerators, d = table._scaled_prefix(n)
+                assert [Fraction(b, d) for b in numerators] \
+                    == values[:n + 1:2]
+                assert d == math.lcm(2, *(v.denominator
+                                          for v in values[:n + 1]))
+            else:
+                assert table.value(n) == values[n]
+        assert len(table._values) == table.computed_up_to // 2 + 1
+        straight = BernoulliTable()
+        straight.value(table.computed_up_to)
+        assert _same_table(table, straight)
+
+    same_as_straight()
+
+
+def test_fresh_table_answers_linear_forcings(monkeypatch):
+    # Both read B_0 and B_1 from a fresh table, where the prefix's lcm
+    # d = 2 is the whole table's denominator.
+    monkeypatch.setattr(bernoulli_module, "_TABLE", BernoulliTable())
+    assert antidifference_polynomial(X) == Polynomial(
+        (0, Fraction(-1, 2), Fraction(1, 2)))
+    monkeypatch.setattr(bernoulli_module, "_TABLE", BernoulliTable())
+    assert faulhaber(1) == Polynomial((0, Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_table_extension_is_thread_safe(monkeypatch):
@@ -226,7 +280,7 @@ def test_faulhaber_rejects_negative():
 def test_antidifference_examples():
     assert antidifference_polynomial(X) == Polynomial(
         (0, Fraction(-1, 2), Fraction(1, 2)))
-    assert antidifference_polynomial(Polynomial.constant(1)) == X
+    assert antidifference_polynomial(Polynomial.monomial(0, 1)) == X
     x_squared = Polynomial.monomial(2)
     assert antidifference_polynomial(x_squared) == Polynomial(
         (0, Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)))
@@ -263,7 +317,7 @@ def _translate_oracle(forcing):
     for power, coeff in enumerate(forcing.coefficients):
         if coeff:
             acc = acc + coeff * faulhaber(power).translate(-1)
-    return acc - Polynomial.constant(acc.coefficient(0))
+    return acc - Polynomial.monomial(0, acc.coefficient(0))
 
 
 def test_antidifference_matches_translate_route():
@@ -297,9 +351,13 @@ def _dense_antidifference_coefficients(coeffs):
     """The antidifference's coefficients as the package once summed them:
     for each j, every n >= j-1 of the Bernoulli-polynomial formula, zero
     terms tested and skipped one by one.  The oracle for the kernel, which
-    visits only the nonzero pairs."""
+    visits only the nonzero pairs.  It spells out B_0..B_deg over their lcm
+    d from the stored prefix: B_1 d = -d // 2 and the odd B_i d, i >= 3,
+    are 0."""
     top = len(coeffs)
-    b, d = bernoulli_module._TABLE._scaled_prefix(max(top - 1, 0))
+    stored, d = bernoulli_module._TABLE._scaled_prefix(max(top - 1, 0))
+    b = [stored[i // 2] if i % 2 == 0 else -d // 2 if i == 1 else 0
+         for i in range(top)]
     out = [Fraction(0)] * (top + 1)
     q = math.lcm(*(c.denominator for c in coeffs))
     g = [c.numerator * (q // c.denominator) for c in coeffs]
@@ -366,7 +424,7 @@ def test_antidifference_reads_the_denominator_of_its_prefix(monkeypatch):
     assert d == math.lcm(*(grown.value(k).denominator for k in range(15)))
     assert d == 30030 < grown._denominator
     assert [Fraction(b, d) for b in numerators] \
-        == [grown.value(k) for k in range(15)]
+        == [grown.value(k) for k in range(0, 15, 2)]
     rng = random.Random(20261019)
     forcings = [Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                             if rng.random() < 0.7 else 0
