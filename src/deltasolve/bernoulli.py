@@ -26,25 +26,28 @@ are base cases.  Odd B_n, n >= 3, are 0: t/(e^t - 1) = sum B_n t^n/n!,
 and t/(e^t - 1) + t/2 = (t/2) coth(t/2) is even, so B_1 t is its only odd
 term.  The table stores only B_0 and the even B_m; ``value`` answers an odd
 n at once, without the lock or any growth, and odd numbers are never
-stored.  Each even B_m, m >= 2, comes from Ramanujan's lacunary recurrence
-(Ramanujan 1911, "Some properties of Bernoulli's numbers"):
+stored.  The even B_2k, k >= 1, come from the integer tangent numbers T_k
+(tan t = sum T_k t^(2k-1)/(2k-1)!), by the in-place triangle of Brent &
+Harvey ("Fast computation of Bernoulli, Tangent and Secant numbers", 2011,
+arXiv:1108.0286):
 
-    C(m+3, 3) B_m = A_m - sum_{1 <= j <= m/6} C(m+3, m-6j) B_{m-6j},
+    T_1 = 1,  T_k = (k-1) T_{k-1},  then for k = 2..K and j = k..K:
+    T_j = (j-k) T_{j-1} + (j-k+2) T_j,
 
-    A_m = (m+3)/3 for m = 0 or 2 (mod 6),   A_m = -(m+3)/6 for m = 4 (mod 6).
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
 
-It reads every sixth earlier entry, about m/6 products per step where the
-defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 reads every even one,
-about m/2; the defining recurrence is the tests' oracle for the table.  The
-table keeps every stored B_m as an integer over one common denominator (the
-running lcm of the stored denominators and of B_1's 2), so each step sums
-plain integers.  The numbers are deliberately *not* obtained by
-back-substituting zeta values: the zeta closed forms downstream are
-validated against them, and that check would be circular if the numbers
-came from zeta.
+Each step multiplies a big integer by a small one, O(K^2) steps in all.
+The triangle does not extend in place, so each growth rebuilds the table,
+to the index asked for or to twice the old top (at most
+MAX_BERNOULLI_INDEX), whichever is higher, which keeps growth amortised.
+The defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 is the tests'
+oracle for the table.  The numbers are deliberately *not*
+obtained by back-substituting zeta values: the T_k are integers and never
+touch zeta, and the zeta closed forms downstream are validated against
+them, so that check would be circular if the numbers came from zeta.
 
 Indices are capped at MAX_BERNOULLI_INDEX = 1000 (a cold table up to B_1000
-takes 0.7 to 0.9 s): ``bernoulli``, ``BernoulliTable.value``, ``faulhaber``
+takes about 0.1 s): ``bernoulli``, ``BernoulliTable.value``, ``faulhaber``
 and the antidifference of a forcing above degree 1000 raise
 ``BernoulliIndexError`` before the table grows.
 """
@@ -87,14 +90,10 @@ class BernoulliTable:
     the odd zeros are constants that ``value`` answers without growth."""
 
     def __init__(self) -> None:
-        # _values[k] = B_2k and _scaled[k] = B_2k * _denominator, an integer.
+        # _values[k] = B_2k; _lcms[k] = lcm(2, denominators of B_0..B_2k),
+        # where 2 is B_1's denominator, so B_1 is the integer -d // 2 over
+        # any prefix lcm d.
         self._values: list[Fraction] = [Fraction(1)]
-        self._scaled: list[int] = [2]
-        # The running lcm of the stored denominators.  It starts at 2, the
-        # denominator of B_1, so B_1 is the integer -d // 2 over any prefix
-        # lcm d.
-        self._denominator = 2
-        # _lcms[k]: _denominator right after B_2k was stored.
         self._lcms: list[int] = [2]
         self._lock = threading.Lock()
 
@@ -104,51 +103,42 @@ class BernoulliTable:
 
     def value(self, n: int) -> Fraction:
         """B_n for 0 <= n <= MAX_BERNOULLI_INDEX.  An odd n returns B_1 or
-        0 at once, without the lock or any growth (module docstring); an
-        even n grows the table to n."""
+        0 at once, without the lock or any growth; an even n above the
+        table's top grows it as the module docstring says."""
         _check_index(n)
         if n % 2:
             return Fraction(-1, 2) if n == 1 else Fraction(0)
         with self._lock:
-            while len(self._values) <= n // 2:
-                self._append_next()
+            top = self.computed_up_to
+            if n > top:
+                self._grow(max(n, min(2 * top, MAX_BERNOULLI_INDEX)) // 2)
             return self._values[n // 2]
 
     def _scaled_prefix(self, n: int) -> tuple[list[int], int]:
         """(numerators, d) with B_2k = numerators[k] / d for 2k <= n, and d
         the lcm of the denominators of B_0..B_n and 2, not of the whole
-        table: where they differ, each stored numerator is divided exactly
-        by the whole table's denominator over d.  The table grows only
-        through ``value``."""
+        table.  The table grows only through ``value``."""
         _check_index(n)
         self.value(n - n % 2)
         with self._lock:
-            scaled, d = self._scaled[:n // 2 + 1], self._lcms[n // 2]
-            shrink = self._denominator // d
-        if shrink != 1:
-            scaled = [b_k // shrink for b_k in scaled]
-        return scaled, d
+            values, d = self._values[:n // 2 + 1], self._lcms[n // 2]
+        return [b.numerator * (d // b.denominator) for b in values], d
 
-    def _append_next(self) -> None:
-        # Ramanujan's recurrence (module docstring) for m = 2 len(_values),
-        # with A_m = r/s and acc = d sum_j C(m+3, m-6j) B_{m-6j} over the
-        # common denominator d, B_{m-6j} at position m/2 - 3j; so
-        # B_m = (r d - s acc) / (s d C(m+3, 3)).
-        m = 2 * len(self._values)
-        r, s = (-(m + 3), 6) if m % 6 == 4 else (m + 3, 3)
-        acc = 0
-        for k in range(m // 2 - 3, -1, -3):
-            acc += math.comb(m + 3, 2 * k) * self._scaled[k]
-        d = self._denominator
-        b_m = Fraction(r * d - s * acc, s * d * math.comb(m + 3, 3))
-        self._values.append(b_m)
-        grow = b_m.denominator // math.gcd(b_m.denominator, d)
-        if grow != 1:
-            self._denominator *= grow
-            self._scaled = [b_k * grow for b_k in self._scaled]
-        self._scaled.append(
-            b_m.numerator * (self._denominator // b_m.denominator))
-        self._lcms.append(self._denominator)
+    def _grow(self, half: int) -> None:
+        # The tangent numbers T_1..T_half by the triangle of the module
+        # docstring, in place, then B_2k from T_k; both lists are rebuilt.
+        t = [0, 1] + [0] * (half - 1)
+        for k in range(2, half + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, half + 1):
+            for j in range(k, half + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        values, lcms = [Fraction(1)], [2]
+        for k in range(1, half + 1):
+            b = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+            values.append(b)
+            lcms.append(math.lcm(lcms[-1], b.denominator))
+        self._values, self._lcms = values, lcms
 
 
 _TABLE = BernoulliTable()

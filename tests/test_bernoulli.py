@@ -63,13 +63,14 @@ def test_odd_index_answers_without_growing_the_table():
         assert value == (Fraction(-1, 2) if n == 1 else 0), n
     assert table.computed_up_to == 0
     # The antidifference's snapshot up to an odd n holds every stored
-    # entry, B_0 and the even B_k, and grows the table to n - 1.
-    for n in (1, 3, 9, 61):
+    # entry, B_0 and the even B_k, and grows the table to n - 1 or to twice
+    # its top, whichever is higher: 12 becomes 16 and 70 becomes 120.
+    for n, top in ((1, 0), (3, 2), (9, 8), (13, 16), (61, 60), (71, 120)):
         numerators, denominator = table._scaled_prefix(n)
         assert len(numerators) == n // 2 + 1
         assert [Fraction(b, denominator) for b in numerators] \
-            == _tangent_bernoulli(max(n, 2))[:n + 1:2]
-        assert table.computed_up_to == n - 1
+            == _defining_recurrence_table(n)[0::2]
+        assert table.computed_up_to == top, n
         assert len(table._values) == table.computed_up_to // 2 + 1
 
 
@@ -99,39 +100,11 @@ def test_antidifference_reads_the_table_up_to_its_degree(monkeypatch):
     assert fresh.computed_up_to == MAX_BERNOULLI_INDEX
 
 
-def _tangent_bernoulli(n):
-    """B_0..B_n (n >= 2) from the integer tangent numbers T_k of Brent &
-    Harvey (arXiv:1108.0286): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
-    Shares nothing with the package's recurrence."""
-    half = n // 2
-    t = [0, 1] + [0] * (half - 1)
-    for k in range(2, half + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, half + 1):
-        for j in range(k, half + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    values = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
-    for k in range(1, half + 1):
-        values[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k],
-                                 4 ** k * (4 ** k - 1))
-    return values
-
-
-def test_table_matches_tangent_numbers():
-    table = BernoulliTable()
-    table.value(200)
-    for n, expected in enumerate(_tangent_bernoulli(200)):
-        assert table.value(n) == expected, n
-    for n in range(3, 201, 2):
-        value = table.value(n)
-        assert type(value) is Fraction and value == 0, n
-
-
 def _defining_recurrence_table(n):
-    """(values, scaled, denominator) of a table grown to B_n by the defining
-    recurrence sum_{k<=m} C(m+1, k) B_k = 0, solved for B_m, in the same
-    representation: every B_k is scaled[k] / denominator, and the
-    denominator is the running lcm of the stored denominators."""
+    """B_0..B_n by the defining recurrence sum_{k<=m} C(m+1, k) B_k = 0,
+    solved for B_m over integers: every B_k is scaled[k] / denominator,
+    the running lcm of the denominators so far.  Shares nothing with the
+    package's tangent numbers."""
     values, scaled, denominator = [Fraction(1)], [1], 1
     for m in range(1, n + 1):
         if m >= 3 and m % 2:
@@ -145,35 +118,65 @@ def _defining_recurrence_table(n):
         denominator *= grow
         scaled = [b_k * grow for b_k in scaled]
         scaled.append(b_m.numerator * (denominator // b_m.denominator))
-    return values, scaled, denominator
+    return values
+
+
+def test_table_values_match_the_defining_recurrence():
+    table = BernoulliTable()
+    table.value(200)
+    for n, expected in enumerate(_defining_recurrence_table(200)):
+        assert table.value(n) == expected, n
+    for n in range(3, 201, 2):
+        value = table.value(n)
+        assert type(value) is Fraction and value == 0, n
 
 
 def test_table_is_bit_identical_to_the_defining_recurrence():
-    # Ramanujan's recurrence reads B_{m-6j} from stored entries, so a table
-    # grown in steps must match a fresh one.  The table stores B_0 and the
-    # even B_k only, so it matches the dense oracle's even entries; its
-    # denominator holds B_1's 2 from the start, as the oracle's does from
-    # B_1 on, and B_401 = 0 leaves it as it is.  The stepped table grows
-    # through the antidifference's snapshot, to 6, 60 and 400.
-    values, scaled, denominator = _defining_recurrence_table(401)
+    # Every growth rebuilds the table, so a table grown in steps must match
+    # a fresh one.  The table stores B_0 and the even B_k only, so it
+    # matches the dense oracle's even entries, and _lcms[k] holds B_1's 2
+    # from the start.  The stepped table grows through the antidifference's
+    # snapshot, to 6, to 12 (twice 6) for B_10, then to 60 and 400.
+    values = _defining_recurrence_table(401)
+    lcms = [math.lcm(2, *(v.denominator for v in values[:2 * k + 1]))
+            for k in range(201)]
     fresh = BernoulliTable()
     fresh.value(400)
     stepped = BernoulliTable()
-    for n in (7, 60, 401):
+    for n, top in ((7, 6), (11, 12), (60, 60), (401, 400)):
         stepped._scaled_prefix(n)
-        assert stepped.computed_up_to == n - n % 2
+        assert stepped.computed_up_to == top, n
     for table in (fresh, stepped):
         assert table.computed_up_to == 400
         assert len(table._values) == 201
         assert table._values == values[0::2]
         assert all(type(v) is Fraction for v in table._values)
-        assert table._scaled == scaled[0::2]
-        assert table._denominator == denominator
+        assert table._lcms == lcms
+
+
+def test_stepping_up_to_the_cap_rebuilds_the_table_ten_times():
+    # value(n) for every even n on a fresh table grows to n or to twice the
+    # top, capped at MAX_BERNOULLI_INDEX; growing to exactly n would
+    # rebuild the table once per step, 500 times.
+    table = BernoulliTable()
+    grow, halves = table._grow, []
+
+    def counted(half):
+        halves.append(half)
+        grow(half)
+
+    table._grow = counted
+    straight = BernoulliTable()
+    straight.value(MAX_BERNOULLI_INDEX)
+    for n in range(0, MAX_BERNOULLI_INDEX + 1, 2):
+        assert table.value(n) == straight.value(n), n
+    assert halves == [1, 2, 4, 8, 16, 32, 64, 128, 256,
+                      MAX_BERNOULLI_INDEX // 2]
+    assert _same_table(table, straight)
 
 
 def _same_table(a, b):
-    return (a._values, a._scaled, a._denominator, a._lcms) \
-        == (b._values, b._scaled, b._denominator, b._lcms)
+    return (a._values, a._lcms) == (b._values, b._lcms)
 
 
 def test_growth_order_does_not_change_the_table():
@@ -183,7 +186,7 @@ def test_growth_order_does_not_change_the_table():
     d the lcm of B_0..B_n and 2."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    values, _, _ = _defining_recurrence_table(300)
+    values = _defining_recurrence_table(300)
     calls = st.lists(st.tuples(st.booleans(), st.integers(0, 300)),
                      max_size=6)
 
@@ -229,9 +232,9 @@ def test_table_extension_is_thread_safe(monkeypatch):
     assert results[0] == bernoulli(40)
     assert table.computed_up_to >= 40
 
-    # One fresh table grown to 150 by several threads at once, read both
-    # as values and, through antidifferences, as integers over the table's
-    # common denominator, which grows and rescales while others read it.
+    # One fresh table grown to at least 150 by several threads at once,
+    # read both as values and, through antidifferences, as integers over
+    # prefix lcms, while other threads rebuild it.
     fresh = BernoulliTable()
     monkeypatch.setattr(bernoulli_module, "_TABLE", fresh)
     indices = list(range(150, 0, -7)) + list(range(3, 150, 11))
@@ -246,8 +249,13 @@ def test_table_extension_is_thread_safe(monkeypatch):
             values, antidiffs = list(values), list(antidiffs)
     finally:
         sys.setswitchinterval(interval)
-    assert fresh.computed_up_to == 150
-    expected = _tangent_bernoulli(150)
+    # A thread that finds the table grown part of the way may double it
+    # past 150, so the top depends on the order the threads ran in.
+    assert fresh.computed_up_to >= 150
+    straight = BernoulliTable()
+    straight.value(fresh.computed_up_to)
+    assert _same_table(fresh, straight)
+    expected = _defining_recurrence_table(150)
     assert values == [expected[n] for n in indices]
     monkeypatch.setattr(bernoulli_module, "_TABLE", BernoulliTable())
     assert antidiffs == [antidifference_polynomial(g) for g in forcings]
@@ -422,7 +430,7 @@ def test_antidifference_reads_the_denominator_of_its_prefix(monkeypatch):
     grown.value(MAX_BERNOULLI_INDEX)
     numerators, d = grown._scaled_prefix(14)
     assert d == math.lcm(*(grown.value(k).denominator for k in range(15)))
-    assert d == 30030 < grown._denominator
+    assert d == 30030 < grown._lcms[-1]
     assert [Fraction(b, d) for b in numerators] \
         == [grown.value(k) for k in range(0, 15, 2)]
     rng = random.Random(20261019)
@@ -442,7 +450,7 @@ def test_antidifference_reads_the_denominator_of_its_prefix(monkeypatch):
 
 def test_bernoulli_against_sympy():
     sympy = pytest.importorskip("sympy")
-    for n in range(301):
+    for n in range(MAX_BERNOULLI_INDEX + 1):
         expected = sympy.bernoulli(n)
         expected = Fraction(int(expected.p), int(expected.q))
         if n == 1:  # sympy 1.14 takes B_1 = +1/2, older releases -1/2

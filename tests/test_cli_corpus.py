@@ -274,7 +274,7 @@ def edge_argvs() -> list:
         # appended after the first 266 entries: a root that underflows to 0
         _ode("1,1e308+1e308i"),
         # appended after the first 267 entries: bernoulli and faulhaber at
-        # their cap (a cold table up to B_1000 takes about 0.9 s)
+        # their cap (a cold table up to B_1000 takes about 0.1 s)
         ["bernoulli", str(cli.MAX_BERNOULLI_INDEX)],
         ["faulhaber", str(cli.MAX_BERNOULLI_INDEX)],
         # appended after the first 269 entries: odd indices, which answer
