@@ -283,6 +283,8 @@ def _check_residual(coeffs, solution: ComplexPolynomial,
 
 def apply_operator(polynomial: CharacteristicPolynomial,
                    f: ComplexPolynomial) -> ComplexPolynomial:
-    """P(D) f = a_0 f + a_1 f' + ... + a_n f^(n) for a polynomial f."""
+    """P(D) f = a_0 f + a_1 f' + ... + a_n f^(n) for a polynomial f, public
+    as the oracle of criterion 8 (test_acceptance.py) and of test_ode.py's
+    ``test_solutions_verify_through_the_operator``."""
     return sum(_operator_terms(polynomial.coefficients, f),
                ComplexPolynomial.zero())

@@ -186,7 +186,10 @@ class Polynomial(_DensePolynomial):
         return _horner(self._coeffs, x)
 
     def antiderivative(self) -> "Polynomial":
-        """The antiderivative with zero constant of integration."""
+        """The antiderivative with zero constant of integration, public for
+        the tests that rebuild a solve from it: ``_pair_sum_oracle`` and
+        ``_solve_oracle`` in test_spectral.py, ``_per_power_solution`` in
+        test_ode.py."""
         return Polynomial((Fraction(0),) + tuple(
             c / (i + 1) for i, c in enumerate(self._coeffs)))
 
@@ -214,7 +217,10 @@ class ComplexPolynomial(_DensePolynomial):
 
     @classmethod
     def from_exact(cls, polynomial: Polynomial) -> "ComplexPolynomial":
-        """Each rational coefficient rounded to the nearest double."""
+        """Each rational coefficient rounded to the nearest double, public
+        for the tests that rebuild a solve with it: the oracles named at
+        ``Polynomial.antiderivative`` and test_ode.py's
+        ``test_residual_check_leaves_solutions_untouched``."""
         try:
             return cls(tuple(complex(float(c)) for c in polynomial.coefficients))
         except OverflowError:

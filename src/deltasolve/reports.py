@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from .partial_fractions import pfd_eval
 from .polynomials import Polynomial, format_complex
 from .spectral import SpectralConfig, difference_residual, spectral_solve
-from .zeta import _worst_mismatches
+from .zeta import check_table_order, verify_comparison
 
 __all__ = [
     "RESIDUAL_DECAY_HEADER",
@@ -78,9 +78,11 @@ def pfd_convergence_rows(z_values: Iterable[complex], k_values: Iterable[int],
 def ab_comparison_rows(n_values: Iterable[int], k_values: Iterable[int],
                        threads: int = 1) -> list[list]:
     """Worst numeric-vs-exact coefficient mismatch, per (n, K): each row is
-    ``verify_comparison(n, K)``, with each K's power sums computed once for
-    every n."""
+    ``verify_comparison(n, K)``, and the rows of one K share its power sums
+    through the block sums that ``power_sums`` caches.  Every n is checked
+    before any row is computed."""
     n_values, k_values = list(n_values), list(k_values)
-    worst = [_worst_mismatches(n_values, k) for k in k_values]
-    return [[n, k, by_n[i]] for i, n in enumerate(n_values)
-            for k, by_n in zip(k_values, worst)]
+    for n in n_values:
+        check_table_order(n)
+    return [[n, k, verify_comparison(n, k)]
+            for n in n_values for k in k_values]

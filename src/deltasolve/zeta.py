@@ -40,6 +40,7 @@ __all__ = [
     "ZetaClosedForm",
     "zeta_even_closed_form",
     "zeta_partial_sum",
+    "check_table_order",
     "coefficient_tables",
     "verify_comparison",
 ]
@@ -101,28 +102,20 @@ def zeta_partial_sum(j: int, n_terms: int) -> tuple[float, float]:
     return (partial + tail(n_terms + 1), partial + tail(n_terms))
 
 
+def check_table_order(n: int) -> None:
+    """Refuse a table order n outside 1..MAX_TABLE_ORDER."""
+    if not 1 <= n <= MAX_TABLE_ORDER:
+        raise ValueError(f"table order must be in 1..{MAX_TABLE_ORDER}")
+
+
 def coefficient_tables(n: int, truncation_order: int
                        ) -> tuple[list[float], list[Fraction]]:
     """(A, B) tables for forcing x^n, both indexed by j = 0..n (module
     docstring).  A entries with odd n+1-j are exactly 0: each +-k pair
     cancels there.
     """
-    return _tables(n, _table_power_sums([n], truncation_order))
-
-
-def _table_power_sums(orders: list[int],
-                      truncation_order: int) -> dict[int, float]:
-    """The power sums S_m(K) that the tables of every order in ``orders``
-    read, once both arguments are checked (``power_sums`` checks the
-    truncation order)."""
-    if not all(1 <= n <= MAX_TABLE_ORDER for n in orders):
-        raise ValueError(f"table order must be in 1..{MAX_TABLE_ORDER}")
-    return power_sums(range(2, max(orders, default=0) + 2, 2),
-                      truncation_order)
-
-
-def _tables(n: int, sums: dict[int, float]
-            ) -> tuple[list[float], list[Fraction]]:
+    check_table_order(n)
+    sums = power_sums(range(2, n + 2, 2), truncation_order)
     a_table = _mode_part([0.0] * n + [1.0], sums)
     power_sum = faulhaber(n)
     b_table = [Fraction(0)] * 2 + [power_sum.coefficient(n + 1 - j)
@@ -132,20 +125,7 @@ def _tables(n: int, sums: dict[int, float]
 
 def verify_comparison(n: int, truncation_order: int) -> float:
     """max_{2 <= j <= n} |A(n, n+1-j) - B(n, j)|; 0.0 when the range is empty."""
-    return _worst_mismatch(*coefficient_tables(n, truncation_order))
-
-
-def _worst_mismatches(orders: list[int], truncation_order: int) -> list[float]:
-    """verify_comparison(n, K) for each n in ``orders``, bit for bit, with
-    the power sums computed once for all of them: ``power_sums`` sums
-    each m on its own, so S_m(K) does not depend on which other m it
-    computes."""
-    sums = _table_power_sums(orders, truncation_order)
-    return [_worst_mismatch(*_tables(n, sums)) for n in orders]
-
-
-def _worst_mismatch(a_table: list[float], b_table: list[Fraction]) -> float:
-    n = len(b_table) - 1
+    a_table, b_table = coefficient_tables(n, truncation_order)
     worst = 0.0
     for j in range(2, n + 1):
         worst = max(worst, abs(a_table[n + 1 - j] - float(b_table[j])))

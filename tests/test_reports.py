@@ -46,12 +46,13 @@ def test_ab_comparison_rows():
     assert rows[1][2] > 0.0
 
 
-def test_ab_comparison_sums_each_k_once_and_keeps_every_bit(monkeypatch):
+def test_ab_comparison_checks_every_n_first_and_keeps_every_bit(monkeypatch):
     # Out-of-order n and a repeated K: each row is verify_comparison's value
-    # bit for bit, though each K's power sums are computed once for all n.
+    # bit for bit.  An n out of range is refused before any power sum.
     n_values, k_values = [5, 1, 12, 2], [300, 7, 300]
     expected = [[n, k, verify_comparison(n, k)]
                 for n in n_values for k in k_values]
+    assert ab_comparison_rows(n_values, k_values) == expected
     calls = []
     original = zeta.power_sums
 
@@ -60,12 +61,26 @@ def test_ab_comparison_sums_each_k_once_and_keeps_every_bit(monkeypatch):
         return original(exponents, order)
 
     monkeypatch.setattr(zeta, "power_sums", counted)
-    assert ab_comparison_rows(n_values, k_values) == expected
-    assert calls == [(list(range(2, 14, 2)), k) for k in k_values]
     with pytest.raises(ValueError):
-        ab_comparison_rows([1, MAX_TABLE_ORDER + 1], [10])
+        ab_comparison_rows([1, MAX_TABLE_ORDER + 1], [10 ** 6])
+    assert calls == []
     with pytest.raises(ValueError):
         ab_comparison_rows([1, 2], [0])
+
+
+def test_every_ab_comparison_row_goes_through_coefficient_tables(monkeypatch):
+    # so a traced report times every row's tables under zeta.tables_s
+    calls = []
+    original = zeta.coefficient_tables
+
+    def counted(n, order):
+        calls.append((n, order))
+        return original(n, order)
+
+    monkeypatch.setattr(zeta, "coefficient_tables", counted)
+    n_values, k_values = [3, 1, 12], [50, 257, 50, 1]
+    ab_comparison_rows(n_values, k_values)
+    assert calls == [(n, k) for n in n_values for k in k_values]
 
 
 def test_rows_are_thread_invariant():
