@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 1 on a domain error (a ``DeltasolveError``:
 pole proximity, repeated or too close characteristic roots, degree
-overflow, a value outside double range; or division by zero, or a
-report CSV that cannot be written), 2 on a usage error (unknown subcommand,
-malformed literal, bad flag value, a size over its cap), 3 on any other
-exception, an internal error, reported in one line.
+overflow, a value outside double range; or a report CSV that cannot be
+written), 2 on a usage error (unknown subcommand, malformed literal, bad
+flag value, a size over its cap), 3 on any other exception, an internal
+error, reported in one line.
 
 Every subcommand prints a single plain-text value built from the documented
 grammars (rational, polynomial, complex literals), or with ``--format json``
@@ -79,7 +79,7 @@ MAX_REPORT_TERMS = 1_500_000
 _ROW_TERMS = {"pfd-convergence": 50, "residual-decay": 20_000,
               "ab-comparison": 1000}
 
-_DOMAIN_ERRORS = (rationals.DeltasolveError, ZeroDivisionError, OSError)
+_DOMAIN_ERRORS = (rationals.DeltasolveError, OSError)
 
 _DEFAULT_RESIDUAL_KS = [10, 100, 1000]
 _DEFAULT_SWEEP_KS = [100, 1000, 10000]
@@ -123,7 +123,7 @@ def _float_arg(text: str) -> float:
 def _poly_arg(text: str):
     try:
         return polynomials.parse_polynomial(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad polynomial literal: {exc}")
 
 

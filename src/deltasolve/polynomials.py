@@ -6,14 +6,15 @@ zero polynomial has an empty coefficient tuple and its degree is -inf.
 
 A private base class holds everything the two classes do identically:
 canonical storage, comparison and hashing, the additive group operations,
-multiplication by a scalar and the derivative; no class multiplies two
-polynomials.  ``Polynomial`` (exact ``Fraction`` coefficients) adds the
+multiplication by a scalar, the derivative, ``monomial`` and evaluation by
+``_horner``, the package's one polynomial evaluator; no class multiplies
+two polynomials.  ``Polynomial`` (exact ``Fraction`` coefficients) adds the
 exact side's operator calculus: translation p(x) -> p(x+c) by a Taylor
 shift, forward difference p(x+1) - p(x) and antiderivative, all without
 rounding.  ``ComplexPolynomial`` is the double-precision sibling that
 truncated mode sums are returned in.  The exact/float boundary is crossed
 only through ``ComplexPolynomial.from_exact`` or an explicit rounding of
-each rational, never implicitly: ``Polynomial.__call__`` at a float would
+each rational, never implicitly: a ``Polynomial`` called at a float would
 round each coefficient as it adds it, and nothing in the package calls it
 so.  The spectral side crosses once per call, in ``spectral._rounded``,
 which rounds a forcing and its antiderivative coefficient by coefficient
@@ -82,9 +83,10 @@ def _trimmed(coeffs: list) -> tuple:
 
 
 def _horner(coeffs: Sequence, x):
-    """sum_i coeffs[i] x^i by Horner's rule.  It starts from x * 0, so a
+    """sum_i coeffs[i] x^i by Horner's rule: the package's one polynomial
+    evaluator, behind calling either class.  It starts from x * 0, so a
     point that is not finite gives a value that is not finite, the zero
-    polynomial included."""
+    polynomial included: ``euler_gap`` of the zero forcing there is nan."""
     acc = x * 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -107,6 +109,12 @@ class _DensePolynomial:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def monomial(cls, power: int, coefficient=1):
+        if power < 0:
+            raise ValueError("monomial power must be >= 0")
+        return cls((0,) * power + (coefficient,))
 
     @property
     def coefficients(self) -> tuple:
@@ -161,6 +169,9 @@ class _DensePolynomial:
     def derivative(self):
         return type(self)(tuple(c * i for i, c in enumerate(self._coeffs) if i))
 
+    def __call__(self, x):
+        return _horner(self._coeffs, x)
+
 
 class Polynomial(_DensePolynomial):
     """Immutable dense polynomial with exact Fraction coefficients."""
@@ -169,21 +180,11 @@ class Polynomial(_DensePolynomial):
     _scalar = Fraction
     _multipliers = (int, Fraction)
 
-    @classmethod
-    def monomial(cls, power: int, coefficient: Fraction | int = 1) -> "Polynomial":
-        if power < 0:
-            raise ValueError("monomial power must be >= 0")
-        return cls((0,) * power + (coefficient,))
-
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]})"
 
     def __str__(self) -> str:
         return format_polynomial(self)
-
-    def __call__(self, x):
-        """Horner evaluation; the result type follows the argument type."""
-        return _horner(self._coeffs, x)
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative with zero constant of integration, public for
@@ -234,12 +235,6 @@ class ComplexPolynomial(_DensePolynomial):
 
     def __repr__(self) -> str:
         return f"ComplexPolynomial({list(self._coeffs)})"
-
-    def __call__(self, x) -> complex:
-        acc = 0j
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
 
 # --------------------------------------------------------------------------

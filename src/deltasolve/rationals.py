@@ -35,7 +35,7 @@ class DeltasolveError(Exception):
     The CLI reports these with exit code 1."""
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/(\d+))?\Z")
 
 
 def binomial(n: int, k: int) -> Fraction:
@@ -58,9 +58,13 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or ``p`` (integer p, positive integer q).
 
     Decimal and scientific literals are rejected: the exact side of the
-    package never constructs a Fraction from a rounded value.
+    package never constructs a Fraction from a rounded value.  Every
+    refusal, a zero q included, is a ``ValueError``.
     """
     cleaned = text.strip()
-    if not _RATIONAL_RE.match(cleaned):
+    match = _RATIONAL_RE.match(cleaned)
+    if not match:
         raise ValueError(f"not a rational literal: {text!r}")
+    if match[1] is not None and int(match[1]) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
     return Fraction(cleaned)

@@ -9,8 +9,8 @@ monomial forcing x^n has the closed form
         = -(1/a^(n+1)) sum_{j=0}^{n} (n!/j!) a^j x^j,
 
 a polynomial once the integration constant is dropped (``exp_poly_integral``
-below).  That is the x^n case of ``mode_polynomial``, the polynomial q with
-q' - a q = g, which ``ode`` also takes at each characteristic root.  The
+below).  That is ``mode_polynomial``, the polynomial q with q' - a q = g
+that ``ode`` also takes at each characteristic root, at g = x^n.  The
 k = 0 mode is the plain antiderivative, and the corrected solution also
 subtracts g/2:
 
@@ -24,13 +24,14 @@ Truncation keeps modes 1 <= |k| <= K.  The x^j coefficient of mode k for
 forcing x^n is k^(-m), m = n + 1 - j, times its value c_j at the unit mode
 a = 2*pi*i, and the -k mode is the conjugate, so each pair adds
 2 Re(c_j) k^(-m): exactly 0 for odd m.  The truncated solution is thus a
-fixed combination of the power sums S_m(K) = sum_{k<=K} k^(-m).
-``power_sums`` adds the n = K terms, or for m >= 3 the n = min(K, k1(m))
-terms (the integral test puts the dropped tail below 2^-54), in one fixed
-two-level descending order: blocks of 256 terms, each summed in descending
-k and kept per m once computed, then the blocks from high k to low k.  The
-result depends on m and n alone, never on earlier calls, and its error is
-the dropped tail plus 2^-53 (2 S_m + sum_{k<=n} k^(1-m)) of rounding.
+fixed combination of the even-m power sums S_m(K) = sum_{k<=K} k^(-m),
+which ``_mode_part`` fetches.  ``power_sums`` adds the n = min(K, k1(m))
+terms (the integral test puts the dropped tail below 2^-54; n = K for
+m = 2) in one fixed two-level descending order: blocks of 256 terms, each
+summed in descending k and kept per m once computed, then the blocks from
+high k to low k.  The result depends on m and n alone, never on earlier
+calls, and its error is the dropped tail plus 2^-53 (2 S_m +
+sum_{k<=n} k^(1-m)) of rounding.
 Pairing is structural: one-sided sums diverge for any linear forcing term.
 
 The solve and the residual cross from exact to double once per call
@@ -151,21 +152,20 @@ def mode_polynomial(a: complex, g: ComplexPolynomial) -> ComplexPolynomial:
 
 
 def exp_poly_integral(a: complex, n: int) -> ComplexPolynomial:
-    """``mode_polynomial`` of the monomial x^n, a != 0.
+    """``mode_polynomial`` of ``ComplexPolynomial.monomial(n)``, a != 0.
 
     Its coefficients are c_j = -(n!/j!) a^(j-n-1).
     """
-    if n < 0:
-        raise ValueError("monomial degree must be >= 0")
-    return mode_polynomial(a, ComplexPolynomial((0,) * n + (1,)))
+    return mode_polynomial(a, ComplexPolynomial.monomial(n))
 
 
 def _tail_cutoff(m: int) -> int:
-    """k1(m): the smallest k with k^(1-m)/(m-1) <= 2^-54, for m >= 3.
+    """k1(m): the smallest k with k^(1-m)/(m-1) <= 2^-54, for m >= 2.
 
     By the integral test, sum_{k>k1} k^-m < k1^(1-m)/(m-1) <= 2^-54, under
     half an ulp of any S_m >= 1.  A float root only seeds the search; the
-    exact integer test (m-1) k^(m-1) >= 2^54 decides.
+    exact integer test (m-1) k^(m-1) >= 2^54 decides.  k1(2) = 2^54 is
+    above MAX_TERMS, so S_2 is never cut short.
     """
     if m - 1 >= 54:  # 2^(m-1) alone passes the test, and (m-1) 1^(m-1) fails
         return 1 if m - 1 >= _TAIL_LIMIT else 2
@@ -181,14 +181,13 @@ def power_sums(exponents: Iterable[int],
                truncation_order: int) -> dict[int, float]:
     """{m: sum_{k=1..K} k ** -m} for each m >= 2, K = truncation_order.
 
-    Each sum covers k <= n, n = K, or for m >= 3 n = min(K, k1(m))
-    (``_tail_cutoff``: at most 1293 terms for m >= 6, 8192 for m = 5,
-    181761 for m = 4).  With B = 256, every full block
-    k in [bB+1, (b+1)B] is summed in descending k, once per process and m
-    (``_block_sums``); a call adds the partial block from n down to
-    B floor(n/B) + 1, then the block sums from high b to low b.  Every
-    partial sum is thus a tail of its block or of the whole sum, and the
-    error is at most
+    Each sum covers k <= n = min(K, k1(m)) (``_pass_length``: K for m = 2,
+    at most 1293 terms for m >= 6, 8192 for m = 5, 181761 for m = 4).
+    With B = 256, every full block k in [bB+1, (b+1)B] is summed in
+    descending k, once per process and m (``_block_sums``); a call adds the
+    partial block from n down to B floor(n/B) + 1, then the block sums from
+    high b to low b.  Every partial sum is thus a tail of its block or of
+    the whole sum, and the error is at most
 
         [n < K] 2^-54 + 2^-53 (2 S_m(K) + sum_{k<=n} k^(1-m)):
 
@@ -239,19 +238,18 @@ def _descending_sum(m: int, high: int, low: int) -> float:
 
 
 def _pass_length(m: int, truncation_order: int) -> int:
-    """The number n of terms that ``power_sums`` sums for S_m(K): K for
-    m < 3, else min(K, k1(m))."""
-    if m < 3:
-        return truncation_order
+    """The number n = min(K, k1(m)) of terms that ``power_sums`` sums for
+    S_m(K), m >= 2; that is K for m = 2 (``_tail_cutoff``)."""
     return min(truncation_order, _tail_cutoff(m))
 
 
 def _mode_part(forcing: Sequence[float],
-               sums: dict[int, float]) -> list[float]:
+               truncation_order: int) -> list[float]:
     """x^j coefficients of the paired modes 1 <= |k| <= K for the forcing
-    sum_p g_p x^p, g = forcing: the terms 2 g_p Re(c_j) S_m(K), m = p+1-j
-    even, with S_m(K) = sums[m] from ``power_sums`` (every even
-    m <= len(forcing)).
+    sum_p g_p x^p, g = forcing, K = truncation_order: the terms
+    2 g_p Re(c_j) S_m(K), m = p+1-j even, with c_j from
+    ``exp_poly_integral(2 pi i, p)`` and S_m(K) from one ``power_sums``
+    call over every even m <= len(forcing), which checks K.
 
     Against exact arithmetic on a = TWO_PI i (2 pi i within 2^-54 relative)
     and the float S_m, a term is within (2m + 1) 2^-53 relative to first
@@ -261,6 +259,7 @@ def _mode_part(forcing: Sequence[float],
     one term per coefficient.  A power whose coefficient is 0 adds nothing,
     so its unit mode is not built.
     """
+    sums = power_sums(range(2, len(forcing) + 1, 2), truncation_order)
     modes = [0.0] * len(forcing)
     for p, coeff in enumerate(forcing):
         if coeff == 0:
@@ -295,11 +294,10 @@ def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolut
 
     polynomial_part = [-forcing/2 if corrected] + antiderivative(forcing)
         + sum over p, j with p+1-j even of 2 g_p Re(c_j) S_{p+1-j}(K) x^j,
-    with c_j from ``exp_poly_integral(2 pi i, p)``; ``_mode_part`` bounds
-    their rounding.  The exact side is crossed once, by ``_rounded``: each
-    forcing and antiderivative coefficient is rounded once from its exact
-    rational, and the rest is double arithmetic, added per coefficient in
-    the order above.  All integration constants are zero, which picks one
+    the mode part, which ``_mode_part`` builds and bounds.  The exact side
+    is crossed once, by ``_rounded``: each forcing and antiderivative
+    coefficient is rounded once from its exact rational, and the rest is
+    double arithmetic, added per coefficient in the order above.  All integration constants are zero, which picks one
     member of the solution family (solutions differ by 1-periodic
     functions).  A coefficient outside double range raises
     ``CoefficientOverflowError``.
@@ -312,8 +310,7 @@ def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolut
     if config.include_correction:
         for j, c in enumerate(g):
             coeffs[j] += -0.5 * c
-    sums = power_sums(range(2, len(g) + 1, 2), config.truncation_order)
-    for j, c in enumerate(_mode_part(g, sums)):
+    for j, c in enumerate(_mode_part(g, config.truncation_order)):
         coeffs[j] += c
     if not all(map(math.isfinite, coeffs)):
         raise CoefficientOverflowError(
@@ -327,7 +324,8 @@ def euler_gap(forcing: Polynomial, x: float, truncation_order: int) -> float:
 
     Both solutions share the same mode sums and differ only in the -g/2
     term, so the gap is independent of the truncation order up to rounding.
-    A finite x whose gap is not finite raises ``CoefficientOverflowError``.
+    A finite x whose gap is not finite raises ``CoefficientOverflowError``;
+    an x that is not finite gives nan, for the zero forcing too.
     """
     uncorrected = spectral_solve(
         forcing, SpectralConfig(truncation_order, include_correction=False))

@@ -20,10 +20,11 @@ already narrower than double rounding.
 ``coefficient_tables`` compares the two solvers coefficient by coefficient
 for forcing x^n.  A(n, j) is the x^j coefficient of the truncated spectral
 mode part, -(n!/j!) sum_{1<=|k|<=K} (2 k pi i)^(j-(n+1)), from
-``spectral._mode_part``; B(n, j) is the x^(n+1-j) coefficient of
-``faulhaber(n)``, C(n+1, j) B_j / (n+1) for 2 <= j <= n, else 0.  A comes
-from power sums and B from the Bernoulli recurrence, so the comparison is
-not circular.  Agreement is A(n, n+1-j) = B(n, j).
+``spectral._mode_part``, which fetches the power sums it reads; B(n, j) is
+the x^(n+1-j) coefficient of ``faulhaber(n)``, C(n+1, j) B_j / (n+1) for
+2 <= j <= n, else 0.  A comes from power sums and B from the Bernoulli
+recurrence, so the comparison is not circular.  Agreement is
+A(n, n+1-j) = B(n, j).
 """
 
 from __future__ import annotations
@@ -115,8 +116,7 @@ def coefficient_tables(n: int, truncation_order: int
     cancels there.
     """
     check_table_order(n)
-    sums = power_sums(range(2, n + 2, 2), truncation_order)
-    a_table = _mode_part([0.0] * n + [1.0], sums)
+    a_table = _mode_part([0.0] * n + [1.0], truncation_order)
     power_sum = faulhaber(n)
     b_table = [Fraction(0)] * 2 + [power_sum.coefficient(n + 1 - j)
                                    for j in range(2, n + 1)]

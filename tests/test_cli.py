@@ -437,8 +437,10 @@ def test_repeated_runs_are_identical():
 
 
 @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom"),
-                                   OverflowError("boom")],
-                         ids=["ValueError", "KeyError", "OverflowError"])
+                                   OverflowError("boom"),
+                                   ZeroDivisionError("boom")],
+                         ids=["ValueError", "KeyError", "OverflowError",
+                              "ZeroDivisionError"])
 def test_internal_errors_exit_3(error, monkeypatch, capsys):
     """An exception that is not a domain error is a bug: exit 3, one line."""
     def broken(n):

@@ -1,5 +1,6 @@
 """Polynomial calculus and the shared text grammar."""
 
+import cmath
 import math
 import random
 import re
@@ -15,6 +16,7 @@ from deltasolve.polynomials import (MAX_PARSED_DEGREE, NEG_INFINITY,
                                     format_real_polynomial, parse_complex,
                                     parse_complex_polynomial,
                                     parse_polynomial, parse_real_polynomial)
+from deltasolve.polynomials import _horner
 
 X = Polynomial((0, 1))
 
@@ -201,6 +203,17 @@ def test_evaluation_is_a_homomorphism():
         q = _random_poly(rng, 6)
         for x in (Fraction(-3), Fraction(0), Fraction(5, 7)):
             assert (p + q)(x) == p(x) + q(x)
+    # both classes evaluate by _horner, bit for bit at finite points, and a
+    # point that is not finite gives a value that is not finite, the zero
+    # polynomial included
+    exact = [Polynomial(()), Polynomial((Fraction(-7, 3),)),
+             _random_poly(rng, 6), Polynomial((0, Fraction(-1, 2), 0, 3))]
+    floats = [ComplexPolynomial.from_exact(p) for p in exact]
+    for p in exact + floats + [ComplexPolynomial((1j, -0.0, 2 - 3j))]:
+        for x in (0.0, -0.0, 1.5, -2.25, 1e10, 0.5 + 2j):
+            assert repr(p(x)) == repr(_horner(p.coefficients, x)), (p, x)
+        for x in (math.inf, -math.inf, math.nan):
+            assert not cmath.isfinite(p(x)), (p, x)
 
 
 def test_translate():

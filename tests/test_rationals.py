@@ -81,5 +81,6 @@ def test_parse_accepts_grammar_only():
 
 
 def test_parse_zero_denominator_is_reported():
-    with pytest.raises(ZeroDivisionError):
-        parse_rational("1/0")
+    for text in ("1/0", "-3/00", "0/0"):
+        with pytest.raises(ValueError, match=f"zero denominator in '{text}'"):
+            parse_rational(text)

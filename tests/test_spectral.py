@@ -371,10 +371,12 @@ def test_tail_cutoff_is_the_smallest_order_with_a_small_tail():
     # k1(m) is the first k whose integral-test tail bound k^(1-m)/(m-1)
     # is at most 2^-54, decided in exact arithmetic
     limit = Fraction(1, 2 ** 54)
-    for m in list(range(3, 33)) + [54, 55, 56, 2000]:
+    for m in list(range(2, 33)) + [54, 55, 56, 2000]:
         k1 = _tail_cutoff(m)
         assert Fraction(1, (m - 1) * k1 ** (m - 1)) <= limit, m
         assert k1 == 1 or Fraction(1, (m - 1) * (k1 - 1) ** (m - 1)) > limit, m
+    # k1(2) is above every K, so S_2 always takes all K terms
+    assert _tail_cutoff(2) == 2 ** 54 > MAX_TERMS
     assert _tail_cutoff(3) == 94906266 and _tail_cutoff(6) == 1293
 
 
@@ -494,10 +496,8 @@ def _solve_oracle(forcing, config):
         acc = acc + float_forcing * (-0.5)
     acc = acc + ComplexPolynomial.from_exact(forcing.antiderivative())
     real_forcing = [c.real for c in float_forcing.coefficients]
-    sums = power_sums(range(2, len(real_forcing) + 1, 2),
-                      config.truncation_order)
-    acc = acc + ComplexPolynomial(spectral_module._mode_part(real_forcing,
-                                                             sums))
+    acc = acc + ComplexPolynomial(spectral_module._mode_part(
+        real_forcing, config.truncation_order))
     if not all(map(cmath.isfinite, acc.coefficients)):
         raise CoefficientOverflowError(
             "a solution coefficient is outside double range")
@@ -605,6 +605,9 @@ def test_a_point_that_is_not_finite_gives_a_residual_that_is_not_finite():
         residuals = difference_residual(solution, forcing,
                                         [math.inf, -math.inf, math.nan])
         assert not any(map(math.isfinite, residuals)), forcing
+        # the gap too, by the same Horner rule, the zero forcing's included
+        for x in (math.inf, -math.inf, math.nan):
+            assert math.isnan(euler_gap(forcing, x, 3)), (forcing, x)
 
 
 def test_each_solve_builds_every_unit_mode_it_uses(monkeypatch):
