@@ -84,9 +84,10 @@ def _trimmed(coeffs: list) -> tuple:
 
 def _horner(coeffs: Sequence, x):
     """sum_i coeffs[i] x^i by Horner's rule: the package's one polynomial
-    evaluator, behind calling either class.  It starts from x * 0, so a
-    point that is not finite gives a value that is not finite, the zero
-    polynomial included: ``euler_gap`` of the zero forcing there is nan."""
+    evaluator, behind calling either class.  It starts from x * 0, so the
+    result's type follows x (the zero ``ComplexPolynomial`` at a real float
+    gives 0.0, not 0j), and a non-finite point gives a non-finite value:
+    ``euler_gap`` of the zero forcing there is nan."""
     acc = x * 0
     for c in reversed(coeffs):
         acc = acc * x + c

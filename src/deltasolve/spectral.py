@@ -297,10 +297,10 @@ def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolut
     the mode part, which ``_mode_part`` builds and bounds.  The exact side
     is crossed once, by ``_rounded``: each forcing and antiderivative
     coefficient is rounded once from its exact rational, and the rest is
-    double arithmetic, added per coefficient in the order above.  All integration constants are zero, which picks one
-    member of the solution family (solutions differ by 1-periodic
-    functions).  A coefficient outside double range raises
-    ``CoefficientOverflowError``.
+    double arithmetic, added per coefficient in the order above.  All
+    integration constants are zero, which picks one member of the solution
+    family (solutions differ by 1-periodic functions).  A coefficient
+    outside double range raises ``CoefficientOverflowError``.
     """
     if forcing.degree > MAX_FORCING_DEGREE:
         raise DegreeOverflowError(

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from deltasolve import zeta
+from deltasolve import spectral, zeta
 from deltasolve.polynomials import Polynomial
 from deltasolve.reports import (AB_COMPARISON_HEADER, PFD_CONVERGENCE_HEADER,
                                 RESIDUAL_DECAY_HEADER, ab_comparison_rows,
@@ -54,16 +54,19 @@ def test_ab_comparison_checks_every_n_first_and_keeps_every_bit(monkeypatch):
                 for n in n_values for k in k_values]
     assert ab_comparison_rows(n_values, k_values) == expected
     calls = []
-    original = zeta.power_sums
+    original = spectral.power_sums
 
     def counted(exponents, order):
         calls.append((list(exponents), order))
         return original(exponents, order)
 
-    monkeypatch.setattr(zeta, "power_sums", counted)
+    # _mode_part looks power_sums up in spectral's own namespace
+    monkeypatch.setattr(spectral, "power_sums", counted)
     with pytest.raises(ValueError):
         ab_comparison_rows([1, MAX_TABLE_ORDER + 1], [10 ** 6])
     assert calls == []
+    ab_comparison_rows([1], [7])
+    assert calls == [([2], 7)]  # the counter sees every row's power sums
     with pytest.raises(ValueError):
         ab_comparison_rows([1, 2], [0])
 
