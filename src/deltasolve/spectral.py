@@ -27,11 +27,13 @@ a = 2*pi*i, and the -k mode is the conjugate, so each pair adds
 fixed combination of the even-m power sums S_m(K) = sum_{k<=K} k^(-m),
 which ``_mode_part`` fetches.  ``power_sums`` adds the n = min(K, k1(m))
 terms (the integral test puts the dropped tail below 2^-54; n = K for
-m = 2) in one fixed two-level descending order: blocks of 256 terms, each
-summed in descending k and kept per m once computed, then the blocks from
-high k to low k.  The result depends on m and n alone, never on earlier
-calls, and its error is the dropped tail plus 2^-53 (2 S_m +
-sum_{k<=n} k^(1-m)) of rounding.
+m = 2) in one fixed three-level descending order: sub-blocks of 16 terms,
+each summed in descending k, blocks of 16 sub-blocks, each the descending
+sum of its sub-block sums, and both kept per m once computed; a call adds
+its last few terms, sub-block sums and block sums, each from high k to low
+k.  The result depends on m and n alone, never on earlier calls, and its
+error is the dropped tail plus 2^-53 (3 S_m + sum_{k<=n} k^(1-m)) of
+rounding.
 Pairing is structural: one-sided sums diverge for any linear forcing term.
 
 The solve and the residual cross from exact to double once per call
@@ -44,6 +46,8 @@ built at the end.
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -75,15 +79,24 @@ MAX_FORCING_DEGREE = 30
 # 2^54: power sums stop where the integral-test tail falls to 2^-54.
 _TAIL_LIMIT = 1 << 54
 
-# Terms per cached block of a power sum, chosen on the modesum benchmark (K
-# from 10^3 to 4*10^4): of 128, 256, 512 and 1024, 256 gave the highest
-# throughput and a median latency 26% below 1024's and 7% above 128's.
-_BLOCK = 256
+# Terms per cached sub-block and per cached block of a power sum.  A call
+# adds at most 15 terms, then at most 15 sub-block sums, then its block sums.
+_SUB = 16
+_BLOCK = 16 * _SUB
+_SUB_RANGE = range(_SUB)
 
-# _BLOCKS[m][b] = sum_{k=bB+1..(b+1)B} k^-m, B = _BLOCK, summed in descending
-# k.  A longer list replaces the old one by a single assignment, so every
-# list a thread reads is a correct prefix, even while others extend it.
-_BLOCKS: dict[int, list[float]] = {}
+# _BLOCKS[m] = (blocks, subs): blocks[b] = sum_{k=bB+1..(b+1)B} k^-m, B =
+# _BLOCK, and subs[s] = sum_{k=sS+1..(s+1)S} k^-m, S = _SUB, for the same
+# blocks, as the three-level order adds them.  The arrays only grow, in
+# place and under _GROWTH, sub-block sums first: a value once stored never
+# changes, and a block a thread sees has its sub-block sums, even while
+# another thread extends them.
+_BLOCKS: dict[int, tuple[array, array]] = {}
+_NO_BLOCKS = (array("d"), array("d"))
+_GROWTH = threading.Lock()
+
+# k1(m) for 2 <= m < 55 once computed; above, _tail_cutoff is a constant.
+_CUTOFFS: dict[int, int] = {}
 
 
 class DegreeOverflowError(DeltasolveError, ValueError):
@@ -183,20 +196,26 @@ def power_sums(exponents: Iterable[int],
 
     Each sum covers k <= n = min(K, k1(m)) (``_pass_length``: K for m = 2,
     at most 1293 terms for m >= 6, 8192 for m = 5, 181761 for m = 4).
-    With B = 256, every full block k in [bB+1, (b+1)B] is summed in
-    descending k, once per process and m (``_block_sums``); a call adds the
-    partial block from n down to B floor(n/B) + 1, then the block sums from
-    high b to low b.  Every partial sum is thus a tail of its block or of
-    the whole sum, and the error is at most
+    With S = 16 and B = 16 S = 256, every sub-block k in [sS+1, (s+1)S] is
+    summed in descending k, and every block in [bB+1, (b+1)B] is the sum of
+    its 16 sub-block sums from high s to low s; both are computed once per
+    process and m, by one descending pass per block (``_block_sums``).  A
+    call adds the terms from n down to S floor(n/S) + 1, then the sub-block
+    sums below them down to the block boundary B floor(n/B), then the block
+    sums from high b to low b.  Every partial sum of each level is a tail
+    of its sub-block, its block or the whole sum, and the error is at most
 
-        [n < K] 2^-54 + 2^-53 (2 S_m(K) + sum_{k<=n} k^(1-m)):
+        [n < K] 2^-54 + 2^-53 (3 S_m(K) + sum_{k<=n} k^(1-m)):
 
     the dropped terms (integral test) plus the first-order rounding of the
-    two descending levels, a few ulps of S_m that grow only like log K for
-    m = 2, where ascending k allows K ulps; the block level adds at most one
-    S_m to the single-pass bound.  The order is fixed by m and n alone, so
-    the result is the same bit for bit whatever was called before.  Only
-    m = 2..7 have n > B, and each holds at most MAX_TERMS / B cached floats.
+    powers and of the three descending levels, a few ulps of S_m that grow
+    only like log K for m = 2, where ascending k allows K ulps; each level
+    above the first adds at most one S_m to the single-pass bound.  The
+    order is fixed by m and n alone, so the result is the same bit for bit
+    whatever was called before.  A call whose n has 16 or more terms past
+    the last full block sums that whole block once, up to 255 terms past n.
+    Only m = 2..13 have n >= S; the cache holds 17 doubles per 256 terms, at
+    most about 1.2 MB over m = 2..7 after a call at K = MAX_TERMS.
     ``k ** -m`` is a float power: it underflows to 0.0 for large m where
     ``1.0 / k ** m`` would raise OverflowError.  An exponent below 2 or a K
     below 1 raises ``ValueError``, and a K above MAX_TERMS
@@ -209,24 +228,47 @@ def power_sums(exponents: Iterable[int],
     totals = {}
     for m in exponents:
         n = _pass_length(m, truncation_order)
-        full = n // _BLOCK
-        blocks = _block_sums(m, full)
-        total = _descending_sum(m, n, full * _BLOCK)
-        for b in range(full - 1, -1, -1):
-            total += blocks[b]
+        full, whole = n // _BLOCK, n // _SUB
+        blocks, subs = _block_sums(m, -(-whole // _SUB))
+        total = _descending_sum(m, n, whole * _SUB)
+        for value in subs[full * _SUB:whole][::-1]:
+            total += value
+        for value in blocks[:full][::-1]:
+            total += value
         totals[m] = total
     return totals
 
 
-def _block_sums(m: int, count: int) -> list[float]:
-    """At least the first ``count`` block sums of S_m, computing and
-    caching the missing ones."""
-    blocks = _BLOCKS.get(m, [])
-    if len(blocks) < count:
-        blocks = blocks + [_descending_sum(m, (b + 1) * _BLOCK, b * _BLOCK)
-                           for b in range(len(blocks), count)]
-        _BLOCKS[m] = blocks
-    return blocks
+def _block_sums(m: int, count: int) -> tuple[array, array]:
+    """The block and sub-block sums of S_m for at least the first ``count``
+    blocks, computing and caching the missing ones.
+
+    One descending pass over each new block makes its sub-block sums, and
+    the block sum is theirs, added from high to low as they come.  k counts
+    down as a double: float(k) ** float(-m) is the double that the int
+    power k ** -m gives, with one conversion less per term."""
+    pair = _BLOCKS.get(m, _NO_BLOCKS)
+    if len(pair[0]) >= count:
+        return pair
+    with _GROWTH:
+        blocks, subs = pair = _BLOCKS.setdefault(m, (array("d"), array("d")))
+        power, k = float(-m), float(count * _BLOCK)
+        new_blocks, new_subs = array("d"), array("d")
+        for _ in range(count - len(blocks)):
+            block = 0.0
+            for _ in _SUB_RANGE:
+                sub = 0.0
+                for _ in _SUB_RANGE:
+                    sub += k ** power
+                    k -= 1.0
+                new_subs.append(sub)
+                block += sub
+            new_blocks.append(block)
+        new_blocks.reverse()
+        new_subs.reverse()
+        subs.extend(new_subs)
+        blocks.extend(new_blocks)
+    return pair
 
 
 def _descending_sum(m: int, high: int, low: int) -> float:
@@ -240,7 +282,12 @@ def _descending_sum(m: int, high: int, low: int) -> float:
 def _pass_length(m: int, truncation_order: int) -> int:
     """The number n = min(K, k1(m)) of terms that ``power_sums`` sums for
     S_m(K), m >= 2; that is K for m = 2 (``_tail_cutoff``)."""
-    return min(truncation_order, _tail_cutoff(m))
+    cutoff = _CUTOFFS.get(m)
+    if cutoff is None:
+        cutoff = _tail_cutoff(m)
+        if m < 55:
+            _CUTOFFS[m] = cutoff
+    return min(truncation_order, cutoff)
 
 
 def _mode_part(forcing: Sequence[float],

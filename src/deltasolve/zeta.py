@@ -13,7 +13,7 @@ integral-test bracket around the partial sum S_N = sum_{k<=N} k^(-2j):
 
 which never touches Bernoulli numbers.  S_N comes from
 ``spectral.power_sums``, a plain sum of the terms k^(-2j) in a fixed
-two-level descending order: exact for N <= k1(2j) up to its rounding, a
+three-level descending order: exact for N <= k1(2j) up to its rounding, a
 few ulps, and within a further 2^-54 beyond it, where the bracket is
 already narrower than double rounding.
 
@@ -49,6 +49,11 @@ __all__ = [
 # MAX_TABLE_ORDER = 12 bounds the tables: beyond n = 12 the exact B-table
 # stays cheap but the numeric A-table's n!/j! prefactors start amplifying
 # tail error past usefulness.
+
+# _B_TABLES[n] = the B-table of order n, built from faulhaber(n) on first use;
+# at most MAX_TABLE_ORDER entries of n + 1 Fractions each.  Two first calls
+# for one n may both build it; the tables are equal, and either is kept.
+_B_TABLES: dict[int, list[Fraction]] = {}
 
 # pi truncated to 128 fractional bits: pi = _PI_SCALED / 2^128 + e,
 # 0 <= e < 2^-128.
@@ -113,14 +118,17 @@ def coefficient_tables(n: int, truncation_order: int
                        ) -> tuple[list[float], list[Fraction]]:
     """(A, B) tables for forcing x^n, both indexed by j = 0..n (module
     docstring).  A entries with odd n+1-j are exactly 0: each +-k pair
-    cancels there.
+    cancels there.  B depends on n alone: it is built once per n and the
+    caller gets a copy.
     """
     check_table_order(n)
     a_table = _mode_part([0.0] * n + [1.0], truncation_order)
-    power_sum = faulhaber(n)
-    b_table = [Fraction(0)] * 2 + [power_sum.coefficient(n + 1 - j)
-                                   for j in range(2, n + 1)]
-    return a_table, b_table
+    b_table = _B_TABLES.get(n)
+    if b_table is None:
+        power_sum = faulhaber(n)
+        b_table = _B_TABLES[n] = [Fraction(0)] * 2 + [
+            power_sum.coefficient(n + 1 - j) for j in range(2, n + 1)]
+    return a_table, list(b_table)
 
 
 def verify_comparison(n: int, truncation_order: int) -> float:

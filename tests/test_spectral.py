@@ -21,7 +21,7 @@ from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  difference_residual, euler_gap,
                                  exp_poly_integral, mode_polynomial,
                                  power_sums, spectral_solve)
-from deltasolve.spectral import _BLOCK, _tail_cutoff
+from deltasolve.spectral import _BLOCK, _SUB, _tail_cutoff
 from deltasolve.zeta import coefficient_tables, zeta_partial_sum
 
 X = Polynomial((0, 1))
@@ -220,27 +220,67 @@ def _descending(m, high, low):
     return total
 
 
+def _added(values):
+    """The values added in the order given, from 0.0."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _pass_terms(m, truncation_order):
+    """n = K, or min(K, k1(m)) for m >= 3: the terms ``power_sums`` sums."""
+    return truncation_order if m < 3 \
+        else min(truncation_order, _tail_cutoff(m))
+
+
+def _oracle_sub_blocks(m, count):
+    """The first ``count`` sub-block sums of S_m, each in descending k."""
+    return [_descending(m, (s + 1) * _SUB, s * _SUB) for s in range(count)]
+
+
 def _oracle_blocks(m, count):
-    """The first ``count`` block sums of S_m, each in descending k."""
-    return [_descending(m, (b + 1) * _BLOCK, b * _BLOCK) for b in range(count)]
+    """The first ``count`` block sums of S_m, each the sum of its 16
+    sub-block sums from high to low."""
+    subs = _oracle_sub_blocks(m, count * _BLOCK // _SUB)
+    return [_added(reversed(subs[b * 16:(b + 1) * 16])) for b in range(count)]
+
+
+def _three_level_sum(m, truncation_order):
+    """S_m(K) in the order ``power_sums`` documents: the terms from n down
+    to the last sub-block boundary, then the sub-block sums from high to
+    low down to the last block boundary, then the block sums from high to
+    low, each sub-block and block summed from the top down."""
+    n = _pass_terms(m, truncation_order)
+    full, whole = n // _BLOCK, n // _SUB
+    subs = _oracle_sub_blocks(m, whole)[full * _BLOCK // _SUB:]
+    return _added([_descending(m, n, whole * _SUB)] + subs[::-1]
+                  + _oracle_blocks(m, full)[::-1])
 
 
 def _two_level_sum(m, truncation_order):
-    """S_m(K) in the order ``power_sums`` documents: over n = K, or
-    min(K, k1(m)) for m >= 3, the partial block from n down, then the full
-    blocks' descending sums from high k to low k."""
-    n = truncation_order if m < 3 else min(truncation_order, _tail_cutoff(m))
+    """S_m(K) in the earlier two-level order, kept as a reference: the
+    partial block from n down in one pass, then the 256-term blocks, each
+    one descending pass, from high k to low k."""
+    n = _pass_terms(m, truncation_order)
     full = n // _BLOCK
-    total = _descending(m, n, full * _BLOCK)
-    for block in reversed(_oracle_blocks(m, full)):
-        total += block
-    return total
+    return _added([_descending(m, n, full * _BLOCK)]
+                  + [_descending(m, (b + 1) * _BLOCK, b * _BLOCK)
+                     for b in range(full - 1, -1, -1)])
+
+
+def _stated_rounding_bound(m, n):
+    """2^-53 (3 S_m + sum_{k<=n} k^(1-m)) over the n terms summed, the
+    rounding part of the bound ``power_sums`` states."""
+    return 2.0 ** -53 * (3 * math.fsum(k ** -m for k in range(1, n + 1))
+                         + math.fsum(k ** (1 - m) for k in range(1, n + 1)))
 
 
 def test_power_sums_match_hurwitz_zeta():
     mpmath = pytest.importorskip("mpmath")
     exponents = range(2, 33)
-    orders = (1, 2, 10, 999, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10 ** 4,
+    orders = (1, 2, 10, _SUB - 1, _SUB, _SUB + 1, 17 * _SUB - 1, 17 * _SUB,
+              17 * _SUB + 1, 999, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10 ** 4,
               10 ** 5, MAX_TERMS)
     with mpmath.workdps(40):
         for K in orders:
@@ -252,8 +292,8 @@ def test_power_sums_match_hurwitz_zeta():
                 # ulp, a partial sum that is a tail sum_{i=k..K} i^-m, and
                 # those tails add up to sum_{k<=K} k^(1-m); each term's
                 # power rounds once more.  Never above the K ulps of any
-                # order.  The bound stated for the two-level order has a
-                # second S_m; the results stay inside this tighter one.
+                # order.  The bound stated for the three-level order has
+                # two more S_m; the results stay inside this tighter one.
                 tails = mpmath.harmonic(K) if m == 2 \
                     else mpmath.zeta(m - 1) - mpmath.zeta(m - 1, K + 1)
                 bound = 2.0 ** -53 * (exact + tails)
@@ -261,13 +301,16 @@ def test_power_sums_match_hurwitz_zeta():
 
 
 def test_power_sums_do_not_depend_on_call_history(monkeypatch):
-    """Each S_m(K) equals the two-level oracle bit for bit, both after
+    """Each S_m(K) equals the three-level oracle bit for bit, both after
     any earlier sequence of calls and on a cleared block cache."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     near_boundary = st.builds(lambda b, d: max(1, b * _BLOCK + d),
                               st.integers(0, 40), st.integers(-2, 2))
-    orders = st.one_of(near_boundary, st.integers(1, 40 * _BLOCK))
+    near_sub_boundary = st.builds(lambda s, d: max(1, s * _SUB + d),
+                                  st.integers(0, 640), st.integers(-1, 1))
+    orders = st.one_of(near_boundary, near_sub_boundary,
+                       st.integers(1, 40 * _BLOCK))
     exponents = st.lists(st.integers(2, 9), min_size=1, max_size=4,
                          unique=True)
 
@@ -277,15 +320,33 @@ def test_power_sums_do_not_depend_on_call_history(monkeypatch):
                                max_size=5))
     @hypothesis.example([([2, 3], 5 * _BLOCK + 1), ([2, 7], _BLOCK - 1),
                          ([3, 2], 2 * _BLOCK), ([2], 9 * _BLOCK - 1)])
+    @hypothesis.example([([2, 5], 3 * _SUB - 1), ([5, 2], 3 * _SUB),
+                         ([2], 20 * _SUB + 1), ([4], 17 * _SUB - 1)])
     def same_bits(calls):
         monkeypatch.setattr(spectral_module, "_BLOCKS", {})
         in_sequence = [power_sums(ms, K) for ms, K in calls]
         for (ms, K), sums in zip(calls, in_sequence):
-            assert sums == {m: _two_level_sum(m, K) for m in ms}, (ms, K)
+            assert sums == {m: _three_level_sum(m, K) for m in ms}, (ms, K)
             monkeypatch.setattr(spectral_module, "_BLOCKS", {})
             assert power_sums(ms, K) == sums, (ms, K)
 
     same_bits()
+
+
+def test_power_sums_stay_within_the_stated_bound_of_the_two_level_order():
+    """The three-level sums differ from the earlier two-level order's, over
+    the same n terms, by less than the rounding bound stated for them, at
+    the sub-block boundaries 16s - 1, 16s, 16s + 1 and away from them.
+    10 of these 429 sums move, the worst by 0.50 of the bound."""
+    rng = random.Random(20261019)
+    orders = sorted({max(1, s * _SUB + d) for s in (1, 2, 15, 16, 17, 63, 250)
+                     for d in (-1, 0, 1)} | {rng.randint(1, 20000)
+                                             for _ in range(12)})
+    for m in range(2, 15):
+        for K in orders:
+            value = power_sums((m,), K)[m]
+            assert abs(value - _two_level_sum(m, K)) \
+                <= _stated_rounding_bound(m, _pass_terms(m, K)), (m, K)
 
 
 def test_block_cache_is_thread_safe(monkeypatch):
@@ -295,7 +356,8 @@ def test_block_cache_is_thread_safe(monkeypatch):
     for K in orders:
         monkeypatch.setattr(spectral_module, "_BLOCKS", {})
         expected.append(power_sums(exponents, K))
-    blocks_of = {m: _oracle_blocks(m, 60) for m in exponents}
+    blocks_of = {m: _oracle_blocks(m, 61) for m in exponents}
+    subs_of = {m: _oracle_sub_blocks(m, 61 * 16) for m in exponents}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -308,8 +370,10 @@ def test_block_cache_is_thread_safe(monkeypatch):
             assert results == expected
             cache = spectral_module._BLOCKS
             assert set(cache) <= set(exponents) and 2 in cache
-            for m, blocks in cache.items():
-                assert blocks == blocks_of[m][:len(blocks)], m
+            for m, (blocks, subs) in cache.items():
+                assert len(subs) == 16 * len(blocks), m
+                assert list(blocks) == blocks_of[m][:len(blocks)], m
+                assert list(subs) == subs_of[m][:len(subs)], m
     finally:
         sys.setswitchinterval(interval)
 
@@ -333,17 +397,20 @@ class _Untouchable:
 
 def test_every_cap_rejects_before_any_sum(monkeypatch):
     """K = 0 and K = MAX_TERMS + 1 raise at every entry that takes a K or
-    N, before any term is summed, and leave the block cache as it was."""
+    N, before any term is summed, and leave the block and sub-block cache
+    as it was."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     monkeypatch.setattr(spectral_module, "_BLOCKS", {})
     power_sums(range(2, 8), 3000)
     cache = spectral_module._BLOCKS
-    before = {m: (blocks, list(blocks)) for m, blocks in cache.items()}
+    before = {m: (pair, [list(sums) for sums in pair])
+              for m, pair in cache.items()}
 
     def no_sum(*args):
         raise AssertionError("a power sum started")
     monkeypatch.setattr(spectral_module, "_descending_sum", no_sum)
+    monkeypatch.setattr(spectral_module, "_block_sums", no_sum)
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None,
                          derandomize=True)
@@ -356,8 +423,9 @@ def test_every_cap_rejects_before_any_sum(monkeypatch):
             _CAPPED_ENTRIES[entry](K, i, _Untouchable())
         assert spectral_module._BLOCKS is cache
         assert cache.keys() == before.keys()
-        for m, (blocks, values) in before.items():
-            assert cache[m] is blocks and blocks == values, (entry, K, m)
+        for m, (pair, values) in before.items():
+            assert cache[m] is pair, (entry, K, m)
+            assert [list(sums) for sums in pair] == values, (entry, K, m)
 
     refused()
     # exponents below 2 are refused the same way
@@ -392,13 +460,29 @@ def test_power_sums_stop_early_within_the_stated_bound():
             for K in orders:
                 value = power_sums((m,), K)[m]
                 n = min(K, k1)
-                assert value == _two_level_sum(m, K), (m, K)
+                assert value == _three_level_sum(m, K), (m, K)
                 exact = mpmath.zeta(m) - mpmath.zeta(m, K + 1)
-                # the single-pass bound, one S_m below the stated one
+                # the single-pass bound, two S_m below the stated one
                 tails = math.fsum(k ** (1 - m) for k in range(1, n + 1))
                 bound = (2.0 ** -54 if n < K else 0.0) \
                     + 2.0 ** -53 * (float(exact) + tails)
                 assert abs(value - exact) <= bound, (m, K)
+
+
+def test_cache_holds_17_doubles_per_block_at_the_cap(monkeypatch):
+    """After a call at MAX_TERMS, m = 2..7 keep the blocks that cover
+    n = min(MAX_TERMS, k1(m)) terms, rounded up to a whole block once n
+    has a sub-block past the last full one; 1.17 MB in all."""
+    monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+    power_sums(range(2, 8), MAX_TERMS)
+    cache = spectral_module._BLOCKS
+    blocks = {2: 3907, 3: 3907, 4: 710, 5: 32, 6: 5, 7: 2}
+    assert {m: len(pair[0]) for m, pair in cache.items()} == blocks
+    assert {m: len(pair[1]) for m, pair in cache.items()} \
+        == {m: 16 * count for m, count in blocks.items()}
+    stored = sum(len(sums) * sums.itemsize for pair in cache.values()
+                 for sums in pair)
+    assert stored == 17 * 8 * sum(blocks.values()) <= 1.2e6
 
 
 def test_power_sums_underflow_instead_of_overflowing():

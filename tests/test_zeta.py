@@ -1,12 +1,15 @@
 """Even zeta closed forms, the bracketing oracle, coefficient tables."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from deltasolve import spectral
-from deltasolve.bernoulli import bernoulli
+from deltasolve import zeta as zeta_module
+from deltasolve.bernoulli import bernoulli, faulhaber
 from deltasolve.polynomials import Polynomial
 from deltasolve.rationals import binomial
 from deltasolve.spectral import SpectralConfig, power_sums, spectral_solve
@@ -91,6 +94,91 @@ def test_b_table_is_the_faulhaber_tail():
         assert b_table[1] == 0
         for j in range(2, n + 1):
             assert b_table[j] == binomial(n + 1, j) * bernoulli(j) / (n + 1)
+
+
+def _fresh_b_table(n):
+    """The B-table of order n, built from a new ``faulhaber(n)``."""
+    power_sum = faulhaber(n)
+    return [Fraction(0)] * 2 + [power_sum.coefficient(n + 1 - j)
+                                for j in range(2, n + 1)]
+
+
+def test_b_table_is_built_once_per_order(monkeypatch):
+    monkeypatch.setattr(zeta_module, "_B_TABLES", {})
+    for n in range(1, MAX_TABLE_ORDER + 1):
+        _, first = coefficient_tables(n, 1)
+        assert first == _fresh_b_table(n), n
+    # later calls, at any K, read the cached tables
+    def no_faulhaber(n):
+        raise AssertionError("a B-table was built again")
+    monkeypatch.setattr(zeta_module, "faulhaber", no_faulhaber)
+    for n in range(1, MAX_TABLE_ORDER + 1):
+        for order in (1, 256, 4000):
+            assert coefficient_tables(n, order)[1] == _fresh_b_table(n), n
+    assert sorted(zeta_module._B_TABLES) == list(range(1, MAX_TABLE_ORDER + 1))
+
+
+def test_a_returned_b_table_is_a_copy(monkeypatch):
+    monkeypatch.setattr(zeta_module, "_B_TABLES", {})
+    for n in (2, 7, MAX_TABLE_ORDER):
+        want = verify_comparison(n, 100)
+        _, b_table = coefficient_tables(n, 100)
+        b_table[:] = [Fraction(99)] * len(b_table)
+        b_table.append(Fraction(1))
+        assert coefficient_tables(n, 100)[1] == _fresh_b_table(n), n
+        assert verify_comparison(n, 100) == want, n
+
+
+def test_first_b_tables_from_two_threads_are_equal(monkeypatch):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (3, 8, MAX_TABLE_ORDER):
+            monkeypatch.setattr(zeta_module, "_B_TABLES", {})
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                first, second = pool.map(
+                    lambda order: coefficient_tables(n, order)[1], (50, 60),
+                    timeout=120)
+            assert first == second == _fresh_b_table(n), n
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# verify_comparison(n, K) before the B-table was cached and the power sums
+# gained their sub-block level, for K = 1, 255, 256, 4000, 10^5; a float's
+# repr reads back as the same double, so == compares bits
+_EARLIER_MISMATCHES = {
+    1: (0.0, 0.0, 0.0, 0.0, 0.0),
+    2: (0.06534548302432888, 0.00039655989941969616, 0.0003950138608509457,
+        2.5327129887425803e-05, 1.0132067703449987e-06),
+    3: (0.09801822453649334, 0.0005948398491295581, 0.0005925207912764185,
+        3.799069483115258e-05, 1.5198101555591315e-06),
+    4: (0.13069096604865776, 0.0007931197988393923, 0.0007900277217018914,
+        5.0654259774851607e-05, 2.0264135406899975e-06),
+    5: (0.16336370756082225, 0.000991399748549282, 0.0009875346521274198,
+        6.33178247186339e-05, 2.5330169259318858e-06),
+    6: (0.19603644907298667, 0.0011896796982591162, 0.001185041582552837,
+        7.598138966230517e-05, 3.039620311118263e-06),
+    7: (0.2287091905851511, 0.001387959647968895, 0.0013825485129782544,
+        8.864495460603194e-05, 3.546223696249129e-06),
+    8: (0.26138193209731553, 0.0015862395976787846, 0.0015800554434037828,
+        0.00010130851954970321, 4.052827081379995e-06),
+    9: (0.29405467360948, 0.0017845195473886744, 0.0017775623738293111,
+        0.0001139720844934855, 4.559430466621883e-06),
+    10: (0.3267274151216445, 0.001982799497098564, 0.0019750693042548395,
+         0.0001266356494372678, 5.0660338518637715e-06),
+    11: (0.35940015663380886, 0.0021810794468083428, 0.002172576234680146,
+         0.00013929921438093906, 5.5726372369946375e-06),
+    12: (0.39207289814597335, 0.0023793593965182325, 0.002370083165105674,
+         0.00015196277932461033, 6.079240622236526e-06),
+}
+
+
+def test_verify_comparison_keeps_its_earlier_bits():
+    for n, mismatches in _EARLIER_MISMATCHES.items():
+        got = tuple(verify_comparison(n, order)
+                    for order in (1, 255, 256, 4000, 10 ** 5))
+        assert got == mismatches, n
 
 
 def _closed_form_a_table(n, order):
