@@ -59,22 +59,22 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # 15,600 terms), and for ab-comparison, per K, the terms of its
 # power sums S_m(K), each even m <= n-max + 1 once (K for m = 2,
 # min(K, 181761) for m = 4, at most 1293 for each m >= 6), plus 1000 for
-# each of its n-max rows (a row's own work, 0.05 to 0.17 ms at n = 12: its
-# A-table, a copy of its B-table, and power sums from cached sub-block and
-# block sums, most of it adding the 4,600 block sums of K = 10^6).  That
-# is the cost of a cold process, give or take one 256-term block per m;
-# power_sums keeps its block sums for the process, so a K whose blocks an
-# earlier row or K computed costs less, and the charge is then an upper
-# bound.  It is checked once the arguments are parsed.  At the budget,
+# each of its n-max rows (a row's own work, 0.03 to 0.05 ms at n = 12
+# whatever K: its A-table, a copy of its B-table, and power sums of at
+# most 31 powers per m on the cached prefix).  That is the cost of a cold
+# process, give or take one 32-term sub-block per m; power_sums keeps its
+# prefix sums for the process, so a K whose prefix an earlier row or K
+# computed costs less, and the charge is then an upper bound.  It is
+# checked once the arguments are parsed.  At the budget,
 # pfd-convergence, the slowest per term, takes 0.34 to 0.48 s (one z,
 # --K-list 1000000,499900) and 0.22 to 0.36 s as 29,411 rows of K = 1;
 # residual-decay takes 0.16 to 0.17 s for a dense degree-30 forcing
 # (--K-list 1000000,460000) and 0.12 to 0.13 s as its 74 rows of K = 1,
 # where 2,000 such rows took 4.1 s before rows were charged; ab-comparison
 # takes at most 0.18 s, as --n-max 12 --K-list 1000000,145590, whose cold
-# power sums are most of it (0.11 to 0.18 s; 115 K = 255 take 0.05 to
+# power sums are most of it (0.10 to 0.18 s; 115 K = 255 take 0.05 to
 # 0.08 s and 124 K = 1 0.04 to 0.07 s), same machine and method as above
-# (the ranges span three runs, as the machine's speed drifts).
+# (the ranges span eight runs, as the machine's speed drifts).
 MAX_ZETA_INDEX = 300
 MAX_OPERATOR_DEGREE = 90
 MAX_REPORT_TERMS = 1_500_000

@@ -79,8 +79,8 @@ def ab_comparison_rows(n_values: Iterable[int], k_values: Iterable[int],
                        threads: int = 1) -> list[list]:
     """Worst numeric-vs-exact coefficient mismatch, per (n, K): each row is
     ``verify_comparison(n, K)``.  The rows of one K share its power sums
-    through the block and sub-block sums that ``power_sums`` caches, and
-    the rows of one n share the B-table that ``coefficient_tables`` keeps.
+    through the prefix sums that ``power_sums`` caches, and the rows of
+    one n share the B-table that ``coefficient_tables`` keeps.
     Every n is checked before any row is computed."""
     n_values, k_values = list(n_values), list(k_values)
     for n in n_values:

@@ -27,13 +27,11 @@ a = 2*pi*i, and the -k mode is the conjugate, so each pair adds
 fixed combination of the even-m power sums S_m(K) = sum_{k<=K} k^(-m),
 which ``_mode_part`` fetches.  ``power_sums`` adds the n = min(K, k1(m))
 terms (the integral test puts the dropped tail below 2^-54; n = K for
-m = 2) in one fixed three-level descending order: sub-blocks of 16 terms,
-each summed in descending k, blocks of 16 sub-blocks, each the descending
-sum of its sub-block sums, and both kept per m once computed; a call adds
-its last few terms, sub-block sums and block sums, each from high k to low
-k.  The result depends on m and n alone, never on earlier calls, and its
-error is the dropped tail plus 2^-53 (3 S_m + sum_{k<=n} k^(1-m)) of
-rounding.
+m = 2) in one fixed order: at most 31 terms in descending k, then a
+compensated prefix over 32-term sub-blocks, cached per m.  The result
+depends on m and n alone, never on earlier calls, and its error is the
+dropped tail plus 2^-53 (2 S_m + sum_{k<=n} k^(1-m)) of rounding, to
+first order.
 Pairing is structural: one-sided sums diverge for any linear forcing term.
 
 The solve and the residual cross from exact to double once per call
@@ -79,20 +77,15 @@ MAX_FORCING_DEGREE = 30
 # 2^54: power sums stop where the integral-test tail falls to 2^-54.
 _TAIL_LIMIT = 1 << 54
 
-# Terms per cached sub-block and per cached block of a power sum.  A call
-# adds at most 15 terms, then at most 15 sub-block sums, then its block sums.
-_SUB = 16
-_BLOCK = 16 * _SUB
+# Terms per sub-block of the cached prefix: a call sums at most 31 powers.
+_SUB = 32
 _SUB_RANGE = range(_SUB)
 
-# _BLOCKS[m] = (blocks, subs): blocks[b] = sum_{k=bB+1..(b+1)B} k^-m, B =
-# _BLOCK, and subs[s] = sum_{k=sS+1..(s+1)S} k^-m, S = _SUB, for the same
-# blocks, as the three-level order adds them.  The arrays only grow, in
-# place and under _GROWTH, sub-block sums first: a value once stored never
-# changes, and a block a thread sees has its sub-block sums, even while
-# another thread extends them.
-_BLOCKS: dict[int, tuple[array, array]] = {}
-_NO_BLOCKS = (array("d"), array("d"))
+# _PREFIXES[m] = (hi, lo): hi[s] + lo[s] = S_m(32 s), the sub-block sums
+# added from s = 0 up by Fast2Sum.  The arrays only grow, in place and
+# under _GROWTH, lo first: a value once stored never changes, and an hi[s]
+# a thread sees has its lo[s], even while another thread extends them.
+_PREFIXES: dict[int, tuple[array, array]] = {}
 _GROWTH = threading.Lock()
 
 # k1(m) for 2 <= m < 55 once computed; above, _tail_cutoff is a constant.
@@ -196,26 +189,23 @@ def power_sums(exponents: Iterable[int],
 
     Each sum covers k <= n = min(K, k1(m)) (``_pass_length``: K for m = 2,
     at most 1293 terms for m >= 6, 8192 for m = 5, 181761 for m = 4).
-    With S = 16 and B = 16 S = 256, every sub-block k in [sS+1, (s+1)S] is
-    summed in descending k, and every block in [bB+1, (b+1)B] is the sum of
-    its 16 sub-block sums from high s to low s; both are computed once per
-    process and m, by one descending pass per block (``_block_sums``).  A
-    call adds the terms from n down to S floor(n/S) + 1, then the sub-block
-    sums below them down to the block boundary B floor(n/B), then the block
-    sums from high b to low b.  Every partial sum of each level is a tail
-    of its sub-block, its block or the whole sum, and the error is at most
+    With s = floor(n/32), a call returns (sum_{k=n..32s+1} k^-m + lo) + hi,
+    the at most 31 terms added in descending k, and hi + lo = S_m(32 s)
+    from ``_prefix_sums``: each 32-term sub-block summed in descending k,
+    the sub-block sums added exactly but for the rounding of lo.  The
+    error is at most
 
-        [n < K] 2^-54 + 2^-53 (3 S_m(K) + sum_{k<=n} k^(1-m)):
+        [n < K] 2^-54 + 2^-53 (2 S_m(K) + sum_{k<=n} k^(1-m)):
 
-    the dropped terms (integral test) plus the first-order rounding of the
-    powers and of the three descending levels, a few ulps of S_m that grow
-    only like log K for m = 2, where ascending k allows K ulps; each level
-    above the first adds at most one S_m to the single-pass bound.  The
-    order is fixed by m and n alone, so the result is the same bit for bit
-    whatever was called before.  A call whose n has 16 or more terms past
-    the last full block sums that whole block once, up to 255 terms past n.
-    Only m = 2..13 have n >= S; the cache holds 17 doubles per 256 terms, at
-    most about 1.2 MB over m = 2..7 after a call at K = MAX_TERMS.
+    the dropped terms (integral test), the rounding of the powers (one
+    S_m), of the descending additions (each partial sum a tail of its
+    sub-block or of the last terms, with lo added as one of them) and of
+    hi (one S_m): a few ulps of S_m that grow only like log K for m = 2,
+    where ascending k allows K ulps.  The rounding of lo adds at most
+    s^2 2^-106 S_m, below 2^-76 S_m at n <= MAX_TERMS.  The order is fixed
+    by m and n alone, so the result is the same bit for bit whatever was
+    called before.  Only m = 2..11 have s >= 1; the cache holds two doubles
+    per 32 terms, 1.1 MB over m = 2..7 after a call at K = MAX_TERMS.
     ``k ** -m`` is a float power: it underflows to 0.0 for large m where
     ``1.0 / k ** m`` would raise OverflowError.  An exponent below 2 or a K
     below 1 raises ``ValueError``, and a K above MAX_TERMS
@@ -228,47 +218,42 @@ def power_sums(exponents: Iterable[int],
     totals = {}
     for m in exponents:
         n = _pass_length(m, truncation_order)
-        full, whole = n // _BLOCK, n // _SUB
-        blocks, subs = _block_sums(m, -(-whole // _SUB))
-        total = _descending_sum(m, n, whole * _SUB)
-        for value in subs[full * _SUB:whole][::-1]:
-            total += value
-        for value in blocks[:full][::-1]:
-            total += value
-        totals[m] = total
+        s = n // _SUB
+        hi, lo = _prefix_sums(m, s)
+        totals[m] = (_descending_sum(m, n, s * _SUB) + lo) + hi
     return totals
 
 
-def _block_sums(m: int, count: int) -> tuple[array, array]:
-    """The block and sub-block sums of S_m for at least the first ``count``
-    blocks, computing and caching the missing ones.
+def _prefix_sums(m: int, s: int) -> tuple[float, float]:
+    """(hi[s], lo[s]), hi[s] + lo[s] = S_m(32 s), computing and caching the
+    missing sub-blocks; (0.0, 0.0) for s = 0, which caches nothing.
 
-    One descending pass over each new block makes its sub-block sums, and
-    the block sum is theirs, added from high to low as they come.  k counts
-    down as a double: float(k) ** float(-m) is the double that the int
-    power k ** -m gives, with one conversion less per term."""
-    pair = _BLOCKS.get(m, _NO_BLOCKS)
-    if len(pair[0]) >= count:
-        return pair
-    with _GROWTH:
-        blocks, subs = pair = _BLOCKS.setdefault(m, (array("d"), array("d")))
-        power, k = float(-m), float(count * _BLOCK)
-        new_blocks, new_subs = array("d"), array("d")
-        for _ in range(count - len(blocks)):
-            block = 0.0
-            for _ in _SUB_RANGE:
-                sub = 0.0
+    Each new sub-block is summed in descending k and added to the prefix
+    by Fast2Sum, t = hi + sub; lo += (hi - t) + sub; hi = t, exact as hi is
+    0 or at least 1 > sub.  k counts down as a double: float(k) ** float(-m)
+    is the double that k ** -m gives, with one conversion less per term."""
+    if not s:
+        return 0.0, 0.0
+    prefix = _PREFIXES.get(m)
+    if prefix is None or len(prefix[0]) <= s:
+        with _GROWTH:
+            hi, lo = prefix = _PREFIXES.setdefault(
+                m, (array("d", [0.0]), array("d", [0.0])))
+            total, error = hi[-1], lo[-1]
+            power, top = float(-m), float(_SUB * (len(hi) - 1))
+            for _ in range(s + 1 - len(hi)):
+                top += _SUB
+                sub, k = 0.0, top
                 for _ in _SUB_RANGE:
                     sub += k ** power
                     k -= 1.0
-                new_subs.append(sub)
-                block += sub
-            new_blocks.append(block)
-        new_blocks.reverse()
-        new_subs.reverse()
-        subs.extend(new_subs)
-        blocks.extend(new_blocks)
-    return pair
+                t = total + sub
+                error += (total - t) + sub
+                total = t
+                lo.append(error)
+                hi.append(total)
+    hi, lo = prefix
+    return hi[s], lo[s]
 
 
 def _descending_sum(m: int, high: int, low: int) -> float:

@@ -13,8 +13,9 @@ integral-test bracket around the partial sum S_N = sum_{k<=N} k^(-2j):
 
 which never touches Bernoulli numbers.  S_N comes from
 ``spectral.power_sums``, a plain sum of the terms k^(-2j) in a fixed
-three-level descending order: exact for N <= k1(2j) up to its rounding, a
-few ulps, and within a further 2^-54 beyond it, where the bracket is
+order over a cached compensated prefix: exact for N <= k1(2j) up to its
+rounding, a few ulps (2^-53 (2 S_N + sum_{k<=N} k^(1-2j)) to first
+order), and within a further 2^-54 beyond it, where the bracket is
 already narrower than double rounding.
 
 ``coefficient_tables`` compares the two solvers coefficient by coefficient

@@ -292,7 +292,7 @@ def edge_argvs() -> list:
         ["report", "ab-comparison", "--n-max", "12", "--K-list",
          f"{T},145591"] + out,
         # appended after the first 278 entries: power sums on both sides of
-        # the 256-term block boundaries
+        # the cache boundaries 1024 and 2048
         ["spectral", "--g=x^5 - 1/2*x^2 + x", "--K", "1023"],
         ["spectral", "--g=x^5 - 1/2*x^2 + x", "--K", "1024"],
         ["spectral", "--g=x^5 - 1/2*x^2 + x", "--K", "1025"],

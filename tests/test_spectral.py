@@ -21,7 +21,7 @@ from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  difference_residual, euler_gap,
                                  exp_poly_integral, mode_polynomial,
                                  power_sums, spectral_solve)
-from deltasolve.spectral import _BLOCK, _SUB, _tail_cutoff
+from deltasolve.spectral import _SUB, _tail_cutoff
 from deltasolve.zeta import coefficient_tables, zeta_partial_sum
 
 X = Polynomial((0, 1))
@@ -220,97 +220,73 @@ def _descending(m, high, low):
     return total
 
 
-def _added(values):
-    """The values added in the order given, from 0.0."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def _pass_terms(m, truncation_order):
     """n = K, or min(K, k1(m)) for m >= 3: the terms ``power_sums`` sums."""
     return truncation_order if m < 3 \
         else min(truncation_order, _tail_cutoff(m))
 
 
-def _oracle_sub_blocks(m, count):
-    """The first ``count`` sub-block sums of S_m, each in descending k."""
-    return [_descending(m, (s + 1) * _SUB, s * _SUB) for s in range(count)]
+def _oracle_sub_block(m, s):
+    """The sum of k^-m over the sub-block k in [32s + 1, 32(s+1)], added
+    in descending k."""
+    return _descending(m, (s + 1) * _SUB, s * _SUB)
 
 
-def _oracle_blocks(m, count):
-    """The first ``count`` block sums of S_m, each the sum of its 16
-    sub-block sums from high to low."""
-    subs = _oracle_sub_blocks(m, count * _BLOCK // _SUB)
-    return [_added(reversed(subs[b * 16:(b + 1) * 16])) for b in range(count)]
+def _oracle_prefix(m, count):
+    """hi[s], lo[s] for s = 0..count: the sub-block sums added from s = 0
+    up by Fast2Sum, t = hi + sub; lo += (hi - t) + sub; hi = t."""
+    hi, lo = [0.0], [0.0]
+    for s in range(count):
+        sub = _oracle_sub_block(m, s)
+        t = hi[-1] + sub
+        lo.append(lo[-1] + ((hi[-1] - t) + sub))
+        hi.append(t)
+    return hi, lo
 
 
-def _three_level_sum(m, truncation_order):
-    """S_m(K) in the order ``power_sums`` documents: the terms from n down
-    to the last sub-block boundary, then the sub-block sums from high to
-    low down to the last block boundary, then the block sums from high to
-    low, each sub-block and block summed from the top down."""
+def _prefix_sum(m, truncation_order):
+    """S_m(K) as ``power_sums`` documents it: with s = floor(n/32), the
+    terms from n down to 32s + 1 in descending k, plus lo[s], plus hi[s]."""
     n = _pass_terms(m, truncation_order)
-    full, whole = n // _BLOCK, n // _SUB
-    subs = _oracle_sub_blocks(m, whole)[full * _BLOCK // _SUB:]
-    return _added([_descending(m, n, whole * _SUB)] + subs[::-1]
-                  + _oracle_blocks(m, full)[::-1])
-
-
-def _two_level_sum(m, truncation_order):
-    """S_m(K) in the earlier two-level order, kept as a reference: the
-    partial block from n down in one pass, then the 256-term blocks, each
-    one descending pass, from high k to low k."""
-    n = _pass_terms(m, truncation_order)
-    full = n // _BLOCK
-    return _added([_descending(m, n, full * _BLOCK)]
-                  + [_descending(m, (b + 1) * _BLOCK, b * _BLOCK)
-                     for b in range(full - 1, -1, -1)])
-
-
-def _stated_rounding_bound(m, n):
-    """2^-53 (3 S_m + sum_{k<=n} k^(1-m)) over the n terms summed, the
-    rounding part of the bound ``power_sums`` states."""
-    return 2.0 ** -53 * (3 * math.fsum(k ** -m for k in range(1, n + 1))
-                         + math.fsum(k ** (1 - m) for k in range(1, n + 1)))
+    s = n // _SUB
+    hi, lo = _oracle_prefix(m, s)
+    return (_descending(m, n, s * _SUB) + lo[s]) + hi[s]
 
 
 def test_power_sums_match_hurwitz_zeta():
+    """Each S_m(K) is within the bound ``power_sums`` states against the
+    Hurwitz-zeta value: [n < K] 2^-54 + 2^-53 (2 S_m + sum_{k<=n} k^(1-m)),
+    plus s^2 2^-106 S_m for the rounding of lo, s = floor(n/32)."""
     mpmath = pytest.importorskip("mpmath")
     exponents = range(2, 33)
-    orders = (1, 2, 10, _SUB - 1, _SUB, _SUB + 1, 17 * _SUB - 1, 17 * _SUB,
-              17 * _SUB + 1, 999, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10 ** 4,
-              10 ** 5, MAX_TERMS)
+    orders = (1, 2, 10, _SUB - 1, _SUB, _SUB + 1, 999, 1023, 1024, 1025,
+              10 ** 4, 10 ** 5, MAX_TERMS)
     with mpmath.workdps(40):
         for K in orders:
             sums = power_sums(exponents, K)
             assert list(sums) == list(exponents)
             for m in exponents:
                 exact = mpmath.zeta(m) - mpmath.zeta(m, K + 1)
-                # One descending pass: each addition rounds, by half an
-                # ulp, a partial sum that is a tail sum_{i=k..K} i^-m, and
-                # those tails add up to sum_{k<=K} k^(1-m); each term's
-                # power rounds once more.  Never above the K ulps of any
-                # order.  The bound stated for the three-level order has
-                # two more S_m; the results stay inside this tighter one.
-                tails = mpmath.harmonic(K) if m == 2 \
-                    else mpmath.zeta(m - 1) - mpmath.zeta(m - 1, K + 1)
-                bound = 2.0 ** -53 * (exact + tails)
+                n = _pass_terms(m, K)
+                # each descending addition rounds a partial sum that is a
+                # tail of its sub-block or of the last terms; those tails
+                # add up to at most sum_{k<=n} k^(1-m)
+                tails = mpmath.harmonic(n) if m == 2 \
+                    else mpmath.zeta(m - 1) - mpmath.zeta(m - 1, n + 1)
+                bound = (2.0 ** -54 if n < K else 0.0) \
+                    + 2.0 ** -53 * (2 * exact + tails) \
+                    + (n // _SUB) ** 2 * 2.0 ** -106 * exact
                 assert abs(sums[m] - exact) <= bound, (m, K)
 
 
 def test_power_sums_do_not_depend_on_call_history(monkeypatch):
-    """Each S_m(K) equals the three-level oracle bit for bit, both after
-    any earlier sequence of calls and on a cleared block cache."""
+    """Each S_m(K) equals the prefix oracle bit for bit, both after any
+    earlier sequence of calls and on a cleared prefix cache."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    near_boundary = st.builds(lambda b, d: max(1, b * _BLOCK + d),
-                              st.integers(0, 40), st.integers(-2, 2))
-    near_sub_boundary = st.builds(lambda s, d: max(1, s * _SUB + d),
-                                  st.integers(0, 640), st.integers(-1, 1))
-    orders = st.one_of(near_boundary, near_sub_boundary,
-                       st.integers(1, 40 * _BLOCK))
+    near_boundary = st.builds(lambda s, d: max(1, s * _SUB + d),
+                              st.integers(0, 320), st.integers(-1, 1))
+    orders = st.one_of(near_boundary, st.integers(1, 320 * _SUB))
     exponents = st.lists(st.integers(2, 9), min_size=1, max_size=4,
                          unique=True)
 
@@ -318,62 +294,66 @@ def test_power_sums_do_not_depend_on_call_history(monkeypatch):
                          derandomize=True)
     @hypothesis.given(st.lists(st.tuples(exponents, orders), min_size=1,
                                max_size=5))
-    @hypothesis.example([([2, 3], 5 * _BLOCK + 1), ([2, 7], _BLOCK - 1),
-                         ([3, 2], 2 * _BLOCK), ([2], 9 * _BLOCK - 1)])
-    @hypothesis.example([([2, 5], 3 * _SUB - 1), ([5, 2], 3 * _SUB),
+    @hypothesis.example([([2, 3], 5 * _SUB + 1), ([2, 7], _SUB - 1),
+                         ([3, 2], 2 * _SUB), ([2], 9 * _SUB - 1)])
+    @hypothesis.example([([2, 5], 300 * _SUB - 1), ([5, 2], 300 * _SUB),
                          ([2], 20 * _SUB + 1), ([4], 17 * _SUB - 1)])
     def same_bits(calls):
-        monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+        monkeypatch.setattr(spectral_module, "_PREFIXES", {})
         in_sequence = [power_sums(ms, K) for ms, K in calls]
         for (ms, K), sums in zip(calls, in_sequence):
-            assert sums == {m: _three_level_sum(m, K) for m in ms}, (ms, K)
-            monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+            assert sums == {m: _prefix_sum(m, K) for m in ms}, (ms, K)
+            monkeypatch.setattr(spectral_module, "_PREFIXES", {})
             assert power_sums(ms, K) == sums, (ms, K)
 
     same_bits()
 
 
-def test_power_sums_stay_within_the_stated_bound_of_the_two_level_order():
-    """The three-level sums differ from the earlier two-level order's, over
-    the same n terms, by less than the rounding bound stated for them, at
-    the sub-block boundaries 16s - 1, 16s, 16s + 1 and away from them.
-    10 of these 429 sums move, the worst by 0.50 of the bound."""
-    rng = random.Random(20261019)
-    orders = sorted({max(1, s * _SUB + d) for s in (1, 2, 15, 16, 17, 63, 250)
-                     for d in (-1, 0, 1)} | {rng.randint(1, 20000)
-                                             for _ in range(12)})
-    for m in range(2, 15):
-        for K in orders:
-            value = power_sums((m,), K)[m]
-            assert abs(value - _two_level_sum(m, K)) \
-                <= _stated_rounding_bound(m, _pass_terms(m, K)), (m, K)
+def test_prefix_holds_the_exact_sum_of_its_sub_block_sums(monkeypatch):
+    """For every stored s, hi[s] + lo[s] is the exact sum of the sub-block
+    sums below 32s but for lo's own rounding, at most 2^-53 |lo[j]| at each
+    j <= s, which stays under the s^2 2^-106 S_m that ``power_sums``
+    states: each Fast2Sum step is exact."""
+    monkeypatch.setattr(spectral_module, "_PREFIXES", {})
+    power_sums(range(2, 14), 10 ** 5)
+    cache = spectral_module._PREFIXES
+    assert sorted(cache) == list(range(2, 12))
+    for m, (hi, lo) in cache.items():
+        assert len(hi) == len(lo) == _pass_terms(m, 10 ** 5) // _SUB + 1
+        exact = slack = Fraction(0)
+        for s in range(len(hi)):
+            if s:
+                exact += Fraction(_oracle_sub_block(m, s - 1))
+            slack += Fraction(abs(lo[s])) / 2 ** 53
+            assert abs(Fraction(hi[s]) + Fraction(lo[s]) - exact) <= slack
+            assert slack <= Fraction(s * s, 2 ** 106) * Fraction(hi[s])
 
 
-def test_block_cache_is_thread_safe(monkeypatch):
+def test_prefix_cache_is_thread_safe(monkeypatch):
     exponents = (2, 3, 4, 5, 6, 7)
-    orders = [40 * _BLOCK + 3, 7 * _BLOCK, 25 * _BLOCK - 1, 60 * _BLOCK + 200]
+    orders = [1280 * _SUB + 3, 224 * _SUB, 800 * _SUB - 1, 1920 * _SUB + 20]
     expected = []
     for K in orders:
-        monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+        monkeypatch.setattr(spectral_module, "_PREFIXES", {})
         expected.append(power_sums(exponents, K))
-    blocks_of = {m: _oracle_blocks(m, 61) for m in exponents}
-    subs_of = {m: _oracle_sub_blocks(m, 61 * 16) for m in exponents}
+    prefix_of = {m: _oracle_prefix(m, 1920) for m in exponents}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             # four first calls on one cleared cache, switching threads often
-            monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+            monkeypatch.setattr(spectral_module, "_PREFIXES", {})
             with ThreadPoolExecutor(max_workers=4) as pool:
                 results = list(pool.map(lambda K: power_sums(exponents, K),
                                         orders, timeout=120))
             assert results == expected
-            cache = spectral_module._BLOCKS
+            cache = spectral_module._PREFIXES
             assert set(cache) <= set(exponents) and 2 in cache
-            for m, (blocks, subs) in cache.items():
-                assert len(subs) == 16 * len(blocks), m
-                assert list(blocks) == blocks_of[m][:len(blocks)], m
-                assert list(subs) == subs_of[m][:len(subs)], m
+            for m, (hi, lo) in cache.items():
+                want_hi, want_lo = prefix_of[m]
+                assert len(hi) == len(lo), m
+                assert list(hi) == want_hi[:len(hi)], m
+                assert list(lo) == want_lo[:len(lo)], m
     finally:
         sys.setswitchinterval(interval)
 
@@ -397,20 +377,19 @@ class _Untouchable:
 
 def test_every_cap_rejects_before_any_sum(monkeypatch):
     """K = 0 and K = MAX_TERMS + 1 raise at every entry that takes a K or
-    N, before any term is summed, and leave the block and sub-block cache
-    as it was."""
+    N, before any term is summed, and leave the prefix cache as it was."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+    monkeypatch.setattr(spectral_module, "_PREFIXES", {})
     power_sums(range(2, 8), 3000)
-    cache = spectral_module._BLOCKS
+    cache = spectral_module._PREFIXES
     before = {m: (pair, [list(sums) for sums in pair])
               for m, pair in cache.items()}
 
     def no_sum(*args):
         raise AssertionError("a power sum started")
     monkeypatch.setattr(spectral_module, "_descending_sum", no_sum)
-    monkeypatch.setattr(spectral_module, "_block_sums", no_sum)
+    monkeypatch.setattr(spectral_module, "_prefix_sums", no_sum)
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None,
                          derandomize=True)
@@ -421,7 +400,7 @@ def test_every_cap_rejects_before_any_sum(monkeypatch):
         error = ValueError if K < 1 else TruncationOrderError
         with pytest.raises(error):
             _CAPPED_ENTRIES[entry](K, i, _Untouchable())
-        assert spectral_module._BLOCKS is cache
+        assert spectral_module._PREFIXES is cache
         assert cache.keys() == before.keys()
         for m, (pair, values) in before.items():
             assert cache[m] is pair, (entry, K, m)
@@ -460,29 +439,53 @@ def test_power_sums_stop_early_within_the_stated_bound():
             for K in orders:
                 value = power_sums((m,), K)[m]
                 n = min(K, k1)
-                assert value == _three_level_sum(m, K), (m, K)
+                assert value == _prefix_sum(m, K), (m, K)
                 exact = mpmath.zeta(m) - mpmath.zeta(m, K + 1)
-                # the single-pass bound, two S_m below the stated one
+                # the single-pass bound, one S_m below the stated one
                 tails = math.fsum(k ** (1 - m) for k in range(1, n + 1))
                 bound = (2.0 ** -54 if n < K else 0.0) \
                     + 2.0 ** -53 * (float(exact) + tails)
                 assert abs(value - exact) <= bound, (m, K)
 
 
-def test_cache_holds_17_doubles_per_block_at_the_cap(monkeypatch):
-    """After a call at MAX_TERMS, m = 2..7 keep the blocks that cover
-    n = min(MAX_TERMS, k1(m)) terms, rounded up to a whole block once n
-    has a sub-block past the last full one; 1.17 MB in all."""
-    monkeypatch.setattr(spectral_module, "_BLOCKS", {})
+def test_cache_holds_two_doubles_per_32_terms_at_the_cap(monkeypatch):
+    """After a call at MAX_TERMS, m = 2..7 keep hi and lo for s = 0..
+    floor(n/32), n = min(MAX_TERMS, k1(m)); 1,095,888 bytes in all."""
+    monkeypatch.setattr(spectral_module, "_PREFIXES", {})
     power_sums(range(2, 8), MAX_TERMS)
-    cache = spectral_module._BLOCKS
-    blocks = {2: 3907, 3: 3907, 4: 710, 5: 32, 6: 5, 7: 2}
-    assert {m: len(pair[0]) for m, pair in cache.items()} == blocks
-    assert {m: len(pair[1]) for m, pair in cache.items()} \
-        == {m: 16 * count for m, count in blocks.items()}
+    cache = spectral_module._PREFIXES
+    entries = {2: 31251, 3: 31251, 4: 5681, 5: 257, 6: 41, 7: 12}
+    assert {m: len(hi) for m, (hi, lo) in cache.items()} == entries
+    assert {m: len(lo) for m, (hi, lo) in cache.items()} == entries
     stored = sum(len(sums) * sums.itemsize for pair in cache.values()
                  for sums in pair)
-    assert stored == 17 * 8 * sum(blocks.values()) <= 1.2e6
+    assert stored == 2 * 8 * sum(entries.values()) == 1_095_888
+
+
+def test_a_warm_call_at_the_cap_sums_at_most_31_powers(monkeypatch):
+    """Once a call at MAX_TERMS has built the prefixes of m = 2 and 4, a
+    call at any K <= MAX_TERMS sums at most 31 powers per m and grows no
+    array: it adds no cached sums one by one."""
+    monkeypatch.setattr(spectral_module, "_PREFIXES", {})
+    power_sums((2, 4), MAX_TERMS)
+    cache = spectral_module._PREFIXES
+    lengths = {m: (len(hi), len(lo)) for m, (hi, lo) in cache.items()}
+    spans = []
+    descending = spectral_module._descending_sum
+
+    def counted(m, high, low):
+        spans.append((m, high - low))
+        return descending(m, high, low)
+    monkeypatch.setattr(spectral_module, "_descending_sum", counted)
+    for K in (MAX_TERMS, MAX_TERMS - 1, 31 * _SUB + 31, 181761 + 30):
+        spans.clear()
+        assert power_sums((2, 4), K) == {2: _prefix_sum(2, K),
+                                         4: _prefix_sum(4, K)}, K
+        assert [m for m, _ in spans] == [2, 4], K
+        assert all(0 <= count <= 31 for _, count in spans), (K, spans)
+    assert max(count for _, count in spans) == 31
+    assert {m: (len(hi), len(lo)) for m, (hi, lo) in cache.items()} \
+        == lengths
 
 
 def test_power_sums_underflow_instead_of_overflowing():
