@@ -64,7 +64,10 @@ def _reciprocal_expm1(z: complex) -> complex:
 
 def pfd_convergence_rows(z_values: Iterable[complex], k_values: Iterable[int],
                          threads: int = 1) -> list[list]:
-    """Truncated partial-fraction error against direct 1/(e^z - 1), per (z, K)."""
+    """Truncated partial-fraction error against direct 1/(e^z - 1), per (z, K).
+
+    tail_bound = 2|z|/(pi^2 K) bounds the truncation error only once
+    2 pi (K+1) >= sqrt(2) |z| (``pfd_eval``); below, abs_error may exceed it."""
 
     def row(z: complex, truncation_order: int) -> list:
         approx = pfd_eval(z, truncation_order)

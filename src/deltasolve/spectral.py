@@ -79,7 +79,6 @@ _TAIL_LIMIT = 1 << 54
 
 # Terms per sub-block of the cached prefix: a call sums at most 31 powers.
 _SUB = 32
-_SUB_RANGE = range(_SUB)
 
 # _PREFIXES[m] = (hi, lo): hi[s] + lo[s] = S_m(32 s), the sub-block sums
 # added from s = 0 up by Fast2Sum.  The arrays only grow, in place and
@@ -169,15 +168,14 @@ def _tail_cutoff(m: int) -> int:
     """k1(m): the smallest k with k^(1-m)/(m-1) <= 2^-54, for m >= 2.
 
     By the integral test, sum_{k>k1} k^-m < k1^(1-m)/(m-1) <= 2^-54, under
-    half an ulp of any S_m >= 1.  A float root only seeds the search; the
-    exact integer test (m-1) k^(m-1) >= 2^54 decides.  k1(2) = 2^54 is
-    above MAX_TERMS, so S_2 is never cut short.
+    half an ulp of any S_m >= 1.  The truncated float root seeds the
+    search and the exact integer test (m-1) k^(m-1) >= 2^54 decides,
+    counting up: for each m = 2..54 the seed is k1(m) or one below it.
+    k1(2) = 2^54 is above MAX_TERMS, so S_2 is never cut short.
     """
     if m - 1 >= 54:  # 2^(m-1) alone passes the test, and (m-1) 1^(m-1) fails
         return 1 if m - 1 >= _TAIL_LIMIT else 2
     k = max(1, int((_TAIL_LIMIT / (m - 1)) ** (1.0 / (m - 1))))
-    while k > 1 and (m - 1) * (k - 1) ** (m - 1) >= _TAIL_LIMIT:
-        k -= 1
     while (m - 1) * k ** (m - 1) < _TAIL_LIMIT:
         k += 1
     return k
@@ -230,8 +228,7 @@ def _prefix_sums(m: int, s: int) -> tuple[float, float]:
 
     Each new sub-block is summed in descending k and added to the prefix
     by Fast2Sum, t = hi + sub; lo += (hi - t) + sub; hi = t, exact as hi is
-    0 or at least 1 > sub.  k counts down as a double: float(k) ** float(-m)
-    is the double that k ** -m gives, with one conversion less per term."""
+    0 or at least 1 > sub."""
     if not s:
         return 0.0, 0.0
     prefix = _PREFIXES.get(m)
@@ -240,13 +237,8 @@ def _prefix_sums(m: int, s: int) -> tuple[float, float]:
             hi, lo = prefix = _PREFIXES.setdefault(
                 m, (array("d", [0.0]), array("d", [0.0])))
             total, error = hi[-1], lo[-1]
-            power, top = float(-m), float(_SUB * (len(hi) - 1))
-            for _ in range(s + 1 - len(hi)):
-                top += _SUB
-                sub, k = 0.0, top
-                for _ in _SUB_RANGE:
-                    sub += k ** power
-                    k -= 1.0
+            for top in range(_SUB * len(hi), _SUB * s + 1, _SUB):
+                sub = _descending_sum(m, top, top - _SUB)
                 t = total + sub
                 error += (total - t) + sub
                 total = t
@@ -257,10 +249,13 @@ def _prefix_sums(m: int, s: int) -> tuple[float, float]:
 
 
 def _descending_sum(m: int, high: int, low: int) -> float:
-    """sum_{k=low+1..high} k ** -m, added in descending k."""
-    power, total = -m, 0.0
-    for k in range(high, low, -1):
+    """sum_{k=low+1..high} k ** -m, added in descending k.  k counts down
+    as a double: float(k) ** float(-m) is the double that k ** -m gives,
+    with one conversion less per term."""
+    power, total, k = float(-m), 0.0, float(high)
+    for _ in range(high - low):
         total += k ** power
+        k -= 1.0
     return total
 
 

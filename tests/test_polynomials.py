@@ -229,6 +229,8 @@ def test_format_examples():
     assert format_polynomial(X) == "x"
     assert format_polynomial(Polynomial((1, -1))) == "-x + 1"
     assert format_polynomial(Polynomial((Fraction(-2, 3),))) == "-2/3"
+    for p in (Polynomial((0, -half, half)), Polynomial.zero(), X):
+        assert str(p) == format_polynomial(p)
 
 
 def test_parse_polynomial_forms():
@@ -366,6 +368,12 @@ def test_scalar_multiplication_accepts_only_its_scalars():
             a * b
         with pytest.raises(TypeError):
             b * a
+    # nor does any class add or subtract a polynomial of the other class
+    for a, b in ((p, c), (c, p)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
 
 
 def test_parsed_power_is_capped():

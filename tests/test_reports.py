@@ -36,6 +36,22 @@ def test_pfd_convergence_rows():
     for z_text, _, abs_error, tail_bound in rows:
         assert z_text == "1.0+0.0i"
         assert abs_error <= tail_bound
+    # tail_bound = 2|z|/(pi^2 K) is proven only for 2 pi (K+1) >= sqrt(2) |z|
+    z_values = [complex(1.0), complex(0.1, -56.8), complex(3.0, 4.0),
+                complex(-2.0, 10.0), complex(0.5, 20.0), complex(7.0, -3.0)]
+    k_values = [1, 5, 20, 100]
+    met = 0
+    for z in z_values:
+        for _, k, abs_error, tail_bound in pfd_convergence_rows([z], k_values):
+            if 2 * math.pi * (k + 1) >= math.sqrt(2) * abs(z):
+                met += 1
+                assert abs_error <= tail_bound, (z, k)
+    assert 0 < met < len(z_values) * len(k_values)
+    # the README's example row is outside the condition, and above its bound
+    z, k = complex(0.1, -56.8), 5
+    assert 2 * math.pi * (k + 1) < math.sqrt(2) * abs(z)
+    [[_, _, abs_error, tail_bound]] = pfd_convergence_rows([z], [k])
+    assert abs_error > tail_bound
 
 
 def test_ab_comparison_rows():

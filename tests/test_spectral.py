@@ -418,7 +418,7 @@ def test_tail_cutoff_is_the_smallest_order_with_a_small_tail():
     # k1(m) is the first k whose integral-test tail bound k^(1-m)/(m-1)
     # is at most 2^-54, decided in exact arithmetic
     limit = Fraction(1, 2 ** 54)
-    for m in list(range(2, 33)) + [54, 55, 56, 2000]:
+    for m in list(range(2, 57)) + [2000]:
         k1 = _tail_cutoff(m)
         assert Fraction(1, (m - 1) * k1 ** (m - 1)) <= limit, m
         assert k1 == 1 or Fraction(1, (m - 1) * (k1 - 1) ** (m - 1)) > limit, m
