@@ -43,7 +43,9 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # bernoulli and faulhaber; a cold table up to B_1000 takes about 0.09 s,
 # an odd n >= 3 answers 0 at once without growing the table, and antidiff
 # never needs more, as parsed powers stop at MAX_PARSED_DEGREE = 1000 and a
-# degree-d forcing reads B_0..B_d.
+# degree-d forcing reads B_0..B_d.  The antidifference's work grows with the
+# square of the degree: a dense degree-1000 rational forcing takes 4.4 s as
+# a CLI run (best of 3, 2-core Intel Xeon, Python 3.11).
 # MAX_ZETA_INDEX bounds --j by cost: j = 300 needs B_600 from a cold table,
 # about 0.02 s (both in-process, best of 3, 2-core Intel Xeon, Python 3.11).
 # MAX_OPERATOR_DEGREE bounds the degree n of ode --coeffs (n + 1 numbers):

@@ -43,6 +43,7 @@ built at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from array import array
@@ -87,9 +88,6 @@ _SUB = 32
 _PREFIXES: dict[int, tuple[array, array]] = {}
 _GROWTH = threading.Lock()
 
-# k1(m) for 2 <= m < 55 once computed; above, _tail_cutoff is a constant.
-_CUTOFFS: dict[int, int] = {}
-
 
 class DegreeOverflowError(DeltasolveError, ValueError):
     """Forcing degree exceeds what the double-precision mode sum supports."""
@@ -131,8 +129,8 @@ class SpectralSolution(namedtuple("SpectralSolution", "polynomial_part config"))
 
     ``polynomial_part`` is a ``ComplexPolynomial``, ``config`` the
     ``SpectralConfig`` it was solved with.  Each +-k pair adds a real
-    multiple of x^j, so the imaginary parts are exactly 0; they are kept
-    complex so that this is observable, not forced.
+    multiple of x^j, and the solve runs on real doubles (``_rounded``), so
+    the imaginary parts are 0.0 by construction.
     """
 
     __slots__ = ()
@@ -164,6 +162,7 @@ def exp_poly_integral(a: complex, n: int) -> ComplexPolynomial:
     return mode_polynomial(a, ComplexPolynomial.monomial(n))
 
 
+@functools.lru_cache(maxsize=128)
 def _tail_cutoff(m: int) -> int:
     """k1(m): the smallest k with k^(1-m)/(m-1) <= 2^-54, for m >= 2.
 
@@ -171,7 +170,8 @@ def _tail_cutoff(m: int) -> int:
     half an ulp of any S_m >= 1.  The truncated float root seeds the
     search and the exact integer test (m-1) k^(m-1) >= 2^54 decides,
     counting up: for each m = 2..54 the seed is k1(m) or one below it.
-    k1(2) = 2^54 is above MAX_TERMS, so S_2 is never cut short.
+    k1(2) = 2^54 is above MAX_TERMS, so S_2 is never cut short.  The memo
+    is bounded, as a caller may pass any m; for m >= 55 k1 is a constant.
     """
     if m - 1 >= 54:  # 2^(m-1) alone passes the test, and (m-1) 1^(m-1) fails
         return 1 if m - 1 >= _TAIL_LIMIT else 2
@@ -262,12 +262,7 @@ def _descending_sum(m: int, high: int, low: int) -> float:
 def _pass_length(m: int, truncation_order: int) -> int:
     """The number n = min(K, k1(m)) of terms that ``power_sums`` sums for
     S_m(K), m >= 2; that is K for m = 2 (``_tail_cutoff``)."""
-    cutoff = _CUTOFFS.get(m)
-    if cutoff is None:
-        cutoff = _tail_cutoff(m)
-        if m < 55:
-            _CUTOFFS[m] = cutoff
-    return min(truncation_order, cutoff)
+    return min(truncation_order, _tail_cutoff(m))
 
 
 def _mode_part(forcing: Sequence[float],

@@ -30,6 +30,7 @@ A(n, n+1-j) = B(n, j).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -50,11 +51,6 @@ __all__ = [
 # MAX_TABLE_ORDER = 12 bounds the tables: beyond n = 12 the exact B-table
 # stays cheap but the numeric A-table's n!/j! prefactors start amplifying
 # tail error past usefulness.
-
-# _B_TABLES[n] = the B-table of order n, built from faulhaber(n) on first use;
-# at most MAX_TABLE_ORDER entries of n + 1 Fractions each.  Two first calls
-# for one n may both build it; the tables are equal, and either is kept.
-_B_TABLES: dict[int, list[Fraction]] = {}
 
 # pi truncated to 128 fractional bits: pi = _PI_SCALED / 2^128 + e,
 # 0 <= e < 2^-128.
@@ -124,12 +120,16 @@ def coefficient_tables(n: int, truncation_order: int
     """
     check_table_order(n)
     a_table = _mode_part([0.0] * n + [1.0], truncation_order)
-    b_table = _B_TABLES.get(n)
-    if b_table is None:
-        power_sum = faulhaber(n)
-        b_table = _B_TABLES[n] = [Fraction(0)] * 2 + [
-            power_sum.coefficient(n + 1 - j) for j in range(2, n + 1)]
-    return a_table, list(b_table)
+    return a_table, list(_b_table(n))
+
+
+@functools.cache
+def _b_table(n: int) -> tuple[Fraction, ...]:
+    """The B-table of order n, from ``faulhaber(n)``; callers check n first
+    (``check_table_order``), so the memo holds at most 12 tables."""
+    power_sum = faulhaber(n)
+    return (Fraction(0),) * 2 + tuple(
+        power_sum.coefficient(n + 1 - j) for j in range(2, n + 1))
 
 
 def verify_comparison(n: int, truncation_order: int) -> float:

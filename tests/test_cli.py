@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: grammars, exit codes, JSON envelope, reports."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -9,6 +11,7 @@ import sys
 import pytest
 
 import deltasolve
+from deltasolve import MAX_TABLE_ORDER
 from deltasolve.cli import (MAX_BERNOULLI_INDEX, MAX_OPERATOR_DEGREE,
                             MAX_REPORT_TERMS, MAX_TERMS, MAX_ZETA_INDEX,
                             _build_parser, main)
@@ -470,3 +473,105 @@ def test_ode_with_too_close_roots_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: the solution misses P(D) f = g")
+
+
+def _exit_contract_argvs(st, out_dir):
+    """Argvs over all nine subcommands: half with every literal valid (small
+    K and operator degrees), half with each literal drawn valid, malformed,
+    non-finite or over its cap.  Options take the ``--name=value`` form, so
+    that a value starting with ``-`` still reaches its parser."""
+    def valid_only(valid, *bad):
+        return valid
+
+    def valid_or_bad(valid, *bad):
+        return st.one_of(valid, st.sampled_from(bad))
+
+    def argvs(literal):
+        def integer(low, high, cap):
+            return literal(st.integers(low, high).map(str), str(low - 1),
+                           str(cap + 1), "10" * 12, "abc", "1.5", "", "1e3")
+
+        def number(high):
+            return st.floats(-high, high, allow_nan=False).map(repr)
+
+        term = st.tuples(st.integers(-9, 9), st.integers(1, 9),
+                         st.integers(0, 35))
+        poly = literal(st.lists(term, min_size=1, max_size=4).map(
+            lambda terms: " + ".join(f"{a}/{b}*x^{p}" for a, b, p in terms)),
+            "x^1001", "x^", "1.5*x", "1/0*x", "x x", "", "y^2", "2^x")
+        real = literal(number(1e3), "nan", "inf", "-inf", "1e400", "abc",
+                       "1/2")
+        complex_ = literal(st.tuples(number(50.0), number(50.0)).map(
+            lambda parts: f"{parts[0]}+{parts[1]}i"), "2j", "1+", "i+i",
+            "nan", "1e400i", "1+nan i", "abc")
+        coeffs = literal(
+            st.lists(complex_, min_size=2, max_size=4).map(",".join),
+            ",".join(["1"] * (MAX_OPERATOR_DEGREE + 2)), "5", "1,0")
+        k = integer(1, 40, MAX_TERMS)
+        k_list = st.lists(k, min_size=1, max_size=3).map(",".join)
+        z_list = st.lists(complex_, min_size=1, max_size=3).map(",".join)
+        out = literal(st.just(str(out_dir / "report.csv")),
+                      str(out_dir / "missing" / "report.csv"))
+
+        def options(required, optional):
+            """Each required option, then each optional one or not."""
+            def word(name, value):
+                return value.map(
+                    lambda text: [f"--{name.replace('_', '-')}={text}"])
+            return st.tuples(
+                *(word(name, value) for name, value in required.items()),
+                *(st.one_of(st.just([]), word(name, value))
+                  for name, value in optional.items())).map(
+                      lambda words: sum(words, []))
+
+        commands = st.one_of(
+            st.tuples(st.just(["bernoulli"]),
+                      integer(0, 60, MAX_BERNOULLI_INDEX).map(lambda n: [n])),
+            st.tuples(st.just(["faulhaber"]),
+                      integer(0, 30, MAX_BERNOULLI_INDEX).map(lambda n: [n])),
+            st.tuples(st.just(["antidiff"]), options({"g": poly}, {})),
+            st.tuples(st.just(["spectral"]), options({"g": poly, "K": k}, {})),
+            st.tuples(st.just(["euler-gap"]),
+                      options({"g": poly, "x": real, "K": k}, {})),
+            st.tuples(st.just(["pfd"]), options({"z": complex_, "K": k}, {})),
+            st.tuples(st.just(["zeta"]), options(
+                {"j": integer(1, 40, MAX_ZETA_INDEX)},
+                {"oracle_N": integer(2, 50, MAX_TERMS)})),
+            st.tuples(st.just(["ode"]),
+                      options({"coeffs": coeffs, "g": poly}, {})),
+            st.tuples(
+                literal(st.sampled_from(["residual-decay", "pfd-convergence",
+                                         "ab-comparison"]),
+                        "no-such-study").map(lambda study: ["report", study]),
+                options({"out": out},
+                        {"g": poly, "K_list": k_list, "z_list": z_list,
+                         "n_max": integer(1, 12, MAX_TABLE_ORDER)})))
+        common = options({}, {
+            "format": literal(st.sampled_from(["plain", "json"]), "xml"),
+            "threads": integer(1, 2, 2)})
+        return st.tuples(commands, common).map(
+            lambda drawn: drawn[0][0] + drawn[0][1] + drawn[1])
+
+    return st.one_of(argvs(valid_only), argvs(valid_or_bad))
+
+
+def test_exit_contract_holds_for_drawn_argvs(tmp_path):
+    """Whatever the literals, ``main`` exits 0, 1 or 2, never with an
+    internal error."""
+    hypothesis = pytest.importorskip("hypothesis")
+    codes = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(_exit_contract_argvs(hypothesis.strategies, tmp_path))
+    def exit_contract(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, stderr.getvalue())
+        assert "internal error" not in stderr.getvalue(), argv
+        codes.add(code)
+
+    exit_contract()
+    assert codes == {0, 1, 2}

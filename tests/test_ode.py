@@ -1,7 +1,9 @@
 """Root finding and polynomial particular solutions for P(D) f = g."""
 
+import cmath
 import math
 import random
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -132,6 +134,21 @@ def test_root_residual_is_checked(monkeypatch):
                        match=r"^root \(-1\.414\d*\+0j\) fails the residual "
                              r"check: \|P\(root\)\| = "):
         find_roots(CharacteristicPolynomial((-2, 0, 1)))
+
+
+def test_colliding_starts_are_nudged_apart(monkeypatch):
+    # With cmath.exp returning 1, every start is the same point, radius + 0j,
+    # so the first sweep divides by zero unless the collision is nudged.
+    starts = []
+    def exp(z):
+        starts.append(z)
+        return 1 + 0j
+    monkeypatch.setattr(ode, "cmath", types.SimpleNamespace(
+        exp=exp, nan=cmath.nan, isfinite=cmath.isfinite))
+    for roots in ([1.0, 2.0], [1.0, 2.0, 3.0]):
+        found = find_roots(_poly_from_roots(roots))
+        assert found == pytest.approx(roots, rel=1e-12, abs=0.0), roots
+    assert len(starts) == 5
 
 
 def test_determinism():

@@ -104,7 +104,7 @@ def _fresh_b_table(n):
 
 
 def test_b_table_is_built_once_per_order(monkeypatch):
-    monkeypatch.setattr(zeta_module, "_B_TABLES", {})
+    zeta_module._b_table.cache_clear()
     for n in range(1, MAX_TABLE_ORDER + 1):
         _, first = coefficient_tables(n, 1)
         assert first == _fresh_b_table(n), n
@@ -115,11 +115,11 @@ def test_b_table_is_built_once_per_order(monkeypatch):
     for n in range(1, MAX_TABLE_ORDER + 1):
         for order in (1, 256, 4000):
             assert coefficient_tables(n, order)[1] == _fresh_b_table(n), n
-    assert sorted(zeta_module._B_TABLES) == list(range(1, MAX_TABLE_ORDER + 1))
+    assert zeta_module._b_table.cache_info().currsize == MAX_TABLE_ORDER
 
 
-def test_a_returned_b_table_is_a_copy(monkeypatch):
-    monkeypatch.setattr(zeta_module, "_B_TABLES", {})
+def test_a_returned_b_table_is_a_copy():
+    zeta_module._b_table.cache_clear()
     for n in (2, 7, MAX_TABLE_ORDER):
         want = verify_comparison(n, 100)
         _, b_table = coefficient_tables(n, 100)
@@ -129,12 +129,12 @@ def test_a_returned_b_table_is_a_copy(monkeypatch):
         assert verify_comparison(n, 100) == want, n
 
 
-def test_first_b_tables_from_two_threads_are_equal(monkeypatch):
+def test_first_b_tables_from_two_threads_are_equal():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for n in (3, 8, MAX_TABLE_ORDER):
-            monkeypatch.setattr(zeta_module, "_B_TABLES", {})
+            zeta_module._b_table.cache_clear()
             with ThreadPoolExecutor(max_workers=2) as pool:
                 first, second = pool.map(
                     lambda order: coefficient_tables(n, order)[1], (50, 60),
