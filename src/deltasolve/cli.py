@@ -404,7 +404,3 @@ def main(argv: list[str] | None = None) -> int:
     elif plain:
         print(plain)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

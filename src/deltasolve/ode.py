@@ -5,12 +5,12 @@ characteristic roots, a particular solution for polynomial forcing g is
 
     f = sum over roots r of (1/P'(r)) e^{r x} integral(e^{-r x} g dx),
 
-where each nonzero-root term is the polynomial ``spectral.mode_polynomial``
-builds and a zero root contributes the exact antiderivative, rounded once
-(``spectral._rounded``), divided by P'(0).  The terms are added in root
-order, sorted by real, then imaginary part.  With all integration constants
-zero every term is a polynomial, so the returned ``ExpPoly`` is a single
-exponent-zero term.
+where each nonzero-root term is the polynomial ``mode_polynomial`` builds
+and a zero root contributes the exact antiderivative, rounded once
+(``_rounded``), divided by P'(0); both come from ``polynomials``.  The
+terms are added in root order, sorted by real, then imaginary part.  With
+all integration constants zero every term is a polynomial, so the returned
+``ExpPoly`` is a single exponent-zero term.
 Repeated or numerically near-multiple roots are outside this method and
 abort with ``MultipleRootUnsupported`` rather than return something
 half-right.  Roots that pass the separation tests can still be close enough
@@ -38,9 +38,9 @@ import math
 from collections import namedtuple
 from itertools import combinations
 
-from .polynomials import CoefficientOverflowError, ComplexPolynomial, Polynomial
+from .polynomials import (CoefficientOverflowError, ComplexPolynomial,
+                          Polynomial, _rounded, mode_polynomial)
 from .rationals import DeltasolveError
-from .spectral import _rounded, mode_polynomial
 
 __all__ = [
     "MIN_ROOT_SEPARATION",
@@ -150,8 +150,8 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
                     if other != idx:
                         denom *= z - estimates[other]
                 if denom == 0:
-                    # Two estimates collided; nudge deterministically.
-                    estimates[idx] = z + 1e-6
+                    # Two estimates collided; nudge off the real axis.
+                    estimates[idx] = z + 1e-6j
                     largest_step = math.inf
                     continue
                 step = monic(z) / denom

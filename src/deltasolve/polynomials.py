@@ -13,13 +13,15 @@ exact side's operator calculus: translation p(x) -> p(x+c) by a Taylor
 shift, forward difference p(x+1) - p(x) and antiderivative, all without
 rounding.  ``ComplexPolynomial`` is the double-precision sibling that
 truncated mode sums are returned in.  The exact/float boundary is crossed
-only through ``ComplexPolynomial.from_exact`` or an explicit rounding of
-each rational, never implicitly: a ``Polynomial`` called at a float would
-round each coefficient as it adds it, and nothing in the package calls it
-so.  The spectral side crosses once per call, in ``spectral._rounded``,
-which rounds a forcing and its antiderivative coefficient by coefficient
-to the same doubles as ``from_exact``; both refuse a coefficient outside
-double range with ``CoefficientOverflowError``.
+only through ``ComplexPolynomial.from_exact``, ``_rounded`` or an explicit
+rounding of each rational, never implicitly: a ``Polynomial`` called at a
+float would round each coefficient as it adds it, and nothing in the
+package calls it so.  The spectral and ODE solvers cross once per call, in
+``_rounded``, which rounds a forcing and its antiderivative to the same
+doubles as ``from_exact``; both refuse a coefficient outside double range
+with ``CoefficientOverflowError``.  Both solvers then sum
+``mode_polynomial``, the q with q' - a q = g, over the zeros a of their
+operators: a = 2 pi i k, or the characteristic roots.
 
 This module also owns the textual polynomial grammar shared by the CLI and
 the tests::
@@ -47,6 +49,7 @@ __all__ = [
     "CoefficientOverflowError",
     "Polynomial",
     "ComplexPolynomial",
+    "mode_polynomial",
     "format_polynomial",
     "parse_polynomial",
     "format_real_polynomial",
@@ -236,6 +239,42 @@ class ComplexPolynomial(_DensePolynomial):
 
     def __repr__(self) -> str:
         return f"ComplexPolynomial({list(self._coeffs)})"
+
+
+def mode_polynomial(a: complex, g: ComplexPolynomial) -> ComplexPolynomial:
+    """The polynomial q(x) = e^{a x} integral(e^{-a x} g(x) dx), a != 0.
+
+    q is the polynomial solution of q' - a q = g, of the same degree as g,
+    built from the top down: q_d = -g_d / a, q_j = ((j+1) q_{j+1} - g_j) / a.
+    """
+    a = complex(a)
+    if a == 0:
+        raise ValueError("the mode polynomial requires a != 0; the zero "
+                         "mode is a plain antiderivative")
+    coeffs = list(g.coefficients)
+    q = 0j
+    for j in range(len(coeffs) - 1, -1, -1):
+        q = ((j + 1) * q - coeffs[j]) / a
+        coeffs[j] = q
+    return ComplexPolynomial(coeffs)
+
+
+def _rounded(forcing: Polynomial) -> tuple[list[float], list[float]]:
+    """The forcing's coefficients and its antiderivative's, each rounded
+    once from the exact rational: [g_0, ..., g_d] and [0.0, g_0/1, ...,
+    g_d/(d+1)], untrimmed.  Each is one correctly rounded integer division,
+    numerator / (denominator (n+1)) for g_n/(n+1), so these are the doubles
+    ``ComplexPolynomial.from_exact`` gives for the forcing and for
+    ``forcing.antiderivative()``, without building a ``Fraction``.  A
+    coefficient outside double range raises ``from_exact``'s
+    ``CoefficientOverflowError``."""
+    coeffs = forcing.coefficients
+    try:
+        return ([c.numerator / c.denominator for c in coeffs],
+                [0.0] + [c.numerator / (c.denominator * n)
+                         for n, c in enumerate(coeffs, 1)])
+    except OverflowError:
+        raise CoefficientOverflowError(_OUT_OF_RANGE) from None
 
 
 # --------------------------------------------------------------------------

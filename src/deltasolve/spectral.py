@@ -9,8 +9,8 @@ monomial forcing x^n has the closed form
         = -(1/a^(n+1)) sum_{j=0}^{n} (n!/j!) a^j x^j,
 
 a polynomial once the integration constant is dropped (``exp_poly_integral``
-below).  That is ``mode_polynomial``, the polynomial q with q' - a q = g
-that ``ode`` also takes at each characteristic root, at g = x^n.  The
+below): ``polynomials.mode_polynomial`` at g = x^n, the polynomial q with
+q' - a q = g that ``ode`` also takes at each characteristic root.  The
 k = 0 mode is the plain antiderivative, and the corrected solution also
 subtracts g/2:
 
@@ -35,10 +35,10 @@ first order.
 Pairing is structural: one-sided sums diverge for any linear forcing term.
 
 The solve and the residual cross from exact to double once per call
-(``_rounded``): each forcing coefficient g_n and each antiderivative
-coefficient g_n/(n+1) is rounded once from its exact rational, and all
-that follows is double arithmetic on lists, with one ``ComplexPolynomial``
-built at the end.
+(``polynomials._rounded``): each forcing coefficient g_n and each
+antiderivative coefficient g_n/(n+1) is rounded once from its exact
+rational, and all that follows is double arithmetic on lists, with one
+``ComplexPolynomial`` built at the end.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from . import MAX_TERMS
-from .polynomials import (_OUT_OF_RANGE, CoefficientOverflowError,
-                          ComplexPolynomial, Polynomial, _horner)
+from .polynomials import (CoefficientOverflowError, ComplexPolynomial,
+                          Polynomial, _horner, _rounded, mode_polynomial)
 from .rationals import DeltasolveError
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "SpectralConfig",
     "SpectralSolution",
     "power_sums",
-    "mode_polynomial",
     "exp_poly_integral",
     "spectral_solve",
     "euler_gap",
@@ -134,24 +133,6 @@ class SpectralSolution(namedtuple("SpectralSolution", "polynomial_part config"))
     """
 
     __slots__ = ()
-
-
-def mode_polynomial(a: complex, g: ComplexPolynomial) -> ComplexPolynomial:
-    """The polynomial q(x) = e^{a x} integral(e^{-a x} g(x) dx), a != 0.
-
-    q is the polynomial solution of q' - a q = g, of the same degree as g,
-    built from the top down: q_d = -g_d / a, q_j = ((j+1) q_{j+1} - g_j) / a.
-    """
-    a = complex(a)
-    if a == 0:
-        raise ValueError("the mode polynomial requires a != 0; the zero "
-                         "mode is a plain antiderivative")
-    coeffs = list(g.coefficients)
-    q = 0j
-    for j in range(len(coeffs) - 1, -1, -1):
-        q = ((j + 1) * q - coeffs[j]) / a
-        coeffs[j] = q
-    return ComplexPolynomial(coeffs)
 
 
 def exp_poly_integral(a: complex, n: int) -> ComplexPolynomial:
@@ -291,24 +272,6 @@ def _mode_part(forcing: Sequence[float],
             modes[j] += 2.0 * coeff * unit_mode.coefficient(j).real \
                 * sums[p + 1 - j]
     return modes
-
-
-def _rounded(forcing: Polynomial) -> tuple[list[float], list[float]]:
-    """The forcing's coefficients and its antiderivative's, each rounded
-    once from the exact rational: [g_0, ..., g_d] and [0.0, g_0/1, ...,
-    g_d/(d+1)], untrimmed.  Each is one correctly rounded integer division,
-    numerator / (denominator (n+1)) for g_n/(n+1), so these are the doubles
-    ``ComplexPolynomial.from_exact`` gives for the forcing and for
-    ``forcing.antiderivative()``, without building a ``Fraction``.  A
-    coefficient outside double range raises ``from_exact``'s
-    ``CoefficientOverflowError``."""
-    coeffs = forcing.coefficients
-    try:
-        return ([c.numerator / c.denominator for c in coeffs],
-                [0.0] + [c.numerator / (c.denominator * n)
-                         for n, c in enumerate(coeffs, 1)])
-    except OverflowError:
-        raise CoefficientOverflowError(_OUT_OF_RANGE) from None
 
 
 def spectral_solve(forcing: Polynomial, config: SpectralConfig) -> SpectralSolution:

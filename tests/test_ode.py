@@ -15,8 +15,8 @@ from deltasolve.ode import (MIN_ROOT_SEPARATION, CharacteristicPolynomial,
                             RootFindingError, apply_operator, find_roots,
                             solve_linear_ode)
 from deltasolve.polynomials import (CoefficientOverflowError, ComplexPolynomial,
-                                    Polynomial)
-from deltasolve.spectral import exp_poly_integral, mode_polynomial
+                                    Polynomial, mode_polynomial)
+from deltasolve.spectral import exp_poly_integral
 
 X = Polynomial((0, 1))
 
@@ -148,7 +148,15 @@ def test_colliding_starts_are_nudged_apart(monkeypatch):
     for roots in ([1.0, 2.0], [1.0, 2.0, 3.0]):
         found = find_roots(_poly_from_roots(roots))
         assert found == pytest.approx(roots, rel=1e-12, abs=0.0), roots
-    assert len(starts) == 5
+    # z^4 + 1, z^2 + 1 and z^3 - 1 have roots off the real axis, which real
+    # estimates nudged along it could never reach.
+    for n, half in ((4, 0.5), (2, 0.5), (3, 0.0)):
+        expected = [cmath.exp(2j * math.pi * (k + half) / n) for k in range(n)]
+        found = find_roots(CharacteristicPolynomial(
+            (1 if half else -1,) + (0,) * (n - 1) + (1,)))
+        assert all(min(abs(r - z) for z in found) <= 1e-12
+                   for r in expected), n
+    assert len(starts) == 14
 
 
 def test_determinism():

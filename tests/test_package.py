@@ -100,7 +100,8 @@ def test_the_cli_defers_imports_only_through_the_package():
 def test_the_two_routes_stay_independent():
     """The comparison is not circular: the Bernoulli numbers never come from
     the mode sums or from zeta, and the mode sums never from Bernoulli
-    numbers, not even through another module."""
+    numbers, not even through another module.  The ODE solver stands on
+    ``polynomials`` beside the spectral solver, not on it."""
     graph = {path.stem: _package_imports(path)
              for path in Path(deltasolve.__file__).parent.glob("*.py")}
 
@@ -118,6 +119,8 @@ def test_the_two_routes_stay_independent():
         == set()
     for module in ("spectral", "partial_fractions"):
         assert reachable(module) & {"bernoulli", "zeta"} == set(), module
+    assert reachable("ode") & {"spectral", "partial_fractions", "bernoulli",
+                               "zeta"} == set()
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -175,7 +178,8 @@ _MODES = ["cli", "polynomials", "rationals", "spectral"]
      sorted(_MODES + ["partial_fractions"]), []),
     (["zeta", "--j", "2", "--oracle-N", "10"], 0,
      sorted(_MODES + ["bernoulli", "zeta"]), []),
-    (["ode", "--coeffs=-1,0,1", "--g", "1"], 0, sorted(_MODES + ["ode"]), []),
+    (["ode", "--coeffs=-1,0,1", "--g", "1"], 0,
+     ["cli", "ode", "polynomials", "rationals"], []),
     (["report", "ab-comparison", "--n-max", "2", "--K-list", "10"], 0,
      sorted(_MODES + ["bernoulli", "partial_fractions", "reports", "zeta"]),
      ["csv"]),

@@ -15,12 +15,12 @@ from deltasolve import spectral as spectral_module
 from deltasolve.bernoulli import antidifference_polynomial
 from deltasolve.partial_fractions import laurent_from_modes, pfd_eval
 from deltasolve.polynomials import (CoefficientOverflowError, ComplexPolynomial,
-                                    Polynomial)
+                                    Polynomial, mode_polynomial)
 from deltasolve.spectral import (MAX_FORCING_DEGREE, DegreeOverflowError,
                                  SpectralConfig, TruncationOrderError,
                                  difference_residual, euler_gap,
-                                 exp_poly_integral, mode_polynomial,
-                                 power_sums, spectral_solve)
+                                 exp_poly_integral, power_sums,
+                                 spectral_solve)
 from deltasolve.spectral import _SUB, _tail_cutoff
 from deltasolve.zeta import coefficient_tables, zeta_partial_sum
 
