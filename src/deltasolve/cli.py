@@ -40,14 +40,15 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # bounds every truncation order K (--K, each --K-list entry) and
 # --oracle-N; pfd, the slowest sum, takes about 0.3 s at 10^6 terms.
 # MAX_BERNOULLI_INDEX, defined and checked the same way, bounds n for
-# bernoulli and faulhaber; a cold table up to B_1000 takes about 0.09 s,
-# an odd n >= 3 answers 0 at once without growing the table, and antidiff
-# never needs more, as parsed powers stop at MAX_PARSED_DEGREE = 1000 and a
-# degree-d forcing reads B_0..B_d.  The antidifference's work grows with the
-# square of the degree: a dense degree-1000 rational forcing takes 4.4 s as
-# a CLI run (best of 3, 2-core Intel Xeon, Python 3.11).
+# bernoulli and faulhaber; a cold B_1000 takes about 0.065 s, a cold
+# prefix B_0..B_1000 about 0.08 s, an odd n >= 3 answers 0 at once without
+# growing the table, and antidiff never needs more, as parsed powers stop at
+# MAX_PARSED_DEGREE = 1000 and a degree-d forcing reads B_0..B_d.  The
+# antidifference's work grows with the square of the degree: a dense
+# degree-1000 rational forcing (k%9 + 1/(k%7+2) at x^k) takes 0.76 s as a
+# CLI run (best of 3, 2-core Intel Xeon, Python 3.11).
 # MAX_ZETA_INDEX bounds --j by cost: j = 300 needs B_600 from a cold table,
-# about 0.02 s (both in-process, best of 3, 2-core Intel Xeon, Python 3.11).
+# about 0.015 s (both in-process, best of 5, 2-core Intel Xeon, Python 3.11).
 # MAX_OPERATOR_DEGREE bounds the degree n of ode --coeffs (n + 1 numbers):
 # each root-finder sweep costs O(n^2), and its worst case, all 200 sweeps
 # without convergence, takes 0.46 s for (z-1)^90 against 0.55 s for

@@ -6,10 +6,10 @@ equality.  The textual contract is ``p/q`` with the ``/q`` part omitted when
 q == 1, which is exactly what ``str()`` on a Fraction produces;
 ``parse_rational`` accepts that grammar and nothing else.  Exact values
 become doubles through a plain ``float()``, and n! is ``math.factorial``.
-The package itself no longer calls ``binomial``: the exact side sums
-``math.comb`` integers.  It stays public because the tests use it as an
-independent oracle for the Faulhaber coefficients, and the benchmark's
-tracer counts its calls.
+The package itself no longer calls ``binomial``: the exact antidifference
+walks each row of binomials by exact integer steps.  It stays public
+because the tests use it as an independent oracle for the Faulhaber
+coefficients, and the benchmark's tracer counts its calls.
 
 ``DeltasolveError`` lives here, in the module every other one imports, so
 that it is loaded whatever part of the package runs.

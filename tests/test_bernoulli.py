@@ -132,14 +132,19 @@ def test_table_values_match_the_defining_recurrence():
 
 
 def test_table_is_bit_identical_to_the_defining_recurrence():
-    # Every growth rebuilds the table, so a table grown in steps must match
-    # a fresh one.  The table stores B_0 and the even B_k only, so it
-    # matches the dense oracle's even entries, and _lcms[k] holds B_1's 2
-    # from the start.  The stepped table grows through the antidifference's
-    # snapshot, to 6, to 12 (twice 6) for B_10, then to 60 and 400.
+    # Every growth rebuilds the tangent numbers, so a table grown in steps
+    # must match a fresh one.  The table stores B_0 and the even B_k only,
+    # so it matches the dense oracle's even entries, and _lcms[k] holds
+    # B_1's 2 from the start.  The stepped table grows through the
+    # antidifference's snapshot, to 6, to 12 (twice 6) for B_10, then to 60
+    # and 400.  The fresh one builds its entries as they are read: every
+    # B_2k by ``value``, then every prefix lcm by ``_scaled_prefix``.
     values = _defining_recurrence_table(401)
     lcms = [math.lcm(2, *(v.denominator for v in values[:2 * k + 1]))
             for k in range(201)]
+    tangents = [0] + [(-1) ** (k - 1) * values[2 * k] * 4 ** k
+                      * (4 ** k - 1) / (2 * k) for k in range(1, 201)]
+    assert all(t.denominator == 1 for t in tangents[1:])
     fresh = BernoulliTable()
     fresh.value(400)
     stepped = BernoulliTable()
@@ -148,10 +153,33 @@ def test_table_is_bit_identical_to_the_defining_recurrence():
         assert stepped.computed_up_to == top, n
     for table in (fresh, stepped):
         assert table.computed_up_to == 400
-        assert len(table._values) == 201
+        assert len(table._tangents) == len(table._values) == 201
+        assert table._tangents == tangents
+        assert [table.value(2 * k) for k in range(201)] == values[0::2]
+        numerators, d = table._scaled_prefix(400)
+        assert [Fraction(b, d) for b in numerators] == values[0::2]
+        assert d == lcms[-1]
         assert table._values == values[0::2]
         assert all(type(v) is Fraction for v in table._values)
         assert table._lcms == lcms
+
+
+def test_cold_read_builds_only_the_entry_it_reads():
+    # A cold value(200) runs the tangent triangle to T_100 and turns only
+    # T_100 into a Fraction; B_0 is there from the start, and no prefix lcm
+    # is built until a prefix is read, which builds B_0..B_200 in order.
+    table = BernoulliTable()
+    values = _defining_recurrence_table(200)
+    assert table.value(200) == values[200]
+    assert len(table._tangents) == len(table._values) == 101
+    assert [k for k, b in enumerate(table._values) if b is not None] \
+        == [0, 100]
+    assert table._lcms == [2]
+    numerators, d = table._scaled_prefix(200)
+    assert [Fraction(b, d) for b in numerators] == values[0::2]
+    assert d == math.lcm(2, *(v.denominator for v in values))
+    assert table._values == values[0::2]
+    assert len(table._lcms) == 101
 
 
 def test_stepping_up_to_the_cap_rebuilds_the_table_ten_times():
@@ -176,7 +204,15 @@ def test_stepping_up_to_the_cap_rebuilds_the_table_ten_times():
 
 
 def _same_table(a, b):
-    return (a._values, a._lcms) == (b._values, b._lcms)
+    """Equal tangent numbers, equal B_2k read one by one, and equal scaled
+    prefixes over the whole table; once those reads have built every entry
+    and prefix lcm, the stored lists are equal too."""
+    top = a.computed_up_to
+    return (a._tangents == b._tangents
+            and [a.value(n) for n in range(0, top + 1, 2)]
+            == [b.value(n) for n in range(0, top + 1, 2)]
+            and a._scaled_prefix(top) == b._scaled_prefix(top)
+            and (a._values, a._lcms) == (b._values, b._lcms))
 
 
 def test_growth_order_does_not_change_the_table():
@@ -390,7 +426,10 @@ def test_sparse_kernel_matches_the_dense_sum():
     rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                              max_denominator=10 ** 6)
     # dense lists up to degree 60 with about half their coefficients 0,
-    # sparse ones with at most 6 nonzero terms, and monomials up to x^200
+    # sparse ones with at most 6 nonzero terms, monomials up to x^200, and
+    # two dense degree-300 examples with every coefficient nonzero and
+    # mixed signs, where the kernel's walk along each row of binomials
+    # divides the most often
     mostly_zero = st.lists(st.one_of(st.just(Fraction(0)), rationals),
                            max_size=61)
     sparse = st.dictionaries(st.integers(0, 60), rationals, max_size=6).map(
@@ -406,6 +445,10 @@ def test_sparse_kernel_matches_the_dense_sum():
     @hypothesis.example([Fraction(-7, 3)])
     @hypothesis.example([Fraction(0)] * 200 + [Fraction(1)])
     @hypothesis.example([Fraction(0)] * 60 + [Fraction(5, 7)])
+    @hypothesis.example([Fraction((n % 17 - 8) or 9, n % 7 + 1)
+                         for n in range(301)])
+    @hypothesis.example([Fraction((-1) ** (n // 3) * (10 ** 6 - n), n + 1)
+                         for n in range(301)])
     def same_as_dense(coeffs):
         g = Polynomial(coeffs)
         want = _dense_antidifference_coefficients(g.coefficients)
@@ -430,7 +473,8 @@ def test_antidifference_reads_the_denominator_of_its_prefix(monkeypatch):
     grown.value(MAX_BERNOULLI_INDEX)
     numerators, d = grown._scaled_prefix(14)
     assert d == math.lcm(*(grown.value(k).denominator for k in range(15)))
-    assert d == 30030 < grown._lcms[-1]
+    whole = grown._scaled_prefix(MAX_BERNOULLI_INDEX)[1]
+    assert d == 30030 < whole == grown._lcms[-1]
     assert [Fraction(b, d) for b in numerators] \
         == [grown.value(k) for k in range(0, 15, 2)]
     rng = random.Random(20261019)
