@@ -42,10 +42,10 @@ Each step multiplies a big integer by a small one, O(K^2) steps in all.
 The triangle does not extend in place, so each growth rebuilds the
 tangent numbers, to the index asked for or to twice the old top (at most
 MAX_BERNOULLI_INDEX), whichever is higher, which keeps growth amortised.
-The table keeps the T_k and turns T_k into the reduced ``Fraction`` B_2k
-only when something first reads it: a cold ``value(n)`` pays for the
-triangle and one ``Fraction``, and the antidifference's prefix read
-builds B_0..B_n and the lcm of their denominators in order, once.
+The table holds one slot per index: a growth appends only the new T_k,
+and the reduced ``Fraction`` B_2k replaces T_k in its slot on the first
+read, so a cold ``value(n)`` pays for the triangle and one ``Fraction``,
+and the antidifference's prefix read builds B_0..B_n and their lcm once.
 The defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 is the tests'
 oracle for the table.  The numbers are deliberately *not*
 obtained by back-substituting zeta values: the T_k are integers and never
@@ -99,19 +99,18 @@ class BernoulliTable:
     the odd zeros are constants that ``value`` answers without growth."""
 
     def __init__(self) -> None:
-        # _tangents[k] = T_k; _values[k] = B_2k once read, else None;
+        # _values[k] = B_2k once read, else the int T_k it is built from;
         # _lcms[k] = lcm(2, denominators of B_0..B_2k), where 2 is B_1's
         # denominator, so B_1 is the integer -d // 2 over any prefix lcm d.
         # Only _scaled_prefix extends _lcms, building B_0..B_2k in order, so
         # len(_lcms) > k means B_0..B_2k are all built.
-        self._tangents: list[int] = [0]
-        self._values: list[Fraction | None] = [Fraction(1)]
+        self._values: list[Fraction | int] = [Fraction(1)]
         self._lcms: list[int] = [2]
         self._lock = threading.Lock()
 
     @property
     def computed_up_to(self) -> int:
-        return 2 * (len(self._tangents) - 1)
+        return 2 * (len(self._values) - 1)
 
     def value(self, n: int) -> Fraction:
         """B_n for 0 <= n <= MAX_BERNOULLI_INDEX.  An odd n returns B_1 or
@@ -127,12 +126,11 @@ class BernoulliTable:
             return self._entry(n // 2)
 
     def _entry(self, k: int) -> Fraction:
-        # B_2k, built from T_k on its first read; the caller holds the lock.
+        # B_2k, built from T_k in place on first read, under the caller's lock.
         b = self._values[k]
-        if b is None:
+        if type(b) is int:
             b = self._values[k] = Fraction(
-                (-1) ** (k - 1) * 2 * k * self._tangents[k],
-                4 ** k * (4 ** k - 1))
+                (-1) ** (k - 1) * 2 * k * b, 4 ** k * (4 ** k - 1))
         return b
 
     def _scaled_prefix(self, n: int) -> tuple[list[int], int]:
@@ -150,17 +148,15 @@ class BernoulliTable:
         return [b.numerator * (d // b.denominator) for b in values], d
 
     def _grow(self, half: int) -> None:
-        # The tangent numbers T_1..T_half by the triangle of the module
-        # docstring, in place.  The T_k do not depend on the top, so the
-        # B_2k and prefix lcms built so far stay; new slots start unbuilt.
+        # T_1..T_half by the module docstring's triangle, in place; the T_k
+        # do not depend on the top, so only the new ones join _values.
         t = [0, 1] + [0] * (half - 1)
         for k in range(2, half + 1):
             t[k] = (k - 1) * t[k - 1]
         for k in range(2, half + 1):
             for j in range(k, half + 1):
                 t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        self._values += [None] * (half + 1 - len(self._values))
-        self._tangents = t
+        self._values += t[len(self._values):]
 
 
 _TABLE = BernoulliTable()

@@ -131,6 +131,17 @@ def test_table_values_match_the_defining_recurrence():
         assert type(value) is Fraction and value == 0, n
 
 
+def _tangent_numbers(values):
+    """T_1..T_k from the even entries of B_0..B_2k, by solving
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for T_k, with 0 for k = 0;
+    each must be an integer."""
+    tangents = [0] + [(-1) ** (k - 1) * values[2 * k] * 4 ** k
+                      * (4 ** k - 1) / (2 * k)
+                      for k in range(1, len(values) // 2 + 1)]
+    assert all(t.denominator == 1 for t in tangents)
+    return [int(t) for t in tangents]
+
+
 def test_table_is_bit_identical_to_the_defining_recurrence():
     # Every growth rebuilds the tangent numbers, so a table grown in steps
     # must match a fresh one.  The table stores B_0 and the even B_k only,
@@ -138,23 +149,23 @@ def test_table_is_bit_identical_to_the_defining_recurrence():
     # B_1's 2 from the start.  The stepped table grows through the
     # antidifference's snapshot, to 6, to 12 (twice 6) for B_10, then to 60
     # and 400.  The fresh one builds its entries as they are read: every
-    # B_2k by ``value``, then every prefix lcm by ``_scaled_prefix``.
+    # B_2k by ``value``, then every prefix lcm by ``_scaled_prefix``; until
+    # then each unread slot holds the integer T_k it is built from.
     values = _defining_recurrence_table(401)
     lcms = [math.lcm(2, *(v.denominator for v in values[:2 * k + 1]))
             for k in range(201)]
-    tangents = [0] + [(-1) ** (k - 1) * values[2 * k] * 4 ** k
-                      * (4 ** k - 1) / (2 * k) for k in range(1, 201)]
-    assert all(t.denominator == 1 for t in tangents[1:])
+    tangents = _tangent_numbers(values[:401])
     fresh = BernoulliTable()
     fresh.value(400)
+    assert fresh._values == [values[0]] + tangents[1:200] + [values[400]]
+    assert all(type(t) is int for t in fresh._values[1:200])
     stepped = BernoulliTable()
     for n, top in ((7, 6), (11, 12), (60, 60), (401, 400)):
         stepped._scaled_prefix(n)
         assert stepped.computed_up_to == top, n
     for table in (fresh, stepped):
         assert table.computed_up_to == 400
-        assert len(table._tangents) == len(table._values) == 201
-        assert table._tangents == tangents
+        assert len(table._values) == 201
         assert [table.value(2 * k) for k in range(201)] == values[0::2]
         numerators, d = table._scaled_prefix(400)
         assert [Fraction(b, d) for b in numerators] == values[0::2]
@@ -166,20 +177,34 @@ def test_table_is_bit_identical_to_the_defining_recurrence():
 
 def test_cold_read_builds_only_the_entry_it_reads():
     # A cold value(200) runs the tangent triangle to T_100 and turns only
-    # T_100 into a Fraction; B_0 is there from the start, and no prefix lcm
-    # is built until a prefix is read, which builds B_0..B_200 in order.
+    # T_100 into a Fraction in its slot, where the other slots keep their
+    # T_k; B_0 is there from the start, and no prefix lcm is built until a
+    # prefix is read, which builds B_0..B_200 in order.
     table = BernoulliTable()
     values = _defining_recurrence_table(200)
     assert table.value(200) == values[200]
-    assert len(table._tangents) == len(table._values) == 101
-    assert [k for k, b in enumerate(table._values) if b is not None] \
+    assert len(table._values) == 101
+    assert [k for k, b in enumerate(table._values) if type(b) is Fraction] \
         == [0, 100]
+    assert table._values[1:100] == _tangent_numbers(values)[1:100]
     assert table._lcms == [2]
     numerators, d = table._scaled_prefix(200)
     assert [Fraction(b, d) for b in numerators] == values[0::2]
     assert d == math.lcm(2, *(v.denominator for v in values))
     assert table._values == values[0::2]
     assert len(table._lcms) == 101
+
+
+def test_a_table_holds_one_slot_per_index():
+    # No list of tangent numbers is kept beside the values: an unread slot
+    # holds T_k, and a read to the cap leaves a Fraction in every slot.
+    table = BernoulliTable()
+    assert set(vars(table)) == {"_values", "_lcms", "_lock"}
+    table._scaled_prefix(MAX_BERNOULLI_INDEX)
+    assert set(vars(table)) == {"_values", "_lcms", "_lock"}
+    assert len(table._values) == len(table._lcms) \
+        == MAX_BERNOULLI_INDEX // 2 + 1
+    assert all(type(b) is Fraction for b in table._values)
 
 
 def test_stepping_up_to_the_cap_rebuilds_the_table_ten_times():
@@ -204,12 +229,11 @@ def test_stepping_up_to_the_cap_rebuilds_the_table_ten_times():
 
 
 def _same_table(a, b):
-    """Equal tangent numbers, equal B_2k read one by one, and equal scaled
-    prefixes over the whole table; once those reads have built every entry
-    and prefix lcm, the stored lists are equal too."""
+    """Equal B_2k read one by one, and equal scaled prefixes over the whole
+    table; equal B_2k imply equal T_k, and once those reads have built every
+    entry and prefix lcm, the stored lists are equal too."""
     top = a.computed_up_to
-    return (a._tangents == b._tangents
-            and [a.value(n) for n in range(0, top + 1, 2)]
+    return ([a.value(n) for n in range(0, top + 1, 2)]
             == [b.value(n) for n in range(0, top + 1, 2)]
             and a._scaled_prefix(top) == b._scaled_prefix(top)
             and (a._values, a._lcms) == (b._values, b._lcms))

@@ -299,6 +299,11 @@ def edge_argvs() -> list:
         ["zeta", "--j", "1", "--oracle-N", "1024"],
         ["zeta", "--j", "1", "--oracle-N", "1025"],
         ["report", "ab-comparison", "--K-list", "1024,2048,2049"] + out,
+        # appended after the first 284 entries: g = x, whose two solutions
+        # of size x^2 differ by x/2, at x = 1e16 and near the top of double
+        # range
+        ["euler-gap", "--g", "x", "--x", "1e16", "--K", "3"],
+        ["euler-gap", "--g", "x", "--x", "1e308", "--K", "3"],
     ]
 
 

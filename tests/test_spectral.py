@@ -7,6 +7,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -535,6 +536,25 @@ def test_euler_gap_is_half_the_forcing():
     assert abs(euler_gap(X, 0.7, 10) - euler_gap(X, 0.7, 80)) <= 1e-12
 
 
+def test_euler_gap_keeps_its_digits_at_large_x():
+    """The two solutions of g = x grow like x^2 while their gap is x/2, so
+    subtracting their values loses every digit at x = 1e16 and overflows
+    at x = 1e308; subtracting their coefficients first keeps the gap, and
+    over seeded forcings it stays within 1e-13 of g(x)/2 for |x| <= 1e12."""
+    assert euler_gap(X, 1e16, 3) == 5e15
+    assert euler_gap(X, 1e308, 3) == 5e307
+    rng = random.Random(20261020)
+    for _ in range(60):
+        degree = rng.randint(0, 12)
+        forcing = Polynomial(
+            [Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+             for _ in range(degree)] + [rng.randint(1, 20)])
+        x = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-3, 12)
+        want = forcing(Fraction(x)) / 2
+        gap = euler_gap(forcing, x, rng.randint(1, 500))
+        assert abs(Fraction(gap) - want) <= 1e-13 * abs(want), (forcing, x)
+
+
 def test_difference_residual_decays_with_truncation():
     forcing = Polynomial.monomial(2)
     grid = [i / 20.0 for i in range(21)]
@@ -603,10 +623,17 @@ def _residual_oracle(solution, forcing, x):
 
 
 def _gap_oracle(forcing, x, truncation_order):
-    uncorrected, corrected = (ComplexPolynomial(_solve_oracle(
-        forcing, SpectralConfig(truncation_order, flag)))
+    """The gap on ``_solve_oracle``'s coefficients: the real parts of the
+    uncorrected minus the corrected ones, the shorter padded with 0.0, by
+    Horner at x, plus 0.0 so that the zero forcing gives 0.0."""
+    uncorrected, corrected = ([c.real for c in _solve_oracle(
+        forcing, SpectralConfig(truncation_order, flag))]
         for flag in (False, True))
-    gap = (uncorrected(x) - corrected(x)).real
+    gap = x * 0
+    for a, b in reversed(list(zip_longest(uncorrected, corrected,
+                                          fillvalue=0.0))):
+        gap = gap * x + (a - b)
+    gap += 0.0
     if math.isfinite(x) and not math.isfinite(gap):
         raise CoefficientOverflowError(
             f"the gap at x = {x!r} is outside double range")
