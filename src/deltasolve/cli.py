@@ -38,7 +38,7 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # arguments are parsed, so that one over the cap exits 2 before any loop.
 # MAX_TERMS, which the package defines and the library checks as well,
 # bounds every truncation order K (--K, each --K-list entry) and
-# --oracle-N; pfd, the slowest sum, takes about 0.3 s at 10^6 terms.
+# --oracle-N; pfd, the slowest sum, takes about 0.11 s at 10^6 terms.
 # MAX_BERNOULLI_INDEX, defined and checked the same way, bounds n for
 # bernoulli and faulhaber; a cold B_1000 takes about 0.065 s, a cold
 # prefix B_0..B_1000 about 0.08 s, an odd n >= 3 answers 0 at once without
@@ -56,8 +56,8 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # MAX_REPORT_TERMS bounds the terms a report sums over all its rows, each
 # row charged its terms plus _ROW_TERMS[study] for its fixed work:
 # |z-list| * sum(K + 50) over the K-list for pfd-convergence (a row's
-# evaluation, exact reference and formatting take about 9 us, as long as
-# 37 terms), sum(K + 20000) for residual-decay (a solve and a 21-point
+# evaluation, exact reference and formatting take about 2.5 us, as long as
+# 24 terms), sum(K + 20000) for residual-decay (a solve and a 21-point
 # residual take up to 2.0 ms for a dense degree-30 forcing, as long as
 # 15,600 terms), and for ab-comparison, per K, the terms of its
 # power sums S_m(K), each even m <= n-max + 1 once (K for m = 2,
@@ -69,8 +69,8 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # prefix sums for the process, so a K whose prefix an earlier row or K
 # computed costs less, and the charge is then an upper bound.  It is
 # checked once the arguments are parsed.  At the budget,
-# pfd-convergence, the slowest per term, takes 0.34 to 0.48 s (one z,
-# --K-list 1000000,499900) and 0.22 to 0.36 s as 29,411 rows of K = 1;
+# pfd-convergence, the slowest per term, takes 0.16 to 0.21 s (one z,
+# --K-list 1000000,499900) and 0.14 to 0.17 s as 29,411 rows of K = 1;
 # residual-decay takes 0.16 to 0.17 s for a dense degree-30 forcing
 # (--K-list 1000000,460000) and 0.12 to 0.13 s as its 74 rows of K = 1,
 # where 2,000 such rows took 4.1 s before rows were charged; ab-comparison

@@ -56,7 +56,13 @@ def pfd_eval(z: complex, truncation_order: int) -> complex:
     """Truncated partial fraction value of 1/(e^z - 1) at z.
 
     Returns T_K(z) = -1/2 + 1/z + 2z sum_{k=1..K} 1/(z^2 + (2 pi k)^2),
-    summed in descending k with z^2 and (2 pi)^2 computed once.  Requires
+    summed in descending k with z^2 and (2 pi)^2 computed once.  k counts
+    down as a double, whose square is exact (k^2 <= 10^12 < 2^53), and
+    each term divides the complex 1 + 0j, which skips float division's
+    fallback to complex and gives the same quotient; the loop takes two
+    terms per pass, the odd term k = K first when K is odd, so every
+    addition and its order, and with them the bits, are those of the
+    plain loop over integer k.  Requires
     |z - 2*k*pi*i| > POLE_EXCLUSION_RADIUS for all |k| <= K+1; the K+1
     guard keeps the first *omitted* pole at a safe distance too.  Poles
     are 2*pi apart, so only the nearest, k = round(Im z / 2 pi), can be
@@ -82,9 +88,17 @@ def pfd_eval(z: complex, truncation_order: int) -> complex:
         raise PoleProximityError(k)
     z_squared = z * z
     four_pi_squared = TWO_PI * TWO_PI
+    one = 1 + 0j
     total = 0j
-    for k in range(truncation_order, 0, -1):
-        total += 1.0 / (z_squared + four_pi_squared * (k * k))
+    k = float(truncation_order)
+    if truncation_order % 2:
+        total += one / (z_squared + four_pi_squared * (k * k))
+        k -= 1.0
+    for _ in range(truncation_order // 2):
+        total += one / (z_squared + four_pi_squared * (k * k))
+        k -= 1.0
+        total += one / (z_squared + four_pi_squared * (k * k))
+        k -= 1.0
     value = -0.5 + 1.0 / z + 2.0 * z * total
     if cmath.isfinite(z) and not cmath.isfinite(value):
         raise CoefficientOverflowError(

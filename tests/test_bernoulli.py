@@ -71,7 +71,10 @@ def test_odd_index_answers_without_growing_the_table():
         assert [Fraction(b, denominator) for b in numerators] \
             == _defining_recurrence_table(n)[0::2]
         assert table.computed_up_to == top, n
-        assert len(table._values) == table.computed_up_to // 2 + 1
+        # the prefix built B_0..B_{n-1} and their lcms, no slot above them
+        assert len(table._lcms) == n // 2 + 1
+        assert [type(b) for b in table._values] \
+            == [Fraction] * (n // 2 + 1) + [int] * (top // 2 - n // 2), n
 
 
 def test_index_cap_is_checked_before_any_growth(monkeypatch):
@@ -257,16 +260,24 @@ def test_growth_order_does_not_change_the_table():
     @hypothesis.example([(False, 1), (True, 1), (False, 300), (True, 299)])
     def same_as_straight(calls):
         table = BernoulliTable()
+        # built: the slots whose B_2k some call read; half: the top prefix
+        built, half = {0}, 0
         for is_prefix, n in calls:
             if is_prefix:
+                half = max(half, n // 2)
+                built.update(range(n // 2 + 1))
                 numerators, d = table._scaled_prefix(n)
                 assert [Fraction(b, d) for b in numerators] \
                     == values[:n + 1:2]
                 assert d == math.lcm(2, *(v.denominator
                                           for v in values[:n + 1]))
             else:
+                if n % 2 == 0:
+                    built.add(n // 2)
                 assert table.value(n) == values[n]
-        assert len(table._values) == table.computed_up_to // 2 + 1
+        assert len(table._lcms) == half + 1
+        assert [type(b) is Fraction for b in table._values] \
+            == [k in built for k in range(len(table._values))]
         straight = BernoulliTable()
         straight.value(table.computed_up_to)
         assert _same_table(table, straight)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -196,11 +197,8 @@ def _outcome(evaluate, z: complex, truncation_order: int):
     return math.isfinite(value.real), math.isfinite(value.imag)
 
 
-def test_extreme_points_match_the_ascending_loop():
-    # |z| from 1e150 to 1e300: z^2 overflows, 1/d_k underflows; pfd_eval
-    # must raise the same ArithmeticError, or give a finite value, exactly
-    # where the ascending loop does, and refuse where that loop's value has
-    # a non-finite part
+def _extreme_points() -> list[complex]:
+    """|z| from 1e150 to 1e300: z^2 overflows, 1/d_k underflows."""
     rng = random.Random(1150)
     points = [complex(sign * 10.0 ** e, 0.0) for sign in (1, -1)
               for e in (150, 154, 155, 300)]
@@ -209,7 +207,14 @@ def test_extreme_points_match_the_ascending_loop():
     points += [cmath.rect(10.0 ** rng.uniform(150.0, 300.0),
                           rng.uniform(-math.pi, math.pi)) for _ in range(40)]
     points += [complex(1e154, 1e154), complex(1e200, -1e200), complex(1e-3, 1e200)]
-    for z in points:
+    return points
+
+
+def test_extreme_points_match_the_ascending_loop():
+    # pfd_eval must raise the same ArithmeticError, or give a finite value,
+    # exactly where the ascending loop does, and refuse where that loop's
+    # value has a non-finite part
+    for z in _extreme_points():
         for order in (1, 7, 50):
             expected = _outcome(_ascending_pfd, z, order)
             if expected in ((True, False), (False, True), (False, False)):
@@ -254,3 +259,72 @@ def test_pfd_tail_bound_property():
         assert abs(pfd_eval(z, order) - _reference(z)) <= bound
 
     tail_bound()
+
+
+def _integer_k_pfd(z: complex, truncation_order: int) -> complex:
+    """Reference oracle: the plain descending loop over integer k, each
+    term 1.0 / d_k, as pfd_eval summed before it counted k as a double and
+    took two terms per pass; the same refusal of a non-finite value."""
+    z_squared = z * z
+    four_pi_squared = TWO_PI * TWO_PI
+    total = 0j
+    for k in range(truncation_order, 0, -1):
+        total += 1.0 / (z_squared + four_pi_squared * (k * k))
+    value = -0.5 + 1.0 / z + 2.0 * z * total
+    if not cmath.isfinite(value):
+        raise CoefficientOverflowError("outside double range")
+    return value
+
+
+def _bits(evaluate, z: complex, truncation_order: int):
+    """The exception type raised, or the value's two parts as raw bytes,
+    so that 0.0 and -0.0 differ."""
+    try:
+        value = evaluate(z, truncation_order)
+    except (ArithmeticError, CoefficientOverflowError) as exc:
+        return type(exc)
+    return struct.pack("<dd", value.real, value.imag)
+
+
+def test_pfd_eval_is_bit_identical_to_the_integer_k_loop():
+    """Every addition and its order are the plain loop's, so every bit of
+    the value is too: for odd and even K, just outside the pole guard, and
+    at every extreme point, where the same exception is raised."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def near_pole(draw):
+        k = draw(st.integers(-3001, 3001))
+        radius = POLE_EXCLUSION_RADIUS * draw(st.floats(1.001, 4.0))
+        offset = cmath.rect(radius, draw(st.floats(-math.pi, math.pi)))
+        return complex(0.0, TWO_PI * k) + offset
+
+    points = st.one_of(
+        st.complex_numbers(max_magnitude=1e4, allow_nan=False,
+                           allow_infinity=False).filter(
+            lambda z: abs(z) > POLE_EXCLUSION_RADIUS),
+        near_pole())
+    orders = st.one_of(st.integers(1, 3), st.integers(1, 3000))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(points, orders)
+    @hypothesis.example(complex(2.1, 1.9), 1)
+    @hypothesis.example(complex(2.1, 1.9), 2)
+    @hypothesis.example(complex(-0.3, 0.0), 3)
+    @hypothesis.example(complex(0.0, TWO_PI) + 2e-6, 1)
+    @hypothesis.example(complex(0.0, -TWO_PI * 4) + 2e-6j, 2)
+    def same_bits(z, order):
+        # the oracle has no pole guard, so every point drawn clears it
+        k = round(z.imag / TWO_PI)
+        assert abs(k) > order + 1 \
+            or abs(z - complex(0.0, TWO_PI * k)) > POLE_EXCLUSION_RADIUS
+        assert _bits(pfd_eval, z, order) == _bits(_integer_k_pfd, z, order)
+
+    same_bits()
+
+    for z in _extreme_points():
+        for order in (1, 2, 3, 50, 1001):
+            expected = _bits(_integer_k_pfd, z, order)
+            assert _bits(pfd_eval, z, order) == expected, (z, order)
