@@ -8,27 +8,19 @@ and the closed forms for zeta at even integers; the same mode machinery also
 solves constant-coefficient linear ODEs with simple characteristic roots.
 
 Importing the package executes none of its modules.  Each but ``cli`` is
-put in ``sys.modules`` behind ``importlib.util.LazyLoader``, bound as
-``deltasolve.<name>``, and runs on its first attribute access, so a CLI
-subcommand compiles only the modules it calls.  Besides its modules the
-package holds only ``MAX_TABLE_ORDER``, ``MAX_BERNOULLI_INDEX``,
-``MAX_TERMS`` and ``__version__``: ``deltasolve.bernoulli`` is the module,
-and the function is ``deltasolve.bernoulli.bernoulli``.
-
-Threads: the ``LazyLoader`` of Python 3.10 and 3.11 takes no lock (CPython
-added one later, gh-114763).  It marks a module loaded before running its
-code, so a second thread whose first access to the same module comes while
-that code runs sees it half run: with Python 3.11, two threads reading
-``deltasolve.ode.solve_linear_ode`` at once raised ``AttributeError`` in
-one of them in 40 runs out of 40.  An ``import`` statement runs the module
-in the importing thread, so import what a threaded program uses, e.g.
-``from deltasolve.ode import solve_linear_ode``, before starting threads.
-The CLI runs in one thread.
+put in ``sys.modules`` unrun, bound as ``deltasolve.<name>``, and runs on
+its first attribute read, so a CLI subcommand compiles only the modules it
+calls.  That first read takes one package lock, so a second thread reading
+the same module waits for its code to finish rather than seeing it half
+run.  Besides its modules the package holds only ``MAX_TABLE_ORDER``,
+``MAX_BERNOULLI_INDEX``, ``MAX_TERMS`` and ``__version__``:
+``deltasolve.bernoulli`` is the module, and the function is
+``deltasolve.bernoulli.bernoulli``.
 """
 
 import sys as _sys
+import threading as _threading
 from importlib.machinery import PathFinder as _PathFinder
-from importlib.util import LazyLoader as _LazyLoader
 from importlib.util import module_from_spec as _module_from_spec
 
 __version__ = "0.1.0"
@@ -36,22 +28,34 @@ __version__ = "0.1.0"
 # Largest forcing degree of the A/B coefficient tables in ``zeta``, the
 # largest Bernoulli index that ``bernoulli`` grows its table to, and the
 # largest truncation order K (or term count N) that ``spectral.power_sums``,
-# ``spectral.SpectralConfig`` and ``partial_fractions.pfd_eval`` accept;
-# ``pfd_eval``, the slowest sum, takes about 0.11 s at 10^6 terms.  They are
-# defined here, so that the CLI parser can bound --n-max, n and K without
-# loading zeta, bernoulli or spectral.
+# ``spectral.SpectralConfig`` and ``partial_fractions.pfd_eval`` accept.
+# They are defined here, so that the CLI parser can bound --n-max, n and K
+# without loading zeta, bernoulli or spectral.
 MAX_TABLE_ORDER = 12
 MAX_BERNOULLI_INDEX = 1000
 MAX_TERMS = 10 ** 6
+
+_LOADING = _threading.RLock()
+
+
+class _Pending(type(_sys)):
+    """A registered module whose code has not run: the first read of a name
+    it lacks runs it, under ``_LOADING``, then looks the name up again."""
+
+    def __getattr__(self, name):
+        with _LOADING:
+            if type(self) is _Pending:
+                self.__spec__.loader.exec_module(self)
+                self.__class__ = type(_sys)
+        return getattr(self, name)
 
 
 def _register_lazily(name: str):
     """``deltasolve.<name>`` in ``sys.modules``, its code not yet run."""
     spec = _PathFinder.find_spec(f"{__name__}.{name}", __path__)
-    spec.loader = _LazyLoader(spec.loader)
     module = _module_from_spec(spec)
+    module.__class__ = _Pending
     _sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
     return module
 
 

@@ -36,50 +36,24 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 
 # Caps on the inputs whose cost grows with their value, checked while the
 # arguments are parsed, so that one over the cap exits 2 before any loop.
-# MAX_TERMS, which the package defines and the library checks as well,
-# bounds every truncation order K (--K, each --K-list entry) and
-# --oracle-N; pfd, the slowest sum, takes about 0.11 s at 10^6 terms.
-# MAX_BERNOULLI_INDEX, defined and checked the same way, bounds n for
-# bernoulli and faulhaber; a cold B_1000 takes about 0.065 s, a cold
-# prefix B_0..B_1000 about 0.08 s, an odd n >= 3 answers 0 at once without
-# growing the table, and antidiff never needs more, as parsed powers stop at
-# MAX_PARSED_DEGREE = 1000 and a degree-d forcing reads B_0..B_d.  The
-# antidifference's work grows with the square of the degree: a dense
-# degree-1000 rational forcing (k%9 + 1/(k%7+2) at x^k) takes 0.76 s as a
-# CLI run (best of 3, 2-core Intel Xeon, Python 3.11).
-# MAX_ZETA_INDEX bounds --j by cost: j = 300 needs B_600 from a cold table,
-# about 0.015 s (both in-process, best of 5, 2-core Intel Xeon, Python 3.11).
-# MAX_OPERATOR_DEGREE bounds the degree n of ode --coeffs (n + 1 numbers):
-# each root-finder sweep costs O(n^2), and its worst case, all 200 sweeps
-# without convergence, takes 0.46 s for (z-1)^90 against 0.55 s for
-# (z-1)^100 (in-process, best of 5, 2-core Intel Xeon, Python 3.11).
-# MAX_REPORT_TERMS bounds the terms a report sums over all its rows, each
-# row charged its terms plus _ROW_TERMS[study] for its fixed work:
-# |z-list| * sum(K + 50) over the K-list for pfd-convergence (a row's
-# evaluation, exact reference and formatting take about 2.5 us, as long as
-# 24 terms), sum(K + 20000) for residual-decay (a solve and a 21-point
-# residual take up to 2.0 ms for a dense degree-30 forcing, as long as
-# 15,600 terms), and for ab-comparison, per K, the terms of its
-# power sums S_m(K), each even m <= n-max + 1 once (K for m = 2,
-# min(K, 181761) for m = 4, at most 1293 for each m >= 6), plus 1000 for
-# each of its n-max rows (a row's own work, 0.03 to 0.05 ms at n = 12
-# whatever K: its A-table, a copy of its B-table, and power sums of at
-# most 31 powers per m on the cached prefix).  That is the cost of a cold
-# process, give or take one 32-term sub-block per m; power_sums keeps its
-# prefix sums for the process, so a K whose prefix an earlier row or K
-# computed costs less, and the charge is then an upper bound.  It is
-# checked once the arguments are parsed.  At the budget,
-# pfd-convergence, the slowest per term, takes 0.16 to 0.21 s (one z,
-# --K-list 1000000,499900) and 0.14 to 0.17 s as 29,411 rows of K = 1;
-# residual-decay takes 0.16 to 0.17 s for a dense degree-30 forcing
-# (--K-list 1000000,460000) and 0.12 to 0.13 s as its 74 rows of K = 1,
-# where 2,000 such rows took 4.1 s before rows were charged; ab-comparison
-# takes at most 0.18 s, as --n-max 12 --K-list 1000000,145590, whose cold
-# power sums are most of it (0.10 to 0.18 s; 115 K = 255 take 0.05 to
-# 0.08 s and 124 K = 1 0.04 to 0.07 s), same machine and method as above
-# (the ranges span eight runs, as the machine's speed drifts).
+# README's caps table states each cap's worst-case cost, and
+# tests/test_caps.py runs each worst case within a time budget.
+# MAX_TERMS bounds every truncation order K (--K, each --K-list entry) and
+# --oracle-N, MAX_BERNOULLI_INDEX n for bernoulli and faulhaber (both are
+# defined in the package and checked by the library too), MAX_ZETA_INDEX
+# --j, and MAX_OPERATOR_DEGREE the degree n of ode --coeffs (n + 1 numbers).
 MAX_ZETA_INDEX = 300
 MAX_OPERATOR_DEGREE = 90
+# MAX_REPORT_TERMS bounds the terms a report sums over all its rows, once
+# the arguments are parsed (_report_terms).  Each row is charged its terms
+# plus _ROW_TERMS[study] terms for its fixed work: |z-list| * sum(K + 50)
+# over the K-list for pfd-convergence, sum(K + 20000) for residual-decay,
+# and for ab-comparison, per K, the terms of each power sum S_m(K) it reads,
+# even m <= n-max + 1 (spectral._pass_length), plus 1000 for each of its
+# n-max rows.  That is the cost in a cold process, give or take one 32-term
+# sub-block per m; power_sums keeps its prefix sums, so a K whose prefix an
+# earlier row or K computed costs less, and the charge is then an upper
+# bound.
 MAX_REPORT_TERMS = 1_500_000
 _ROW_TERMS = {"pfd-convergence": 50, "residual-decay": 20_000,
               "ab-comparison": 1000}
@@ -260,7 +234,7 @@ def _run_report(args):
 
 def _report_terms(args) -> int:
     """The terms a report sums over all its rows, plus each row's charge
-    (the comment at MAX_REPORT_TERMS)."""
+    (the rule at MAX_REPORT_TERMS)."""
     charge = _ROW_TERMS[args.study] * len(args.K_list)
     if args.study == "ab-comparison":
         exponents = range(2, args.n_max + 2, 2)
@@ -353,8 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "particular solution of a_0 f + a_1 f' + ... = g")
     p.add_argument("--coeffs", type=_operator_arg, required=True,
                    help="comma-separated complex literals a_0,...,a_n, "
-                        f"n <= {MAX_OPERATOR_DEGREE} (the root finder's "
-                        "worst case there takes about 0.46 s); use "
+                        f"n <= {MAX_OPERATOR_DEGREE}; use "
                         "--coeffs=-1,0,1 when the first one is negative")
     p.add_argument("--g", type=_poly_arg, required=True)
 

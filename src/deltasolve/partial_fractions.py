@@ -10,11 +10,7 @@ combined algebraically into 2z/(z^2 + 4 pi^2 k^2) before accumulation:
 that removes the catastrophic cancellation of the one-sided sums (which
 diverge separately) and bakes the symmetric summation into the formula.
 ``pfd_eval`` sums 1/(z^2 + 4 pi^2 k^2) in descending k and multiplies by
-2z once.  Its error is the truncation tail, at most 2|z|/(pi^2 K) once
-2 pi (K+1) >= sqrt(2) |z|, plus rounding, at most
-2^-49 (1/2 + 1/|z| + 2|z| sum_k (k + (|z|^2 + (2 pi k)^2)/|d_k|)/|d_k|)
-with d_k = z^2 + (2 pi k)^2: a few ulps away from the poles, growing as
-|d_k| shrinks near one.
+2z once; its docstring bounds the truncation and rounding errors.
 
 Expanding the same mode sum about z = 0 term by term gives the Laurent
 data: the coefficient of z^j in sum_{k != 0} 1/(z - 2 k pi i) is

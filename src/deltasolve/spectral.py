@@ -29,9 +29,8 @@ which ``_mode_part`` fetches.  ``power_sums`` adds the n = min(K, k1(m))
 terms (the integral test puts the dropped tail below 2^-54; n = K for
 m = 2) in one fixed order: at most 31 terms in descending k, then a
 compensated prefix over 32-term sub-blocks, cached per m.  The result
-depends on m and n alone, never on earlier calls, and its error is the
-dropped tail plus 2^-53 (2 S_m + sum_{k<=n} k^(1-m)) of rounding, to
-first order.
+depends on m and n alone, never on earlier calls; its docstring bounds
+the error.
 Pairing is structural: one-sided sums diverge for any linear forcing term.
 
 The solve and the residual cross from exact to double once per call

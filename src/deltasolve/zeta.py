@@ -12,11 +12,7 @@ integral-test bracket around the partial sum S_N = sum_{k<=N} k^(-2j):
     S_N + integral_{N+1}^inf t^(-2j) dt  <  zeta(2j)  <  S_N + integral_N^inf,
 
 which never touches Bernoulli numbers.  S_N comes from
-``spectral.power_sums``, a plain sum of the terms k^(-2j) in a fixed
-order over a cached compensated prefix: exact for N <= k1(2j) up to its
-rounding, a few ulps (2^-53 (2 S_N + sum_{k<=N} k^(1-2j)) to first
-order), and within a further 2^-54 beyond it, where the bracket is
-already narrower than double rounding.
+``spectral.power_sums``, whose docstring bounds its error.
 
 ``coefficient_tables`` compares the two solvers coefficient by coefficient
 for forcing x^n.  A(n, j) is the x^j coefficient of the truncated spectral
@@ -91,8 +87,13 @@ def zeta_even_closed_form(j: int) -> ZetaClosedForm:
 def zeta_partial_sum(j: int, n_terms: int) -> tuple[float, float]:
     """Integral-test bracket [lower, upper] around zeta(2j), N = n_terms.
 
-    The true value lies strictly inside; the width is the difference of the
-    two tail integrals, about (2j-1)/N^(2j) of the first omitted term scale.
+    In exact arithmetic the true value lies strictly inside; the width is
+    the difference of the two tail integrals, about (2j-1)/N^(2j) of the
+    first omitted term scale.  The ends are doubles, each carrying the
+    rounding of ``power_sums`` and of its tail, and they are not widened
+    for it: once the width falls below that rounding, both ends can round
+    to one double and the bracket can exclude the value, as it does for
+    j = 7, N = 30.
     """
     if j < 1:
         raise ValueError("zeta_partial_sum requires j >= 1")

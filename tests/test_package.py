@@ -201,28 +201,57 @@ def test_subcommand_runs_only_its_modules(argv, exit_code, ran, stdlib,
 def test_every_module_is_registered_and_loads_on_access():
     """What an outside tool that patches the modules relies on: after
     importing the package, ``deltasolve.bernoulli`` and ``deltasolve.cli``,
-    every module is in ``sys.modules``, and an attribute lookup runs the
-    module and returns its real object."""
+    every module is in ``sys.modules`` as the object the package binds; an
+    ``import`` statement runs none of them, and the first attribute read
+    runs the module and returns its real object."""
     code = """
 import json, sys, types
 import deltasolve, deltasolve.bernoulli, deltasolve.cli
 names = %r
 modules = [sys.modules["deltasolve." + name] for name in names]
-lazy = [type(module) is not types.ModuleType for module in modules]
+bound = [getattr(deltasolve, name) is module
+         for name, module in zip(names, modules)]
+ran = [type(module) is types.ModuleType for module in modules]
 owners = [sorted({obj.__module__ for obj in map(module.__getattribute__,
                                                  module.__all__)
                   if callable(obj)}) for module in modules]
 loaded = [type(module) is types.ModuleType for module in modules]
-print(json.dumps([lazy, owners, loaded]))
+print(json.dumps([bound, ran, owners, loaded]))
 """ % (MODULES,)
-    lazy, owners, loaded = json.loads(_fresh(code))
+    bound, ran, owners, loaded = json.loads(_fresh(code))
     names = MODULES
-    # deltasolve.bernoulli ran, and with it the two modules it imports
-    assert [name for name, flag in zip(names, lazy) if not flag] \
-        == ["bernoulli", "polynomials", "rationals"]
+    assert all(bound)
+    # only rationals ran, for the error classes that cli binds at import
+    assert [name for name, flag in zip(names, ran) if flag] == ["rationals"]
     for name, defined_in in zip(names, owners):
         assert f"deltasolve.{name}" in defined_in
     assert all(loaded)
+
+
+def test_two_threads_first_reading_a_module_both_see_it_whole():
+    """Two threads whose first read of ``deltasolve.ode`` comes at once both
+    get ``solve_linear_ode``: the second waits for the module's code to
+    finish instead of reading a half-run module."""
+    code = """
+import sys, threading
+import deltasolve
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(2)
+got = []
+def read():
+    barrier.wait()
+    try:
+        got.append(deltasolve.ode.solve_linear_ode.__name__)
+    except AttributeError as exc:
+        got.append(repr(exc))
+threads = [threading.Thread(target=read, daemon=True) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(30)
+print(sum(thread.is_alive() for thread in threads), *got)
+"""
+    assert _fresh(code).split() == ["0"] + ["solve_linear_ode"] * 2
 
 
 def test_domain_errors_share_one_base():
