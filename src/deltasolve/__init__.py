@@ -13,9 +13,9 @@ its first attribute read, so a CLI subcommand compiles only the modules it
 calls.  That first read takes one package lock, so a second thread reading
 the same module waits for its code to finish rather than seeing it half
 run.  Besides its modules the package holds only ``MAX_TABLE_ORDER``,
-``MAX_BERNOULLI_INDEX``, ``MAX_TERMS`` and ``__version__``:
-``deltasolve.bernoulli`` is the module, and the function is
-``deltasolve.bernoulli.bernoulli``.
+``MAX_BERNOULLI_INDEX``, ``MAX_TERMS``, ``MAX_OPERATOR_DEGREE`` and
+``__version__``: ``deltasolve.bernoulli`` is the module, and the function
+is ``deltasolve.bernoulli.bernoulli``.
 """
 
 import sys as _sys
@@ -26,14 +26,15 @@ from importlib.util import module_from_spec as _module_from_spec
 __version__ = "0.1.0"
 
 # Largest forcing degree of the A/B coefficient tables in ``zeta``, the
-# largest Bernoulli index that ``bernoulli`` grows its table to, and the
-# largest truncation order K (or term count N) that ``spectral.power_sums``,
-# ``spectral.SpectralConfig`` and ``partial_fractions.pfd_eval`` accept.
-# They are defined here, so that the CLI parser can bound --n-max, n and K
-# without loading zeta, bernoulli or spectral.
+# largest Bernoulli index that ``bernoulli`` grows its table to, the largest
+# truncation order K (or term count N) that ``spectral.power_sums``,
+# ``spectral.SpectralConfig`` and ``partial_fractions.pfd_eval`` accept, and
+# the largest ``ode.CharacteristicPolynomial`` degree.  They live here so
+# that the CLI parser checks --n-max, n, K and --coeffs before loading one.
 MAX_TABLE_ORDER = 12
 MAX_BERNOULLI_INDEX = 1000
 MAX_TERMS = 10 ** 6
+MAX_OPERATOR_DEGREE = 90
 
 _LOADING = _threading.RLock()
 

@@ -11,7 +11,7 @@ Every subcommand prints a single plain-text value built from the documented
 grammars (rational, polynomial, complex literals), or with ``--format json``
 one envelope ``{"command", "inputs", "result", "meta"}`` whose numbers carry
 exactly the digits of the plain rendering.  Output is bit-for-bit
-reproducible for a fixed invocation, including across ``--threads`` values.
+reproducible for a fixed invocation, including across ``report --threads``.
 
 The package registers its modules without running them and binds each one
 as ``deltasolve.<name>``.  This module imports those module objects and looks
@@ -27,9 +27,9 @@ import argparse
 import math
 import sys
 
-from . import (MAX_BERNOULLI_INDEX, MAX_TABLE_ORDER, MAX_TERMS, bernoulli,
-               ode, partial_fractions, polynomials, rationals, reports,
-               spectral, zeta)
+from . import (MAX_BERNOULLI_INDEX, MAX_OPERATOR_DEGREE, MAX_TABLE_ORDER,
+               MAX_TERMS, bernoulli, ode, partial_fractions, polynomials,
+               rationals, reports, spectral, zeta)
 
 __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
            "MAX_OPERATOR_DEGREE", "MAX_REPORT_TERMS"]
@@ -39,11 +39,10 @@ __all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
 # README's caps table states each cap's worst-case cost, and
 # tests/test_caps.py runs each worst case within a time budget.
 # MAX_TERMS bounds every truncation order K (--K, each --K-list entry) and
-# --oracle-N, MAX_BERNOULLI_INDEX n for bernoulli and faulhaber (both are
-# defined in the package and checked by the library too), MAX_ZETA_INDEX
-# --j, and MAX_OPERATOR_DEGREE the degree n of ode --coeffs (n + 1 numbers).
+# --oracle-N, MAX_BERNOULLI_INDEX n for bernoulli and faulhaber,
+# MAX_OPERATOR_DEGREE the degree n of ode --coeffs (n + 1 numbers; the three
+# are package constants the library checks too), and MAX_ZETA_INDEX --j.
 MAX_ZETA_INDEX = 300
-MAX_OPERATOR_DEGREE = 90
 # MAX_REPORT_TERMS bounds the terms a report sums over all its rows, once
 # the arguments are parsed (_report_terms).  Each row is charged its terms
 # plus _ROW_TERMS[study] terms for its fixed work: |z-list| * sum(K + 50)
@@ -260,9 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json"), default="plain",
                         help="output format (default: plain)")
-    common.add_argument("--threads", type=_int_in(1), default=1,
-                        help="accepted for compatibility; report rows are "
-                             "computed serially, identically for any value")
 
     parser = argparse.ArgumentParser(
         prog="deltasolve",
@@ -332,6 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=_poly_arg, required=True)
 
     p = command("report", _run_report, "write a convergence-study CSV")
+    p.add_argument("--threads", type=_int_in(1), default=1,
+                   help="accepted for compatibility; report rows are "
+                        "computed serially, identically for any value")
     p.add_argument("study", choices=("residual-decay", "pfd-convergence",
                                      "ab-comparison"))
     p.add_argument("--out", required=True, help="output CSV path")

@@ -25,10 +25,10 @@ on a perturbed circle whose radius is the Cauchy bound, then polished with a
 few Newton steps.  Writing P = z^s Q with Q(0) != 0, ``find_roots`` refuses
 s >= 2 at once, returns a zero root as 0j exactly and runs both on Q alone.
 The iteration stops once no step exceeds _TOLERANCE times (1 + the largest
-estimate's magnitude), or gives up after _MAX_ITERATIONS sweeps.  The
-iteration is sequential and the starting points are fixed, so the returned
-ordering (sorted by real part, then imaginary part) and everything
-accumulated from it is deterministic.
+estimate's magnitude), or once an estimate leaves double range, or gives up
+after _MAX_ITERATIONS sweeps.  It is sequential and its starting points are
+fixed, so the returned ordering (sorted by real part, then imaginary part)
+and everything accumulated from it is deterministic.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import math
 from collections import namedtuple
 from itertools import combinations
 
+from . import MAX_OPERATOR_DEGREE
 from .polynomials import (CoefficientOverflowError, ComplexPolynomial,
                           Polynomial, _rounded, mode_polynomial)
 from .rationals import DeltasolveError
@@ -80,7 +81,8 @@ class MultipleRootUnsupported(DeltasolveError, ValueError):
 
 class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
                                           "coefficients")):
-    """P(z) = a_0 + a_1 z + ... + a_n z^n with a_n != 0 and n >= 1.
+    """P(z) = a_0 + a_1 z + ... + a_n z^n with a_n != 0 and
+    1 <= n <= MAX_OPERATOR_DEGREE.
 
     ``coefficients`` is stored as a tuple of complex a_0, ..., a_n.
     """
@@ -91,6 +93,9 @@ class CharacteristicPolynomial(namedtuple("CharacteristicPolynomial",
         coeffs = tuple(complex(c) for c in coefficients)
         if len(coeffs) < 2:
             raise ValueError("characteristic polynomial needs degree >= 1")
+        if len(coeffs) > MAX_OPERATOR_DEGREE + 1:
+            raise ValueError(f"operator degree {len(coeffs) - 1} must be "
+                             f"<= {MAX_OPERATOR_DEGREE}")
         if coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
         if not all(math.isfinite(math.hypot(c.real, c.imag)) for c in coeffs):
@@ -157,6 +162,8 @@ def find_roots(polynomial: CharacteristicPolynomial) -> list[complex]:
                 step = monic(z) / denom
                 estimates[idx] = z - step
                 largest_step = max(largest_step, abs(step))
+            if not all(map(cmath.isfinite, estimates)):
+                break
             scale = 1.0 + max(map(abs, estimates), default=0.0)
             if largest_step <= _TOLERANCE * scale:
                 converged = True

@@ -75,12 +75,11 @@ class ZetaClosedForm(namedtuple("ZetaClosedForm", "j coefficient pi_power")):
 
 
 def zeta_even_closed_form(j: int) -> ZetaClosedForm:
-    """Exact zeta(2j) for j >= 1; the coefficient is always positive."""
+    """Exact zeta(2j) for j >= 1: (|B_2j| 2^(2j-1) / (2j)!) pi^(2j)."""
     if j < 1:
         raise ValueError("zeta_even_closed_form requires j >= 1")
-    sign = 1 if j % 2 == 1 else -1
-    coefficient = Fraction(sign * 2 ** (2 * j)) * bernoulli(2 * j) \
-        / (2 * math.factorial(2 * j))
+    coefficient = abs(bernoulli(2 * j)) \
+        * Fraction(2 ** (2 * j - 1), math.factorial(2 * j))
     return ZetaClosedForm(j=j, coefficient=coefficient, pi_power=2 * j)
 
 

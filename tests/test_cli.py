@@ -423,6 +423,13 @@ def test_report_thread_invariance(tmp_path, capsys):
     assert single.read_bytes() == pooled.read_bytes()
 
 
+def test_only_report_takes_threads(capsys):
+    code, out, err = _run(["bernoulli", "5", "--threads", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --threads 2" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "deltasolve", "bernoulli", "4"],
@@ -479,7 +486,8 @@ def _exit_contract_argvs(st, out_dir):
     """Argvs over all nine subcommands: half with every literal valid (small
     K and operator degrees), half with each literal drawn valid, malformed,
     non-finite or over its cap.  Options take the ``--name=value`` form, so
-    that a value starting with ``-`` still reaches its parser."""
+    that a value starting with ``-`` still reaches its parser.  ``--threads``
+    is drawn only for ``report``, the one subcommand that takes it."""
     def valid_only(valid, *bad):
         return valid
 
@@ -545,10 +553,10 @@ def _exit_contract_argvs(st, out_dir):
                         "no-such-study").map(lambda study: ["report", study]),
                 options({"out": out},
                         {"g": poly, "K_list": k_list, "z_list": z_list,
-                         "n_max": integer(1, 12, MAX_TABLE_ORDER)})))
+                         "n_max": integer(1, 12, MAX_TABLE_ORDER),
+                         "threads": integer(1, 2, 2)})))
         common = options({}, {
-            "format": literal(st.sampled_from(["plain", "json"]), "xml"),
-            "threads": integer(1, 2, 2)})
+            "format": literal(st.sampled_from(["plain", "json"]), "xml")})
         return st.tuples(commands, common).map(
             lambda drawn: drawn[0][0] + drawn[0][1] + drawn[1])
 

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from deltasolve import ode
+from deltasolve import MAX_OPERATOR_DEGREE, ode, polynomials
 from deltasolve.ode import (MIN_ROOT_SEPARATION, CharacteristicPolynomial,
                             ExpPoly, ExpPolyTerm, MultipleRootUnsupported,
                             RootFindingError, apply_operator, find_roots,
@@ -256,6 +256,34 @@ def test_estimate_outside_double_range_is_refused(coeffs):
     with pytest.raises(RootFindingError,
                        match=r"^a root estimate is outside double range$"):
         find_roots(CharacteristicPolynomial(coeffs))
+
+
+def test_sweeps_stop_once_an_estimate_leaves_double_range(monkeypatch):
+    """(z-1)^90 from its integer coefficients starts on a circle of radius
+    about 1e26, and its estimates are non-finite after the first sweep.  They
+    never come back, so the other 199 sweeps (18,540 evaluations in all) are
+    skipped: one sweep of 90 evaluations and a polish of 90 * 3 * 2 remain."""
+    calls = []
+    horner = polynomials._horner
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return horner(coeffs, x)
+
+    monkeypatch.setattr(polynomials, "_horner", counted)
+    n = MAX_OPERATOR_DEGREE
+    operator = CharacteristicPolynomial(
+        [math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)])
+    with pytest.raises(RootFindingError,
+                       match=r"^a root estimate is outside double range$"):
+        find_roots(operator)
+    assert len(calls) <= 700
+
+
+def test_operator_degree_is_capped():
+    CharacteristicPolynomial([1] * (MAX_OPERATOR_DEGREE + 1))
+    with pytest.raises(ValueError, match=r"^operator degree 91 must be <= 90$"):
+        CharacteristicPolynomial([1] * (MAX_OPERATOR_DEGREE + 2))
 
 
 def test_root_near_the_top_of_double_range_is_found():

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from deltasolve import spectral
 from deltasolve import zeta as zeta_module
-from deltasolve.bernoulli import bernoulli, faulhaber
+from deltasolve.bernoulli import BernoulliIndexError, bernoulli, faulhaber
 from deltasolve.polynomials import Polynomial
 from deltasolve.rationals import binomial
 from deltasolve.spectral import SpectralConfig, power_sums, spectral_solve
@@ -44,6 +45,19 @@ def test_closed_form_coefficient_is_positive():
 def test_closed_form_value():
     assert math.isclose(zeta_even_closed_form(1).value(), math.pi ** 2 / 6,
                         rel_tol=1e-15)
+
+
+def test_closed_form_past_the_bernoulli_cap_is_refused_first():
+    """B_2j is read, and refused, before 2^(2j) or (2j)! is built: those
+    took about 1 s and 93 MB at j = 10^8."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BernoulliIndexError):
+            zeta_even_closed_form(10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_closed_form_rejects_zero():
