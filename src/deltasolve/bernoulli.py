@@ -19,9 +19,11 @@ g_n and B_{n+1-j} are, so the kernel visits just those pairs: each nonzero
 g_n meets B_0, B_1 and the even B_i up to B_n, about n/2 terms, and the
 monomial x^n behind S_n is one such n.  Along each n the kernel walks the
 binomials, g_n C(n, 2k) = g_n C(n, 2k-2) (n-2k+2)(n-2k+1) / ((2k-1) 2k),
-rather than building each C(n, 2k) afresh.  Every coefficient is still one
-exact integer sum over a common denominator and one ``Fraction``, so
-skipping the zero terms cannot change a bit of the result.
+rather than building each C(n, 2k) afresh, carrying j = n+1-2k down by 2
+per step; a g_n whose numerator is 0 is skipped.  Every coefficient is
+still one exact integer sum over a common denominator, made one
+``Fraction``, or the one shared zero where the sum is 0 (about half the
+coefficients of S_n), so skipping zero terms cannot change a bit of it.
 
 Bernoulli numbers use the B_1 = -1/2 convention.  B_0 = 1 and B_1 = -1/2
 are base cases.  Odd B_n, n >= 3, are 0: t/(e^t - 1) = sum B_n t^n/n!,
@@ -38,7 +40,8 @@ arXiv:1108.0286):
 
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
 
-Each step multiplies a big integer by a small one, O(K^2) steps in all.
+Each step multiplies a big integer by a small one, O(K^2) steps in all;
+along a row the step carries T_{j-1} and j - k as running values.
 The triangle does not extend in place, so each growth rebuilds the
 tangent numbers, to the index asked for or to twice the old top (at most
 MAX_BERNOULLI_INDEX), whichever is higher, which keeps growth amortised.
@@ -63,9 +66,7 @@ import math
 import threading
 from fractions import Fraction
 
-from . import MAX_BERNOULLI_INDEX
-from .polynomials import Polynomial
-from .rationals import DeltasolveError
+from . import MAX_BERNOULLI_INDEX, polynomials, rationals
 
 __all__ = [
     "BernoulliIndexError",
@@ -75,8 +76,11 @@ __all__ = [
     "antidifference_polynomial",
 ]
 
+# The one Fraction that every zero B_n and zero coefficient returned shares.
+_ZERO = Fraction(0)
 
-class BernoulliIndexError(DeltasolveError, ValueError):
+
+class BernoulliIndexError(rationals.DeltasolveError, ValueError):
     """A Bernoulli index, or a Faulhaber power, above MAX_BERNOULLI_INDEX."""
 
 
@@ -114,7 +118,7 @@ class BernoulliTable:
         table's top grows it as the module docstring says."""
         _check_index(n)
         if n % 2:
-            return Fraction(-1, 2) if n == 1 else Fraction(0)
+            return Fraction(-1, 2) if n == 1 else _ZERO
         with self._lock:
             top = self.computed_up_to
             if n > top:
@@ -150,8 +154,10 @@ class BernoulliTable:
         for k in range(2, half + 1):
             t[k] = (k - 1) * t[k - 1]
         for k in range(2, half + 1):
+            left, a = t[k - 1], 0  # T_{j-1} and j - k
             for j in range(k, half + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+                left = t[j] = a * left + (a + 2) * t[j]
+                a += 1
         self._values += t[len(self._values):]
 
 
@@ -174,9 +180,9 @@ def _antidifference_coefficients(
     (i = 0, 1 or even): for each nonzero g_n, the nonzero B_i with i <= n,
     added into the x^(n+1-i) coefficient.  Each coefficient is the exact
     integer sum of its terms over the common denominator q d of the forcing
-    (q) and of B_0..B_deg (d), turned into one ``Fraction(acc, j q d)``; the
-    terms it skips are exactly 0, and an integer sum does not depend on its
-    order, so the result is bit-identical to the sum over every pair."""
+    (q) and of B_0..B_deg (d), one ``Fraction(acc, j q d)`` or ``_ZERO``;
+    the terms it skips are exactly 0, and an integer sum does not depend on
+    its order, so the result is bit-identical to the sum over every pair."""
     top = len(coeffs)
     b, d = _TABLE._scaled_prefix(max(top - 1, 0))
     q = math.lcm(*(c.denominator for c in coeffs))
@@ -185,19 +191,21 @@ def _antidifference_coefficients(
     # g_n C(n, 2k-2) (j+1) j = g_n C(n, 2k) (2k-1) 2k: the division is exact.
     acc = [0] * (top + 1)
     for n, c in enumerate(coeffs):
-        if c:
-            g = c.numerator * (q // c.denominator)
+        g = c.numerator
+        if g:
+            g *= q // c.denominator
             acc[n + 1] += g * d
             acc[n] -= g * n * (d // 2)
+            j = n - 1
             for k in range(1, n // 2 + 1):
-                j = n + 1 - 2 * k
                 g = g * ((j + 1) * j) // ((2 * k - 1) * 2 * k)
                 acc[j] += g * b[k]
-    return [Fraction(0)] + [Fraction(acc[j], j * q * d)
-                            for j in range(1, top + 1)]
+                j -= 2
+    # acc[0] stays 0 (n = 0 subtracts 0 from it), the constant term f(0)
+    return [Fraction(s, j * q * d) if s else _ZERO for j, s in enumerate(acc)]
 
 
-def faulhaber(n: int) -> Polynomial:
+def faulhaber(n: int) -> polynomials.Polynomial:
     """The power-sum polynomial S_n with S_n(m) = sum_{k=1}^{m} k^n.
 
     For n >= 1, S_n(x) - S_n(x-1) = x^n and S_n(0) = 0, so S_n is the
@@ -211,13 +219,14 @@ def faulhaber(n: int) -> Polynomial:
     """
     _check_index(n)
     if n == 0:
-        return Polynomial.monomial(1)
-    coeffs = _antidifference_coefficients((Fraction(0),) * n + (Fraction(1),))
+        return polynomials.Polynomial.monomial(1)
+    coeffs = _antidifference_coefficients((_ZERO,) * n + (Fraction(1),))
     coeffs[n] += 1
-    return Polynomial(coeffs)
+    return polynomials.Polynomial(coeffs)
 
 
-def antidifference_polynomial(forcing: Polynomial) -> Polynomial:
+def antidifference_polynomial(
+        forcing: polynomials.Polynomial) -> polynomials.Polynomial:
     """The unique f with f(x+1) - f(x) = forcing(x) and f(0) = 0.
 
     By linearity, the sum over n of forcing_n (B_{n+1}(x) - B_{n+1}) / (n+1);
@@ -225,4 +234,5 @@ def antidifference_polynomial(forcing: Polynomial) -> Polynomial:
     B_deg, so a forcing above degree MAX_BERNOULLI_INDEX raises
     ``BernoulliIndexError``.
     """
-    return Polynomial(_antidifference_coefficients(forcing.coefficients))
+    return polynomials.Polynomial(
+        _antidifference_coefficients(forcing.coefficients))

@@ -11,10 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .partial_fractions import pfd_eval
-from .polynomials import Polynomial, format_complex
-from .spectral import SpectralConfig, difference_residual, spectral_solve
-from .zeta import check_table_order, verify_comparison
+from . import partial_fractions, polynomials, spectral, zeta
 
 __all__ = [
     "RESIDUAL_DECAY_HEADER",
@@ -34,14 +31,16 @@ AB_COMPARISON_HEADER = ["n", "K", "max_mismatch"]
 _GRID_POINTS = 21
 
 
-def residual_decay_rows(forcing: Polynomial, k_values: Iterable[int],
+def residual_decay_rows(forcing: polynomials.Polynomial,
+                        k_values: Iterable[int],
                         threads: int = 1) -> list[list]:
     """Median and max difference residual on a [0, 1] grid, per K."""
     xs = [i / (_GRID_POINTS - 1) for i in range(_GRID_POINTS)]
 
     def row(truncation_order: int) -> list:
-        solution = spectral_solve(forcing, SpectralConfig(truncation_order))
-        residuals = difference_residual(solution, forcing, xs)
+        solution = spectral.spectral_solve(
+            forcing, spectral.SpectralConfig(truncation_order))
+        residuals = spectral.difference_residual(solution, forcing, xs)
         return [truncation_order, sorted(residuals)[_GRID_POINTS // 2],
                 max(residuals)]
 
@@ -70,9 +69,9 @@ def pfd_convergence_rows(z_values: Iterable[complex], k_values: Iterable[int],
     2 pi (K+1) >= sqrt(2) |z| (``pfd_eval``); below, abs_error may exceed it."""
 
     def row(z: complex, truncation_order: int) -> list:
-        approx = pfd_eval(z, truncation_order)
+        approx = partial_fractions.pfd_eval(z, truncation_order)
         bound = 2.0 * abs(z) / (math.pi ** 2 * truncation_order)
-        return [format_complex(z), truncation_order,
+        return [polynomials.format_complex(z), truncation_order,
                 abs(approx - _reciprocal_expm1(z)), bound]
 
     return [row(z, k) for z in z_values for k in k_values]
@@ -87,6 +86,6 @@ def ab_comparison_rows(n_values: Iterable[int], k_values: Iterable[int],
     Every n is checked before any row is computed."""
     n_values, k_values = list(n_values), list(k_values)
     for n in n_values:
-        check_table_order(n)
-    return [[n, k, verify_comparison(n, k)]
+        zeta.check_table_order(n)
+    return [[n, k, zeta.verify_comparison(n, k)]
             for n in n_values for k in k_values]

@@ -207,9 +207,9 @@ def _prefix_sums(m: int, s: int) -> tuple[float, float]:
     """(hi[s], lo[s]), hi[s] + lo[s] = S_m(32 s), computing and caching the
     missing sub-blocks; (0.0, 0.0) for s = 0, which caches nothing.
 
-    Each new sub-block is summed in descending k and added to the prefix
-    by Fast2Sum, t = hi + sub; lo += (hi - t) + sub; hi = t, exact as hi is
-    0 or at least 1 > sub."""
+    Each new sub-block is summed in descending k, in this one frame, and
+    added to the prefix by Fast2Sum, t = hi + sub; lo += (hi - t) + sub;
+    hi = t, exact as hi is 0 or at least 1 > sub."""
     if not s:
         return 0.0, 0.0
     prefix = _PREFIXES.get(m)
@@ -217,9 +217,12 @@ def _prefix_sums(m: int, s: int) -> tuple[float, float]:
         with _GROWTH:
             hi, lo = prefix = _PREFIXES.setdefault(
                 m, (array("d", [0.0]), array("d", [0.0])))
-            total, error = hi[-1], lo[-1]
-            for top in range(_SUB * len(hi), _SUB * s + 1, _SUB):
-                sub = _descending_sum(m, top, top - _SUB)
+            power, total, error = float(-m), hi[-1], lo[-1]
+            steps = [float(i) for i in range(_SUB, 0, -1)]
+            for low in map(float, range(_SUB * (len(hi) - 1), _SUB * s, _SUB)):
+                sub = 0.0
+                for step in steps:  # low + step is exact: k counts down
+                    sub += (low + step) ** power
                 t = total + sub
                 error += (total - t) + sub
                 total = t

@@ -31,9 +31,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from . import MAX_TABLE_ORDER
-from .bernoulli import bernoulli, faulhaber
-from .spectral import _mode_part, power_sums
+from . import MAX_TABLE_ORDER, bernoulli, spectral
 
 __all__ = [
     "ZetaClosedForm",
@@ -78,7 +76,7 @@ def zeta_even_closed_form(j: int) -> ZetaClosedForm:
     """Exact zeta(2j) for j >= 1: (|B_2j| 2^(2j-1) / (2j)!) pi^(2j)."""
     if j < 1:
         raise ValueError("zeta_even_closed_form requires j >= 1")
-    coefficient = abs(bernoulli(2 * j)) \
+    coefficient = abs(bernoulli.bernoulli(2 * j)) \
         * Fraction(2 ** (2 * j - 1), math.factorial(2 * j))
     return ZetaClosedForm(j=j, coefficient=coefficient, pi_power=2 * j)
 
@@ -99,7 +97,7 @@ def zeta_partial_sum(j: int, n_terms: int) -> tuple[float, float]:
     if n_terms < 2:
         raise ValueError("zeta_partial_sum requires at least 2 terms")
     exponent = 2 * j
-    partial = power_sums((exponent,), n_terms)[exponent]
+    partial = spectral.power_sums((exponent,), n_terms)[exponent]
     def tail(m: int) -> float:
         return float(m) ** (1 - exponent) / (exponent - 1)
     return (partial + tail(n_terms + 1), partial + tail(n_terms))
@@ -119,7 +117,7 @@ def coefficient_tables(n: int, truncation_order: int
     caller gets a copy.
     """
     check_table_order(n)
-    a_table = _mode_part([0.0] * n + [1.0], truncation_order)
+    a_table = spectral._mode_part([0.0] * n + [1.0], truncation_order)
     return a_table, list(_b_table(n))
 
 
@@ -127,7 +125,7 @@ def coefficient_tables(n: int, truncation_order: int
 def _b_table(n: int) -> tuple[Fraction, ...]:
     """The B-table of order n, from ``faulhaber(n)``; callers check n first
     (``check_table_order``), so the memo holds at most 12 tables."""
-    power_sum = faulhaber(n)
+    power_sum = bernoulli.faulhaber(n)
     return (Fraction(0),) * 2 + tuple(
         power_sum.coefficient(n + 1 - j) for j in range(2, n + 1))
 

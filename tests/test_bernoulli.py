@@ -500,6 +500,81 @@ def test_sparse_kernel_matches_the_dense_sum():
     same_as_dense()
 
 
+def _indexed_antidifference_coefficients(coeffs):
+    """The kernel as it was before it carried j down the walk: j
+    recomputed from k at every step, every nonzero g_n found by
+    ``Fraction.__bool__``, and every coefficient a fresh ``Fraction``, the
+    zeros too.  The oracle for the running-value kernel."""
+    top = len(coeffs)
+    b, d = bernoulli_module._TABLE._scaled_prefix(max(top - 1, 0))
+    q = math.lcm(*(c.denominator for c in coeffs))
+    acc = [0] * (top + 1)
+    for n, c in enumerate(coeffs):
+        if c:
+            g = c.numerator * (q // c.denominator)
+            acc[n + 1] += g * d
+            acc[n] -= g * n * (d // 2)
+            for k in range(1, n // 2 + 1):
+                j = n + 1 - 2 * k
+                g = g * ((j + 1) * j) // ((2 * k - 1) * 2 * k)
+                acc[j] += g * b[k]
+    return [Fraction(0)] + [Fraction(acc[j], j * q * d)
+                            for j in range(1, top + 1)]
+
+
+def _indexed_tangent_numbers(half):
+    """[0, T_1, ..., T_half] by the triangle with j - k recomputed at every
+    step and T_{j-1} read back from the list: the oracle for ``_grow``."""
+    t = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def test_running_value_kernel_matches_the_indexed_one():
+    """Carrying j, testing numerators and sharing one zero change no
+    coefficient: dense forcings up to degree 60 with zeros drawn often,
+    and dense ones of degree 200 and 1000 (the cap), give the same
+    ``Fraction``s; every zero coefficient is the module's one zero."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                             max_denominator=10 ** 6)
+    often_zero = st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                          max_size=61)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(often_zero)
+    @hypothesis.example([])
+    @hypothesis.example([Fraction(0)] * 200 + [Fraction(1)])
+    @hypothesis.example([Fraction((n % 13 - 6) * (n % 5 > 1), n % 11 + 1)
+                         for n in range(200)] + [Fraction(3, 7)])
+    @hypothesis.example([Fraction((-1) ** n * (10 ** 6 - n) * (n % 3 > 0),
+                                  n % 97 + 1)
+                         for n in range(MAX_BERNOULLI_INDEX)]
+                        + [Fraction(1, 3)])
+    def same_as_indexed(coeffs):
+        coeffs = tuple(coeffs)
+        got = bernoulli_module._antidifference_coefficients(coeffs)
+        assert _same_fractions(got,
+                               _indexed_antidifference_coefficients(coeffs))
+        assert all(c is bernoulli_module._ZERO for c in got if not c)
+
+    same_as_indexed()
+
+
+def test_fresh_tables_match_the_indexed_triangle():
+    """Every fresh table up to B_400 holds the oracle's tangent numbers."""
+    for half in range(1, 201):
+        table = BernoulliTable()
+        table._grow(half)
+        assert table._values[1:] == _indexed_tangent_numbers(half)[1:], half
+
+
 def test_antidifference_reads_the_denominator_of_its_prefix(monkeypatch):
     """The kernel reads B_0..B_n over their own lcm, not the whole table's,
     so a table grown to the cap gives the same antidifferences and

@@ -163,33 +163,41 @@ stdlib = sorted(m for m in ("json", "csv")
 print(code, " ".join(ran), "|", " ".join(stdlib))
 """
 
-_EXACT = ["bernoulli", "cli", "polynomials", "rationals"]
+_NUMBERS = ["bernoulli", "cli", "rationals"]
+_EXACT = sorted(_NUMBERS + ["polynomials"])
 _MODES = ["cli", "polynomials", "rationals", "spectral"]
 
 
 @pytest.mark.parametrize("argv, exit_code, ran, stdlib", [
-    (["bernoulli", "5"], 0, _EXACT, []),
+    (["bernoulli", "5"], 0, _NUMBERS, []),
     (["faulhaber", "3"], 0, _EXACT, []),
     (["antidiff", "--g", "x^2"], 0, _EXACT, []),
-    (["bernoulli", "5", "--format", "json"], 0, _EXACT, ["json"]),
+    (["bernoulli", "5", "--format", "json"], 0, _NUMBERS, ["json"]),
     (["spectral", "--g", "x", "--K", "10"], 0, _MODES, []),
     (["euler-gap", "--g", "x", "--x", "1", "--K", "10"], 0, _MODES, []),
     (["pfd", "--z", "1", "--K", "10"], 0,
      sorted(_MODES + ["partial_fractions"]), []),
+    (["zeta", "--j", "2"], 0, sorted(_NUMBERS + ["zeta"]), []),
     (["zeta", "--j", "2", "--oracle-N", "10"], 0,
      sorted(_MODES + ["bernoulli", "zeta"]), []),
     (["ode", "--coeffs=-1,0,1", "--g", "1"], 0,
      ["cli", "ode", "polynomials", "rationals"], []),
     (["report", "ab-comparison", "--n-max", "2", "--K-list", "10"], 0,
-     sorted(_MODES + ["bernoulli", "partial_fractions", "reports", "zeta"]),
-     ["csv"]),
+     sorted(_MODES + ["bernoulli", "reports", "zeta"]), ["csv"]),
+    (["report", "residual-decay", "--g", "x", "--K-list", "10"], 0,
+     sorted(_MODES + ["reports"]), ["csv"]),
     (["bernoulli", "1001"], 2, ["cli", "rationals"], []),
 ], ids=["bernoulli", "faulhaber", "antidiff", "json", "spectral", "euler-gap",
-        "pfd", "zeta", "ode", "report", "refused"])
+        "pfd", "zeta-closed-form", "zeta", "ode", "report",
+        "report-residual-decay", "refused"])
 def test_subcommand_runs_only_its_modules(argv, exit_code, ran, stdlib,
                                           tmp_path):
     """The package registers its modules without running them; a
-    subcommand runs only those it calls, and json/csv only when used.  An
+    subcommand runs only those it calls, and json/csv only when used.  A
+    module reaches its siblings through the package's module objects, so
+    importing one runs none of them: ``bernoulli N`` never runs
+    ``polynomials``, the closed form never runs ``spectral``, and no
+    report but ``pfd-convergence`` runs ``partial_fractions``.  An
     argument refused while parsing runs none of the library."""
     if argv[0] == "report":
         argv = argv + ["--out", str(tmp_path / "ab.csv")]

@@ -311,16 +311,19 @@ def test_power_sums_do_not_depend_on_call_history(monkeypatch):
 
 
 def test_prefix_holds_the_exact_sum_of_its_sub_block_sums(monkeypatch):
-    """For every stored s, hi[s] + lo[s] is the exact sum of the sub-block
-    sums below 32s but for lo's own rounding, at most 2^-53 |lo[j]| at each
-    j <= s, which stays under the s^2 2^-106 S_m that ``power_sums``
-    states: each Fast2Sum step is exact."""
+    """For m = 2..11 at K = 10^5, hi and lo hold the oracle's doubles bit
+    for bit, though one frame sums every sub-block of a growth.  For every
+    stored s, hi[s] + lo[s] is the exact sum of the sub-block sums below
+    32s but for lo's own rounding, at most 2^-53 |lo[j]| at each j <= s,
+    which stays under the s^2 2^-106 S_m that ``power_sums`` states: each
+    Fast2Sum step is exact."""
     monkeypatch.setattr(spectral_module, "_PREFIXES", {})
     power_sums(range(2, 14), 10 ** 5)
     cache = spectral_module._PREFIXES
     assert sorted(cache) == list(range(2, 12))
     for m, (hi, lo) in cache.items():
         assert len(hi) == len(lo) == _pass_terms(m, 10 ** 5) // _SUB + 1
+        assert (list(hi), list(lo)) == _oracle_prefix(m, len(hi) - 1), m
         exact = slack = Fraction(0)
         for s in range(len(hi)):
             if s:

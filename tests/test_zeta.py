@@ -125,7 +125,7 @@ def test_b_table_is_built_once_per_order(monkeypatch):
     # later calls, at any K, read the cached tables
     def no_faulhaber(n):
         raise AssertionError("a B-table was built again")
-    monkeypatch.setattr(zeta_module, "faulhaber", no_faulhaber)
+    monkeypatch.setattr(zeta_module.bernoulli, "faulhaber", no_faulhaber)
     for n in range(1, MAX_TABLE_ORDER + 1):
         for order in (1, 256, 4000):
             assert coefficient_tables(n, order)[1] == _fresh_b_table(n), n
