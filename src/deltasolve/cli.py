@@ -31,18 +31,17 @@ from . import (MAX_BERNOULLI_INDEX, MAX_OPERATOR_DEGREE, MAX_TABLE_ORDER,
                MAX_TERMS, bernoulli, ode, partial_fractions, polynomials,
                rationals, reports, spectral, zeta)
 
-__all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_ZETA_INDEX",
-           "MAX_OPERATOR_DEGREE", "MAX_REPORT_TERMS"]
+__all__ = ["main", "MAX_TERMS", "MAX_BERNOULLI_INDEX", "MAX_OPERATOR_DEGREE",
+           "MAX_REPORT_TERMS"]
 
 # Caps on the inputs whose cost grows with their value, checked while the
 # arguments are parsed, so that one over the cap exits 2 before any loop.
 # README's caps table states each cap's worst-case cost, and
 # tests/test_caps.py runs each worst case within a time budget.
 # MAX_TERMS bounds every truncation order K (--K, each --K-list entry) and
-# --oracle-N, MAX_BERNOULLI_INDEX n for bernoulli and faulhaber,
-# MAX_OPERATOR_DEGREE the degree n of ode --coeffs (n + 1 numbers; the three
-# are package constants the library checks too), and MAX_ZETA_INDEX --j.
-MAX_ZETA_INDEX = 300
+# --oracle-N, MAX_BERNOULLI_INDEX n for bernoulli and faulhaber and 2j for
+# zeta, and MAX_OPERATOR_DEGREE the degree n of ode --coeffs (n + 1 numbers);
+# all three are package constants the library checks too.
 # MAX_REPORT_TERMS bounds the terms a report sums over all its rows, once
 # the arguments are parsed (_report_terms).  Each row is charged its terms
 # plus _ROW_TERMS[study] terms for its fixed work: |z-list| * sum(K + 50)
@@ -310,12 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("zeta", _run_zeta,
                 "exact zeta(2j) as a rational multiple of pi^(2j)")
-    p.add_argument("--j", type=_int_in(1, MAX_ZETA_INDEX), required=True,
-                   help=f"the even argument 2j, 1 <= j <= {MAX_ZETA_INDEX}")
-    p.add_argument("--oracle-N", dest="oracle_N", type=_int_in(2, MAX_TERMS),
+    p.add_argument("--j", type=_int_in(1, MAX_BERNOULLI_INDEX // 2),
+                   required=True, help="the even argument 2j, 1 <= j <= "
+                                       f"{MAX_BERNOULLI_INDEX // 2}")
+    p.add_argument("--oracle-N", dest="oracle_N", type=_truncation_order,
                    default=None,
                    help=f"also print the N-term integral-test bracket, "
-                        f"2 <= N <= {MAX_TERMS}; keep N modest for large j, "
+                        f"1 <= N <= {MAX_TERMS}; keep N modest for large j, "
                         "the width ~N^(1-2j) must stay above double rounding "
                         "for containment to be certifiable")
 

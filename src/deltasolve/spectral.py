@@ -70,8 +70,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# n!/j! factors up to 30 stay comfortably inside double range; beyond that
-# the closed-form coefficients are no longer trustworthy in one pass.
+# Bounds the per-row cost that a report's budget charges (cli._ROW_TERMS);
+# README's residual-decay worst case is the dense degree-30 forcing.
 MAX_FORCING_DEGREE = 30
 
 # 2^54: power sums stop where the integral-test tail falls to 2^-54.

@@ -94,8 +94,6 @@ def zeta_partial_sum(j: int, n_terms: int) -> tuple[float, float]:
     """
     if j < 1:
         raise ValueError("zeta_partial_sum requires j >= 1")
-    if n_terms < 2:
-        raise ValueError("zeta_partial_sum requires at least 2 terms")
     exponent = 2 * j
     partial = spectral.power_sums((exponent,), n_terms)[exponent]
     def tail(m: int) -> float:

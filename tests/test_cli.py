@@ -11,11 +11,12 @@ import sys
 import pytest
 
 import deltasolve
-from deltasolve import MAX_TABLE_ORDER
+from deltasolve import (MAX_TABLE_ORDER, bernoulli, partial_fractions,
+                        reports, spectral, zeta)
 from deltasolve.cli import (MAX_BERNOULLI_INDEX, MAX_OPERATOR_DEGREE,
-                            MAX_REPORT_TERMS, MAX_TERMS, MAX_ZETA_INDEX,
-                            _build_parser, main)
-from deltasolve.polynomials import parse_complex, parse_complex_polynomial
+                            MAX_REPORT_TERMS, MAX_TERMS, _build_parser, main)
+from deltasolve.polynomials import (parse_complex, parse_complex_polynomial,
+                                    parse_polynomial)
 
 
 def _run(argv, capsys):
@@ -236,10 +237,10 @@ def test_polynomial_power_over_cap_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["zeta", "--j", "1", "--oracle-N", "1"],
+    ["zeta", "--j", "1", "--oracle-N", "0"],
     ["report", "ab-comparison", "--n-max", "13"],
     ["report", "ab-comparison", "--n-max", "0"],
-], ids=["oracle-N-1", "n-max-13", "n-max-0"])
+], ids=["oracle-N-0", "n-max-13", "n-max-0"])
 def test_bad_flag_values_exit_2(argv, tmp_path, capsys):
     if argv[0] == "report":
         argv = argv + ["--out", str(tmp_path / "ab.csv")]
@@ -262,25 +263,42 @@ def test_unparsable_flag_values_exit_2(argv, message, capsys):
     assert err.endswith(f"error: {message}\n")
 
 
-# Each capped input: argv with "{}" where the value goes, and its cap.
+_X = parse_polynomial("x")
+
+# Each capped input: argv with "{}" where the value goes, its cap, the
+# library call that takes the value and the error it refuses one over with.
 _CAPPED = [
-    (["bernoulli", "{}"], MAX_BERNOULLI_INDEX),
-    (["faulhaber", "{}"], MAX_BERNOULLI_INDEX),
-    (["spectral", "--g", "x", "--K", "{}"], MAX_TERMS),
-    (["euler-gap", "--g", "x", "--x", "1", "--K", "{}"], MAX_TERMS),
-    (["pfd", "--z", "1", "--K", "{}"], MAX_TERMS),
-    (["zeta", "--j", "{}"], MAX_ZETA_INDEX),
-    (["zeta", "--j", "1", "--oracle-N", "{}"], MAX_TERMS),
-    (["report", "residual-decay", "--K-list", "10,{}"], MAX_TERMS),
-    (["report", "pfd-convergence", "--K-list", "{}"], MAX_TERMS),
+    (["bernoulli", "{}"], MAX_BERNOULLI_INDEX, bernoulli.bernoulli,
+     bernoulli.BernoulliIndexError),
+    (["faulhaber", "{}"], MAX_BERNOULLI_INDEX, bernoulli.faulhaber,
+     bernoulli.BernoulliIndexError),
+    (["spectral", "--g", "x", "--K", "{}"], MAX_TERMS,
+     lambda K: spectral.spectral_solve(_X, spectral.SpectralConfig(K, True)),
+     spectral.TruncationOrderError),
+    (["euler-gap", "--g", "x", "--x", "1", "--K", "{}"], MAX_TERMS,
+     lambda K: spectral.euler_gap(_X, 1.0, K), spectral.TruncationOrderError),
+    (["pfd", "--z", "1", "--K", "{}"], MAX_TERMS,
+     lambda K: partial_fractions.pfd_eval(1, K),
+     spectral.TruncationOrderError),
+    (["zeta", "--j", "{}"], MAX_BERNOULLI_INDEX // 2,
+     zeta.zeta_even_closed_form, bernoulli.BernoulliIndexError),
+    (["zeta", "--j", "1", "--oracle-N", "{}"], MAX_TERMS,
+     lambda N: zeta.zeta_partial_sum(1, N), spectral.TruncationOrderError),
+    (["report", "residual-decay", "--K-list", "10,{}"], MAX_TERMS,
+     lambda K: reports.residual_decay_rows(_X, [10, K]),
+     spectral.TruncationOrderError),
+    (["report", "pfd-convergence", "--K-list", "{}"], MAX_TERMS,
+     lambda K: reports.pfd_convergence_rows([1], [K]),
+     spectral.TruncationOrderError),
 ]
 
 
-@pytest.mark.parametrize("argv, cap", _CAPPED,
+@pytest.mark.parametrize("argv, cap, library, error", _CAPPED,
                          ids=["bernoulli", "faulhaber", "spectral", "euler-gap",
                               "pfd", "zeta-j", "oracle-N", "residual-decay",
                               "pfd-convergence"])
-def test_size_caps_are_checked_while_parsing(argv, cap, tmp_path, capsys):
+def test_size_caps_are_checked_while_parsing(argv, cap, library, error,
+                                             tmp_path, capsys):
     def filled(value):
         words = [word.format(value) for word in argv]
         if words[0] == "report":
@@ -297,6 +315,11 @@ def test_size_caps_are_checked_while_parsing(argv, cap, tmp_path, capsys):
     assert out == ""
     assert f"must be <= {cap}" in err
     assert not (tmp_path / "report.csv").exists()
+    # the library takes the same range: it answers at the cap and refuses
+    # one more with its own error
+    library(cap)
+    with pytest.raises(error):
+        library(cap + 1)
 
 
 def test_operator_degree_cap_is_checked_while_parsing(monkeypatch, capsys):
@@ -543,8 +566,8 @@ def _exit_contract_argvs(st, out_dir):
                       options({"g": poly, "x": real, "K": k}, {})),
             st.tuples(st.just(["pfd"]), options({"z": complex_, "K": k}, {})),
             st.tuples(st.just(["zeta"]), options(
-                {"j": integer(1, 40, MAX_ZETA_INDEX)},
-                {"oracle_N": integer(2, 50, MAX_TERMS)})),
+                {"j": integer(1, 40, MAX_BERNOULLI_INDEX // 2)},
+                {"oracle_N": integer(1, 50, MAX_TERMS)})),
             st.tuples(st.just(["ode"]),
                       options({"coeffs": coeffs, "g": poly}, {})),
             st.tuples(

@@ -180,8 +180,8 @@ def edge_argvs() -> list:
         # appended below)
         ["bernoulli", str(cli.MAX_BERNOULLI_INDEX + 1)],
         ["faulhaber", str(cli.MAX_BERNOULLI_INDEX + 1)],
-        ["zeta", "--j", str(cli.MAX_ZETA_INDEX)],
-        ["zeta", "--j", str(cli.MAX_ZETA_INDEX + 1)],
+        ["zeta", "--j", str(cli.MAX_BERNOULLI_INDEX // 2)],
+        ["zeta", "--j", str(cli.MAX_BERNOULLI_INDEX // 2 + 1)],
         ["zeta", "--j", "40", "--oracle-N", str(T)],
         ["zeta", "--j", "40", "--oracle-N", str(T + 1)],
         ["spectral", "--g=1", "--K", str(T)],
@@ -304,6 +304,9 @@ def edge_argvs() -> list:
         # range
         ["euler-gap", "--g", "x", "--x", "1e16", "--K", "3"],
         ["euler-gap", "--g", "x", "--x", "1e308", "--K", "3"],
+        # appended after the first 286 entries: one below the range of
+        # --oracle-N (entry 250, N = 1, is its lower end)
+        ["zeta", "--j", "1", "--oracle-N", "0"],
     ]
 
 

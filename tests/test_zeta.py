@@ -97,7 +97,13 @@ def test_bracket_validation():
     with pytest.raises(ValueError):
         zeta_partial_sum(0, 10)
     with pytest.raises(ValueError):
-        zeta_partial_sum(1, 1)
+        zeta_partial_sum(1, 0)
+    # one term: [1 + 2^(1-2j)/(2j-1), 1 + 1/(2j-1)], around zeta(2j)
+    for j in (1, 2, 5):
+        lower, upper = zeta_partial_sum(j, 1)
+        assert (lower, upper) == (1 + 2.0 ** (1 - 2 * j) / (2 * j - 1),
+                                  1 + 1 / (2 * j - 1))
+        assert lower < zeta_even_closed_form(j).value() < upper
 
 
 def test_b_table_is_the_faulhaber_tail():
@@ -304,7 +310,7 @@ def test_verify_order_one_has_empty_range():
     assert verify_comparison(1, 100) == 0.0
 
 
-@pytest.mark.parametrize("j", [1, 30, 300, 309, 310, 320])
+@pytest.mark.parametrize("j", [1, 30, 300, 309, 310, 320, 400, 500])
 def test_closed_form_value_against_mpmath(j):
     """pi^(2j) alone leaves double range from j = 310, and the coefficient
     nears the subnormal range at j = 309; the value stays within 4 ulps."""
